@@ -21,6 +21,7 @@ use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{eng, header, record, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig};
 use nti_core::params::AlgoKind;
+use nti_faults::FaultPlan;
 use nti_obs::SimObserver;
 
 fn run(algo: AlgoKind, byzantine: bool, obs: &SimObserver) -> nti_core::cluster::Report {
@@ -30,7 +31,7 @@ fn run(algo: AlgoKind, byzantine: bool, obs: &SimObserver) -> nti_core::cluster:
     cfg.f = 1;
     cfg.obs = obs.clone();
     if byzantine {
-        cfg.byzantine = vec![5];
+        cfg.fault_plan = FaultPlan::byzantine(&[5]);
     }
     Cluster::new(cfg).run()
 }

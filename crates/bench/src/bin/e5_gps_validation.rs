@@ -11,6 +11,7 @@
 
 use nti_bench::{eng, header, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig, GpsNodeCfg};
+use nti_faults::FaultPlan;
 use nti_gps::{GpsConfig, GpsFault};
 use nti_simcore::SimDuration;
 
@@ -18,24 +19,15 @@ fn run(fault: Option<GpsFault>, blind: bool, seed: u64) -> nti_core::cluster::Re
     let mut cfg = with_duration(ClusterConfig::default_lan(8, seed), secs(45, 9));
     cfg.rate_sync = true;
     cfg.gps_blind_trust = blind;
-    let faults = fault.map(|f| vec![f]).unwrap_or_default();
-    cfg.gps = vec![
-        GpsNodeCfg {
-            node: 0,
+    cfg.gps = (0..3)
+        .map(|node| GpsNodeCfg {
+            node,
             cfg: GpsConfig::default(),
-            faults: vec![],
-        },
-        GpsNodeCfg {
-            node: 1,
-            cfg: GpsConfig::default(),
-            faults: vec![],
-        },
-        GpsNodeCfg {
-            node: 2,
-            cfg: GpsConfig::default(),
-            faults,
-        },
-    ];
+        })
+        .collect();
+    if let Some(f) = fault {
+        cfg.fault_plan = FaultPlan::gps(2, 0, f);
+    }
     Cluster::new(cfg).run()
 }
 

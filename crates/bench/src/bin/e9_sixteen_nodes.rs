@@ -45,7 +45,6 @@ fn main() {
                 .map(|n| GpsNodeCfg {
                     node: n,
                     cfg: GpsConfig::default(),
-                    faults: vec![],
                 })
                 .collect();
         }

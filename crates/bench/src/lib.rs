@@ -17,9 +17,19 @@
 //! | `e8_lower_bound` | §3.1: the \[LL84\] bound ε(1 − 1/n) |
 //! | `e9_sixteen_nodes` | §4: the 16-node prototype system |
 //! | `e10_wan_of_lans` | §1 fn.2: WANs-of-LANs with NTI gateways |
+//! | `e11_rtt_measurement` | §2: dynamically measured round-trip delay bounds |
+//! | `e12_ntp_wan` | §1: the class-III baseline, NTP over long-haul paths |
+//! | `e13_aposteriori` | §5: a-posteriori agreement (CesiumSpray) baseline |
+//! | `e14_header_base` | §3.4 fn.4: why the Receive Header Base register exists |
+//! | `e15_convergence_functions` | §2/§5: OA vs Marzullo vs FTM convergence functions |
 //! | `e16_chaos` | §2 robustness: fault intensity × type matrix over the `nti-faults` taxonomy (`--smoke` = CI gate) |
+//! | `e18_churn` | membership churn × congestion × mesh depth (`--smoke` = CI gate) |
+//! | `e19_serve` | serving real NTPv4 traffic from the ensemble (`--smoke`, `--telemetry-gate` = CI gates) |
+//! | `e20_abuse` | serve goodput under fuzz, flood and a stalled sim (`--smoke` = CI gate) |
+//! | `nti_analyze` | offline span-forest and monitor report over exported traces (`--smoke` = CI gate) |
 //!
 //! Set `NTI_EXP_FAST=1` to shrink the simulated durations (CI smoke runs).
+//! Simulator and server performance is measured by `perfbench/`, not here.
 
 use nti_core::cluster::{ClusterConfig, Report, HOP_HIST_NAMES, SPAN_HOPS};
 use nti_obs::{Json, MetricKey, SimObserver};

@@ -33,7 +33,7 @@ use crate::rate::RateSync;
 use crate::status::{ClusterStatus, NodeStatus, StatusCell};
 use crate::validate::{gps_observation, validate, ValidationStats};
 use nti_faults::{ChurnEvent, ChurnKind, ChurnPlan, FaultInjector, FaultPlan};
-use nti_gps::{GpsConfig, GpsFault, GpsReceiver};
+use nti_gps::{GpsConfig, GpsReceiver};
 use nti_kernel::{ComcoDriver, Interface, Kernel, KernelConfig};
 use nti_module::{CpldConfig, Nti, UTCSU_BASE};
 use nti_netsim::{Comco, ComcoTiming, Frame, Medium, MediumConfig, Topology};
@@ -43,7 +43,7 @@ use nti_obs::{
 };
 use nti_simcore::ntp::{NtpTime, FRAC_BITS, NTP_FRAC_BITS};
 use nti_simcore::time::{SimDuration, SimTime};
-use nti_simcore::{Accuracy, Engine, Oscillator, QueueKind, SimRng, Summary};
+use nti_simcore::{Accuracy, Engine, Oscillator, SimRng, Summary};
 use nti_utcsu::regs as uregs;
 use nti_utcsu::{IntSource, UtcsuConfig};
 use std::collections::HashMap;
@@ -132,13 +132,9 @@ impl DriftSpec {
 pub struct GpsNodeCfg {
     /// The node carrying the receiver.
     pub node: usize,
-    /// Receiver characteristics.
+    /// Receiver characteristics (faults are injected through
+    /// `FaultPlan::gps`).
     pub cfg: GpsConfig,
-    /// Injected fault episodes.
-    ///
-    /// Deprecated shim: equivalent to `FaultKind::Gps` episodes in the
-    /// fault plan — prefer `FaultPlan::gps`.
-    pub faults: Vec<GpsFault>,
 }
 
 /// Background (NI) traffic occupying the medium and the kernel.
@@ -214,18 +210,6 @@ pub struct ClusterConfig {
     /// accepted as-is, accepted with a widened (down-weighted) interval,
     /// or discarded.
     pub congestion: CongestionPolicy,
-    /// Byzantine nodes: broadcast wildly wrong intervals every round (the
-    /// convergence function must mask up to `f` of them).
-    ///
-    /// Deprecated shim: folded into the fault plan at build time — prefer
-    /// `FaultPlan::byzantine`.
-    pub byzantine: Vec<usize>,
-    /// Probability that a CSP frame is corrupted on the wire (CRC dropped
-    /// at the receiver *after* the RECEIVE trigger fired — footnote 4).
-    ///
-    /// Deprecated shim: folded into the fault plan at build time — prefer
-    /// `FaultPlan::crc_errors`.
-    pub crc_error_rate: f64,
     /// Disable clock validation and trust every GPS interval blindly — the
     /// "questionable undertaking" of Section 5, as a negative control.
     pub gps_blind_trust: bool,
@@ -267,13 +251,6 @@ pub struct ClusterConfig {
     /// (the publish is wait-free). `None` leaves runs bit-identical to
     /// pre-status builds.
     pub status_cell: Option<Arc<StatusCell>>,
-    /// Event-queue backend for the simulation engine. `Adaptive` is the
-    /// production default — it runs the heap strategy while the queue is
-    /// sparse (the shape of a cluster replay) and migrates onto the timer
-    /// wheel when density warrants; `TimerWheel` and `BinaryHeap` pin a
-    /// fixed strategy for equivalence/regression runs (same seed ⇒
-    /// bit-identical report on every backend).
-    pub engine_queue: QueueKind,
 }
 
 impl ClusterConfig {
@@ -305,8 +282,6 @@ impl ClusterConfig {
             fault_plan: FaultPlan::new(),
             churn_plan: ChurnPlan::new(),
             congestion: CongestionPolicy::Ignore,
-            byzantine: Vec::new(),
-            crc_error_rate: 0.0,
             gps_blind_trust: false,
             app_event_period: None,
             actuation_start_sec: None,
@@ -317,7 +292,6 @@ impl ClusterConfig {
             precision_budget: None,
             obs: SimObserver::disabled(),
             status_cell: None,
-            engine_queue: QueueKind::Adaptive,
         }
     }
 }
@@ -894,16 +868,7 @@ impl Cluster {
         let params = derive_params(&cfg);
         let root = SimRng::new(cfg.seed);
         let n = cfg.topology.node_count();
-        // Effective fault plan: the explicit plan plus the legacy knobs
-        // (byzantine / crc_error_rate) folded in as episodes.
-        let mut plan = cfg.fault_plan.clone();
-        if !cfg.byzantine.is_empty() {
-            plan.merge(&FaultPlan::byzantine(&cfg.byzantine));
-        }
-        if cfg.crc_error_rate > 0.0 {
-            plan.merge(&FaultPlan::crc_errors(cfg.crc_error_rate));
-        }
-        let mut injector = FaultInjector::new(&plan, &root);
+        let mut injector = FaultInjector::new(&cfg.fault_plan, &root);
         injector.attach_observer(&cfg.obs);
         for (node, at, _) in injector.crash_windows() {
             assert!(node < n, "crash episode targets node {node} of {n}");
@@ -985,17 +950,14 @@ impl Cluster {
             nodes.push(node);
         }
         for (k, g) in cfg.gps.iter().enumerate() {
-            let mut rx = GpsReceiver::new(g.cfg, root.split_idx("gps", k as u64));
-            for f in &g.faults {
-                rx.inject(*f);
-            }
+            let rx = GpsReceiver::new(g.cfg, root.split_idx("gps", k as u64));
             let gpu_idx = nodes[g.node].gps.len();
             assert!(gpu_idx < nti_utcsu::NUM_GPU, "at most 3 receivers per node");
             nodes[g.node].nti.utcsu_mut().gpu[gpu_idx].enabled = true;
             nodes[g.node].gps.push(rx);
         }
-        // GPS faults from the fault plan ride on receivers declared in
-        // `cfg.gps` (an episode cannot conjure hardware).
+        // GPS faults ride on receivers declared in `cfg.gps` (an episode
+        // cannot conjure hardware); `receiver` counts the node's own.
         for (id, node) in nodes.iter_mut().enumerate() {
             for (receiver, fault) in injector.gps_faults(id) {
                 assert!(
@@ -1108,7 +1070,7 @@ impl Cluster {
                 },
             );
         }
-        let mut eng = Eng::with_queue(world.cfg.engine_queue);
+        let mut eng = Eng::new();
         eng.attach_observer(&obs);
         // Dark-start churn nodes: a node whose *first* churn event is a
         // join spends the run's opening `Down` — no clock, no timers, no
@@ -2949,6 +2911,7 @@ fn restart_node_with(world: &mut World, eng: &mut Eng, id: usize, off: SimDurati
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nti_gps::GpsFault;
 
     fn quick_cfg(n: usize) -> ClusterConfig {
         let mut c = ClusterConfig::default_lan(n, 42);
@@ -3048,18 +3011,21 @@ mod tests {
             GpsNodeCfg {
                 node: 0,
                 cfg: GpsConfig::default(),
-                faults: vec![],
             },
             GpsNodeCfg {
                 node: 1,
                 cfg: GpsConfig::default(),
-                faults: vec![GpsFault::Offset {
-                    from: 0,
-                    until: 100,
-                    offset: SimDuration::from_millis(2),
-                }],
             },
         ];
+        cfg.fault_plan = FaultPlan::gps(
+            1,
+            0,
+            GpsFault::Offset {
+                from: 0,
+                until: 100,
+                offset: SimDuration::from_millis(2),
+            },
+        );
         let rep = Cluster::new(cfg).run();
         assert!(rep.gps.0 > 5, "healthy receiver accepted: {:?}", rep.gps);
         assert!(rep.gps.1 > 5, "faulty receiver rejected: {:?}", rep.gps);

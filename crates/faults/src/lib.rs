@@ -176,11 +176,11 @@ impl FaultEpisode {
 
 /// A deterministic schedule of fault episodes.
 ///
-/// Build one with [`FaultPlan::with`] chains or the legacy-knob constructors
+/// Build one with [`FaultPlan::with`] chains or the constructors
 /// ([`FaultPlan::byzantine`], [`FaultPlan::crc_errors`], [`FaultPlan::gps`],
-/// [`FaultPlan::crash`]), then hand it to `ClusterConfig.fault_plan`. An
-/// empty plan injects nothing and leaves the simulation bit-identical to a
-/// fault-free run.
+/// [`FaultPlan::crash`]), combine plans with [`FaultPlan::merge`], then hand
+/// the result to `ClusterConfig.fault_plan`. An empty plan injects nothing
+/// and leaves the simulation bit-identical to a fault-free run.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     episodes: Vec<FaultEpisode>,
@@ -218,8 +218,7 @@ impl FaultPlan {
         self.episodes.extend_from_slice(&other.episodes);
     }
 
-    /// Legacy shim: the given nodes behave Byzantine for the whole run
-    /// (equivalent of the old `ClusterConfig.byzantine` knob).
+    /// The given nodes behave Byzantine for the whole run.
     pub fn byzantine(nodes: &[usize]) -> Self {
         let mut plan = FaultPlan::new();
         for &n in nodes {
@@ -233,8 +232,8 @@ impl FaultPlan {
         plan
     }
 
-    /// Legacy shim: every node corrupts each transmitted CSP with `rate`
-    /// (equivalent of the old `ClusterConfig.crc_error_rate` knob).
+    /// Every node corrupts each transmitted CSP with `rate` for the whole
+    /// run.
     pub fn crc_errors(rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0,1]");
         FaultPlan::new().with(FaultEpisode {
@@ -245,9 +244,9 @@ impl FaultPlan {
         })
     }
 
-    /// Legacy shim: inject `fault` into receiver `receiver` of node `node`
-    /// (equivalent of the old `GpsNodeCfg.faults` path; the `GpsFault`
-    /// carries its own activation window).
+    /// Inject `fault` into receiver `receiver` of node `node`, counting
+    /// only that node's receivers in `ClusterConfig.gps` order. The
+    /// `GpsFault` carries its own activation window.
     pub fn gps(node: usize, receiver: usize, fault: GpsFault) -> Self {
         FaultPlan::new().with(FaultEpisode {
             from: SimTime::ZERO,
@@ -835,7 +834,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_constructors_build_expected_episodes() {
+    fn plan_constructors_build_expected_episodes() {
         let plan = FaultPlan::byzantine(&[1, 4]);
         assert_eq!(plan.episodes().len(), 2);
         let inj = FaultInjector::new(&plan, &SimRng::new(1));

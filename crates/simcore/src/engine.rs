@@ -14,39 +14,30 @@
 //! ## Internals
 //!
 //! Events live in a **slab**: a `Vec` of generation-tagged slots with a free
-//! list, so the priority queue moves only packed `(generation, index)` u64
+//! list, so the queue moves only packed `(generation, index)` u64
 //! references. [`Engine::cancel`] is O(1) — it bumps the slot generation,
-//! which makes every queued reference to the old occupant stale; stale
-//! references are dropped lazily when encountered. `pending()` therefore
-//! counts *live* events only, and nothing accumulates for cancelled ids.
+//! which makes every queued reference to the old occupant stale. `pending()`
+//! therefore counts *live* events only, and nothing accumulates for
+//! cancelled ids.
 //!
-//! Three queue backends share the slab (selected by [`QueueKind`]):
+//! The queue is one binary heap of `(time, seq, packed ref)` entries,
+//! ordered by `(time, seq)`. Stale references are dropped lazily when they
+//! reach the head. A periodic event keeps its slab slot and closure across
+//! occurrences and is re-armed in place with a fresh sequence number.
 //!
-//! * **Adaptive** (default) — watches its own live-event density online and
-//!   switches between the heap strategy (which wins on sparse,
-//!   production-shaped workloads like the cluster replay, where the whole
-//!   queue fits in a couple of cache lines) and the wheel strategy (which
-//!   wins from a few thousand queued events upward). Switching is
-//!   hysteretic — distinct up/down watermarks on an EWMA of the live count
-//!   — so it never thrashes, and migration filters cancelled entries, so a
-//!   mass-cancel is purged rather than carried.
-//! * **Timer wheel** — a hierarchical wheel of 6 levels × 64
-//!   slots over 2³⁰ fs (≈ 1.07 µs) granules, giving ~20 h of in-wheel range
-//!   with O(1) insert and amortized O(1) dispatch; a far-future overflow
-//!   heap catches everything beyond the wheel (including `SimTime::MAX`
-//!   sentinels). Events of the granule currently being dispatched sit in a
-//!   small `due` heap ordered by `(time, seq)`, which restores exact FIFO
-//!   tie order below granule resolution and absorbs same-granule events
-//!   scheduled *during* dispatch. A higher-level slot whose entries all
-//!   share one granule stages straight into `due` (batched cascade)
-//!   instead of cascading level by level.
-//! * **Binary heap** — the pre-wheel algorithm (one global
-//!   `BinaryHeap` ordered by `(time, seq)`), kept as the reference model
-//!   for the equivalence proptests and as the baseline the `e17_engine_perf`
-//!   experiment measures the other backends against.
+//! | operation                             | cost                         |
+//! |---------------------------------------|------------------------------|
+//! | `schedule_at` / `_after` / `_every`   | O(log n)                     |
+//! | `cancel`                              | O(1)                         |
+//! | fire one event (incl. periodic re-arm)| O(log n) amortized           |
+//! | `next_event_time`                     | O(1) amortized               |
+//! | `pending` / `events_fired` / `now`    | O(1)                         |
 //!
-//! All backends observe the same contract: identical fire order, identical
-//! `(time, seq)` tie-breaking, identical observability counters.
+//! `n` counts queued entries, live and stale; each stale entry is popped at
+//! most once. A hierarchical timer wheel and a heap↔wheel adaptive queue
+//! were measured against this heap on the repository benchmark and bought
+//! nothing end to end (DESIGN.md §4 has the numbers and the rule for when a
+//! wheel may come back).
 
 use crate::time::{SimDuration, SimTime};
 use nti_obs::{keys, Counter, Histogram, Payload, SimObserver, Subsystem, GLOBAL_NODE};
@@ -63,22 +54,6 @@ use std::sync::Arc;
 pub struct EventId {
     idx: u32,
     gen: u32,
-}
-
-/// Which priority-queue backend an [`Engine`] runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum QueueKind {
-    /// Self-tuning backend (the production default): runs the heap
-    /// strategy while the queue is sparse and migrates to the timer wheel
-    /// when the live-event count crosses a watermark (and back, with
-    /// hysteresis). Observationally identical to both fixed backends.
-    #[default]
-    Adaptive,
-    /// Hierarchical timer wheel + overflow heap.
-    TimerWheel,
-    /// Single binary heap ordered by `(time, seq)` — the original engine
-    /// algorithm, kept as an equivalence reference and benchmark baseline.
-    BinaryHeap,
 }
 
 /// The closure type fired when a one-shot event comes due.
@@ -120,230 +95,9 @@ fn unpack(packed: u64) -> (u32, u32) {
     (packed as u32, (packed >> 32) as u32)
 }
 
-/// Bits of femtoseconds collapsed into one wheel granule (2³⁰ fs ≈ 1.07 µs).
-/// The granule only sets the wheel's bucketing — events inside one granule
-/// are re-ordered exactly by `(time, seq)` in the `due` buffer, so
-/// coarsening it trades nothing in precision. Coarser granules push
-/// typical simulation delays (µs–s) into *lower* wheel levels, cutting the
-/// cascade work per event.
-const GRANULE_BITS: u32 = 30;
-/// log₂ of the slot count per wheel level.
-const LEVEL_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Wheel levels; total in-wheel range is `2^(GRANULE_BITS + LEVEL_BITS *
-/// LEVELS)` fs ≈ 20.4 h. Anything farther goes to the overflow heap.
-const LEVELS: usize = 6;
-/// Granule bits covered by the whole wheel.
-const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
-
 /// Queue entries are ordered by `(time, seq)`; the packed slab reference
 /// rides along (it never decides an ordering: `(time, seq)` is unique).
 type QEntry = (SimTime, u64, u64);
-
-struct Level {
-    /// Bitmap of non-empty slots.
-    occ: u64,
-    /// Full `(time, seq, packed)` entries, not bare slab refs: cascading a
-    /// slot downward must not touch the slab (one random slab read per
-    /// entry per level turns into the dominant cache-miss cost at large
-    /// event counts). Stale (cancelled) entries ride the cascade and are
-    /// dropped lazily at dispatch, exactly like the heap backend.
-    slots: [Vec<QEntry>; SLOTS],
-}
-
-impl Level {
-    fn new() -> Level {
-        Level {
-            occ: 0,
-            slots: std::array::from_fn(|_| Vec::new()),
-        }
-    }
-}
-
-/// Hierarchical timer wheel over granules of 2^`GRANULE_BITS` fs.
-///
-/// `base` is the granule index the wheel is anchored at; every queued event
-/// has granule ≥ `base`. Level `L` slot `s` collects events whose granule
-/// agrees with `base` above bit `LEVEL_BITS*(L+1)` and has digit `s` at
-/// level `L`; by construction occupied slots at level 0 have digit ≥
-/// `base`'s digit and at level > 0 strictly greater, so the earliest
-/// occupied slot (scanning levels bottom-up) starts at the minimum pending
-/// granule.
-struct Wheel {
-    levels: Vec<Level>,
-    /// Bit `L` set iff level `L` has any occupied slot — lets `next_slot`
-    /// jump straight to the first occupied level instead of scanning all
-    /// six (every occupied slot is in scan range by the wheel invariant,
-    /// so the lowest occupied level always holds the minimum).
-    occ_levels: u32,
-    /// Granule index of the wheel origin.
-    base: u128,
-    /// Events beyond the wheel range, ordered by `(time, seq)`. Always in a
-    /// strictly later `2^WHEEL_BITS`-granule block than every wheel event,
-    /// so they only migrate in when the wheel is empty.
-    overflow: BinaryHeap<Reverse<QEntry>>,
-    /// Events of the granule currently being dispatched, ordered by
-    /// `(time, seq)` to restore exact FIFO tie order below granule size.
-    due: BinaryHeap<Reverse<QEntry>>,
-    /// `Some(g)` while granule `g`'s events are staged in (or draining
-    /// from) `due`; new arrivals for `g` go straight to `due`.
-    due_granule: Option<u128>,
-}
-
-impl Wheel {
-    fn new() -> Wheel {
-        Wheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            occ_levels: 0,
-            base: 0,
-            overflow: BinaryHeap::new(),
-            due: BinaryHeap::new(),
-            due_granule: None,
-        }
-    }
-
-    fn insert(&mut self, at: SimTime, seq: u64, packed: u64) {
-        let g = at.0 >> GRANULE_BITS;
-        if self.due_granule == Some(g) {
-            // Invariant: while a granule is staged, the base sits on it.
-            debug_assert_eq!(self.base, g, "due_granule diverged from base");
-            self.due.push(Reverse((at, seq, packed)));
-            return;
-        }
-        debug_assert!(g >= self.base, "event granule precedes wheel base");
-        if (g ^ self.base) >> WHEEL_BITS != 0 {
-            self.overflow.push(Reverse((at, seq, packed)));
-            return;
-        }
-        let diff = (g ^ self.base) as u64;
-        let level = if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize
-        };
-        let slot = ((g >> (LEVEL_BITS * level as u32)) & (SLOTS as u128 - 1)) as usize;
-        let lv = &mut self.levels[level];
-        lv.slots[slot].push((at, seq, packed));
-        lv.occ |= 1u64 << slot;
-        self.occ_levels |= 1 << level;
-    }
-
-    /// `(start granule, level, slot)` of the earliest occupied wheel slot.
-    ///
-    /// Levels are inherently ordered: every level-`L` candidate precedes
-    /// every level-`L+1` candidate (a level-`L+1` slot starts past the end
-    /// of `base`'s whole level-`L` window), so the first level with an
-    /// occupied slot in scan range holds the minimum.
-    fn next_slot(&self) -> Option<(u128, usize, usize)> {
-        let mut lvls = self.occ_levels;
-        while lvls != 0 {
-            let level = lvls.trailing_zeros() as usize;
-            lvls &= lvls - 1;
-            let lv = &self.levels[level];
-            let shift = LEVEL_BITS * level as u32;
-            let cb = ((self.base >> shift) & (SLOTS as u128 - 1)) as u32;
-            // Level 0 scans its own digit too (events in base's granule);
-            // higher levels hold strictly-greater digits only.
-            let mask = if level == 0 {
-                u64::MAX << cb
-            } else {
-                (u64::MAX << cb) << 1
-            };
-            let m = lv.occ & mask;
-            if m != 0 {
-                let s = m.trailing_zeros();
-                let start =
-                    (((self.base >> (shift + LEVEL_BITS)) << LEVEL_BITS) | s as u128) << shift;
-                return Some((start, level, s as usize));
-            }
-        }
-        None
-    }
-
-    fn is_empty(&self) -> bool {
-        self.occ_levels == 0
-    }
-
-    /// Opportunistically pull the base up to `now`'s granule when the wheel
-    /// proper is idle, so near-future schedules after a long quiet gap land
-    /// in the wheel directly instead of detouring through the overflow heap
-    /// (the base otherwise stays anchored wherever the last event fired —
-    /// an idle `advance` never moves it). Only legal when every block
-    /// between the old and new base is empty: the wheel levels and the
-    /// `due` stage must be drained, and every overflow entry must sit in a
-    /// strictly later `2^WHEEL_BITS`-granule block than the new base, or it
-    /// could come due while in-range wheel events fire around it.
-    fn maybe_rebase(&mut self, now: SimTime) {
-        if self.occ_levels != 0 || self.due_granule.is_some() || !self.due.is_empty() {
-            return;
-        }
-        let nb = now.0 >> GRANULE_BITS;
-        if nb <= self.base {
-            return;
-        }
-        if let Some(&Reverse((t, _, _))) = self.overflow.peek() {
-            if (t.0 >> GRANULE_BITS) >> WHEEL_BITS <= nb >> WHEEL_BITS {
-                return;
-            }
-        }
-        self.base = nb;
-    }
-}
-
-enum Queue {
-    Wheel(Wheel),
-    Heap(BinaryHeap<Reverse<QEntry>>),
-}
-
-/// Live-count watermark above which the adaptive backend migrates from the
-/// heap strategy to the timer wheel (checked on insert, so a schedule burst
-/// pays heap cost for at most this many entries before the wheel takes
-/// over).
-const ADAPT_HIGH: usize = 2048;
-/// EWMA watermark at or below which the adaptive backend migrates back to
-/// the heap. The gap to [`ADAPT_HIGH`] is the hysteresis band: around
-/// either watermark, oscillating occupancy moves the EWMA slowly (α = 1/8)
-/// and migration only triggers on a sustained trend, never per event.
-const ADAPT_LOW: u64 = 512;
-/// Events fired between adaptive strategy decisions inside one `run_until`.
-/// Small enough that a drain from millions of events down to a sparse
-/// steady state is noticed promptly; large enough that the decision (a few
-/// integer ops) is invisible in the dispatch cost.
-const ADAPT_CHUNK: u64 = 1024;
-
-/// Online density tracker for [`QueueKind::Adaptive`].
-struct AdaptState {
-    /// Fixed-point (×8) EWMA of the live-event count, updated once per
-    /// dispatch chunk: `e ← e − e/8 + live`, which converges to `8·live`.
-    /// Reset to `8·live` on every migration so a fresh strategy never
-    /// flip-flops on stale history.
-    ewma_x8: u64,
-    /// Up-switch watermark ([`ADAPT_HIGH`] unless overridden for tests).
-    high: usize,
-    /// Down-switch watermark ([`ADAPT_LOW`] unless overridden for tests).
-    low: u64,
-}
-
-/// Outcome of inspecting the head of the `due` buffer.
-enum DueStep {
-    /// Popped a live event at `time ≤ until`; fire it.
-    Fire(SimTime, u64),
-    /// Head is live but beyond `until`; stop (leave it staged).
-    Beyond,
-    /// `due` is empty (granule fully dispatched).
-    Drained,
-}
-
-/// Outcome of trying to advance the wheel to its next occupied slot.
-enum Advance {
-    /// Moved onto a slot (staged or cascaded); keep running.
-    Advanced,
-    /// The next occupied slot starts beyond `until`; stop.
-    Beyond,
-    /// The wheel holds no events at all; consult the overflow heap.
-    Empty,
-}
 
 /// Pre-resolved observability handles for the engine hot path: resolved
 /// once at [`Engine::attach_observer`] time so firing an event touches no
@@ -369,11 +123,7 @@ pub struct Engine<S> {
     /// Live (scheduled, not yet fired or cancelled) events.
     live: usize,
     fired: u64,
-    queue: Queue,
-    /// `Some` iff this engine was created as [`QueueKind::Adaptive`]; the
-    /// current `queue` variant is then the active strategy, not a fixed
-    /// choice.
-    adapt: Option<AdaptState>,
+    queue: BinaryHeap<Reverse<QEntry>>,
     obs: Option<EngineObs>,
 }
 
@@ -384,14 +134,8 @@ impl<S> Default for Engine<S> {
 }
 
 impl<S> Engine<S> {
-    /// A fresh engine at t = 0 with an empty queue (adaptive backend).
+    /// A fresh engine at t = 0 with an empty queue.
     pub fn new() -> Self {
-        Self::with_queue(QueueKind::default())
-    }
-
-    /// A fresh engine on an explicit queue backend. The adaptive backend
-    /// starts on the heap strategy — an empty queue is maximally sparse.
-    pub fn with_queue(kind: QueueKind) -> Self {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
@@ -399,56 +143,8 @@ impl<S> Engine<S> {
             free: Vec::new(),
             live: 0,
             fired: 0,
-            queue: match kind {
-                QueueKind::TimerWheel => Queue::Wheel(Wheel::new()),
-                QueueKind::BinaryHeap | QueueKind::Adaptive => Queue::Heap(BinaryHeap::new()),
-            },
-            adapt: match kind {
-                QueueKind::Adaptive => Some(AdaptState {
-                    ewma_x8: 0,
-                    high: ADAPT_HIGH,
-                    low: ADAPT_LOW,
-                }),
-                _ => None,
-            },
+            queue: BinaryHeap::new(),
             obs: None,
-        }
-    }
-
-    /// An adaptive engine with explicit migration watermarks. Test-only
-    /// knob: tiny watermarks make small equivalence programs cross
-    /// strategies constantly, which the production values (sized for real
-    /// workloads) would never do within a proptest's budget.
-    #[doc(hidden)]
-    pub fn with_adaptive_watermarks(high: usize, low: u64) -> Self {
-        assert!(high as u64 > low, "hysteresis band must be non-empty");
-        let mut eng = Self::with_queue(QueueKind::Adaptive);
-        if let Some(ad) = &mut eng.adapt {
-            ad.high = high;
-            ad.low = low;
-        }
-        eng
-    }
-
-    /// The queue backend this engine runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        if self.adapt.is_some() {
-            return QueueKind::Adaptive;
-        }
-        match self.queue {
-            Queue::Wheel(_) => QueueKind::TimerWheel,
-            Queue::Heap(_) => QueueKind::BinaryHeap,
-        }
-    }
-
-    /// The strategy currently executing underneath: for a fixed backend,
-    /// the backend itself; for [`QueueKind::Adaptive`], whichever of
-    /// `TimerWheel` / `BinaryHeap` the density tracker has picked right
-    /// now (diagnostics and tests; never needed for correctness).
-    pub fn active_strategy(&self) -> QueueKind {
-        match self.queue {
-            Queue::Wheel(_) => QueueKind::TimerWheel,
-            Queue::Heap(_) => QueueKind::BinaryHeap,
         }
     }
 
@@ -504,110 +200,18 @@ impl<S> Engine<S> {
     }
 
     /// Whether a packed queue reference still points at its original event.
-    fn is_live(slots: &[SlabSlot<S>], packed: u64) -> bool {
+    fn is_live(&self, packed: u64) -> bool {
         let (idx, gen) = unpack(packed);
-        slots.get(idx as usize).is_some_and(|s| {
+        self.slots.get(idx as usize).is_some_and(|s| {
             s.gen == gen && matches!(s.body, Body::Once { .. } | Body::Every { .. })
         })
     }
 
-    fn queue_insert(&mut self, at: SimTime, seq: u64, packed: u64) {
-        let grow = match &mut self.queue {
-            Queue::Heap(h) => {
-                h.push(Reverse((at, seq, packed)));
-                true
-            }
-            Queue::Wheel(w) => {
-                w.maybe_rebase(self.now);
-                w.insert(at, seq, packed);
-                false
-            }
-        };
-        // Adaptive up-switch happens here, on insert, not only at
-        // dispatch: a pure schedule burst must not pay heap cost for its
-        // whole length before the first `run_until`.
-        if grow && self.adapt.as_ref().is_some_and(|ad| self.live >= ad.high) {
-            self.migrate_to_wheel();
-        }
-    }
-
-    /// Adaptive migration heap → wheel. Live entries are re-inserted into
-    /// a wheel based at the current granule; stale (cancelled) entries are
-    /// filtered out instead of carried.
-    fn migrate_to_wheel(&mut self) {
-        let Queue::Heap(h) = &mut self.queue else {
-            return;
-        };
-        let entries = std::mem::take(h).into_vec();
-        let mut w = Wheel::new();
-        w.base = self.now.0 >> GRANULE_BITS;
-        for Reverse((at, seq, packed)) in entries {
-            if Self::is_live(&self.slots, packed) {
-                w.insert(at, seq, packed);
-            }
-        }
-        self.queue = Queue::Wheel(w);
-        if let Some(ad) = &mut self.adapt {
-            ad.ewma_x8 = 8 * self.live as u64;
-        }
-    }
-
-    /// Adaptive migration wheel → heap: collect every live entry (due
-    /// stage, all wheel levels, overflow) and heapify in one O(n) pass.
-    /// Stale entries are dropped, so a burst-schedule → mass-cancel queue
-    /// is purged here rather than ridden down.
-    fn migrate_to_heap(&mut self) {
-        let slots = &self.slots;
-        let Queue::Wheel(w) = &mut self.queue else {
-            return;
-        };
-        let mut entries: Vec<Reverse<QEntry>> = Vec::new();
-        let live = |packed: u64| Self::is_live(slots, packed);
-        entries.extend(w.due.drain().filter(|&Reverse((_, _, p))| live(p)));
-        for lv in &mut w.levels {
-            let mut occ = lv.occ;
-            while occ != 0 {
-                let s = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                entries.extend(
-                    lv.slots[s]
-                        .drain(..)
-                        .filter(|&(_, _, p)| live(p))
-                        .map(Reverse),
-                );
-            }
-        }
-        entries.extend(
-            std::mem::take(&mut w.overflow)
-                .into_vec()
-                .into_iter()
-                .filter(|&Reverse((_, _, p))| live(p)),
-        );
-        self.queue = Queue::Heap(BinaryHeap::from(entries));
-        if let Some(ad) = &mut self.adapt {
-            ad.ewma_x8 = 8 * self.live as u64;
-        }
-    }
-
-    /// One adaptive strategy decision (called between dispatch chunks):
-    /// fold the current live count into the EWMA and migrate if it has
-    /// crossed a watermark in the direction the hysteresis band allows.
-    fn adapt_rebalance(&mut self) {
-        let (ewma_x8, high, low) = {
-            let Some(ad) = &mut self.adapt else {
-                return;
-            };
-            ad.ewma_x8 = ad.ewma_x8 - ad.ewma_x8 / 8 + self.live as u64;
-            (ad.ewma_x8, ad.high, ad.low)
-        };
-        match self.queue {
-            Queue::Heap(_) if ewma_x8 >= 8 * high as u64 => self.migrate_to_wheel(),
-            Queue::Wheel(_) if ewma_x8 <= 8 * low => self.migrate_to_heap(),
-            _ => {}
-        }
-    }
-
-    fn note_scheduled(&self, at: SimTime) {
+    /// Queue the event `packed` for `at` under the next sequence number.
+    fn enqueue(&mut self, at: SimTime, packed: u64) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Reverse((at, seq, packed)));
         if let Some(o) = &self.obs {
             o.scheduled.inc();
             if o.obs.tracing(Subsystem::Engine) {
@@ -635,12 +239,9 @@ impl<S> Engine<S> {
             "scheduling into the past: {at:?} < {:?}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
         let (idx, gen) = self.alloc(Body::Once(Box::new(f)));
         self.live += 1;
-        self.queue_insert(at, seq, pack(idx, gen));
-        self.note_scheduled(at);
+        self.enqueue(at, pack(idx, gen));
         EventId { idx, gen }
     }
 
@@ -674,15 +275,12 @@ impl<S> Engine<S> {
             period > SimDuration::ZERO,
             "periodic event needs period > 0"
         );
-        let seq = self.seq;
-        self.seq += 1;
         let (idx, gen) = self.alloc(Body::Every {
             period,
             f: Box::new(f),
         });
         self.live += 1;
-        self.queue_insert(first, seq, pack(idx, gen));
-        self.note_scheduled(first);
+        self.enqueue(first, pack(idx, gen));
         EventId { idx, gen }
     }
 
@@ -737,12 +335,8 @@ impl<S> Engine<S> {
                 // number, exactly as a self-rescheduling handler would.
                 let s = &mut self.slots[idx as usize];
                 if s.gen == gen && matches!(s.body, Body::InFlight) {
-                    let seq = self.seq;
-                    self.seq += 1;
-                    let next_at = at + period;
                     s.body = Body::Every { period, f };
-                    self.queue_insert(next_at, seq, packed);
-                    self.note_scheduled(next_at);
+                    self.enqueue(at + period, packed);
                 }
             }
             Body::Vacant | Body::InFlight => unreachable!("fired a dead slab slot"),
@@ -770,305 +364,39 @@ impl<S> Engine<S> {
     /// Fire events in order until the queue is exhausted or the next event
     /// lies beyond `until`; then advance the clock to `until`.
     pub fn run_until(&mut self, state: &mut S, until: SimTime) {
-        if self.adapt.is_some() {
-            // Adaptive: dispatch in bounded chunks with a strategy
-            // decision between chunks, so a long drain can migrate
-            // mid-run as the queue density changes.
-            loop {
-                self.adapt_rebalance();
-                let done = match self.queue {
-                    Queue::Wheel(_) => self.run_chunk_wheel(state, until, ADAPT_CHUNK),
-                    Queue::Heap(_) => self.run_chunk_heap(state, until, ADAPT_CHUNK),
-                };
-                if done {
-                    break;
-                }
-            }
-        } else {
-            match self.queue {
-                Queue::Wheel(_) => {
-                    self.run_chunk_wheel(state, until, u64::MAX);
-                }
-                Queue::Heap(_) => {
-                    self.run_chunk_heap(state, until, u64::MAX);
-                }
-            }
+        while let Some((at, packed)) = self.pop_due(until) {
+            self.fire(state, at, packed);
         }
         if until > self.now {
             self.now = until;
         }
     }
 
-    /// Heap-strategy dispatch, bounded to `budget` fired events. Returns
-    /// `true` when no live event at or before `until` remains (the run is
-    /// done), `false` when the budget ran out — or when a handler's
-    /// scheduling migrated the adaptive queue onto the wheel strategy
-    /// mid-chunk, in which case the caller re-dispatches.
-    fn run_chunk_heap(&mut self, state: &mut S, until: SimTime, mut budget: u64) -> bool {
-        loop {
-            if budget == 0 {
-                return false;
-            }
-            let next = {
-                let Queue::Heap(h) = &mut self.queue else {
-                    return false; // migrated mid-chunk by a handler
-                };
-                loop {
-                    match h.peek() {
-                        None => break None,
-                        Some(&Reverse((at, _seq, packed))) => {
-                            if !Self::is_live(&self.slots, packed) {
-                                h.pop(); // stale (cancelled): drop lazily
-                                continue;
-                            }
-                            if at > until {
-                                break None;
-                            }
-                            h.pop();
-                            break Some((at, packed));
-                        }
-                    }
-                }
-            };
-            match next {
-                Some((at, packed)) => {
-                    self.fire(state, at, packed);
-                    budget -= 1;
-                }
-                None => return true,
-            }
+    /// Pop the earliest live event if it is due at or before `until`.
+    fn pop_due(&mut self, until: SimTime) -> Option<(SimTime, u64)> {
+        if self.next_event_time()? > until {
+            return None;
         }
-    }
-
-    /// Wheel-strategy dispatch, bounded to `budget` fired events. Returns
-    /// `true` when no live event at or before `until` remains; `false`
-    /// when the budget ran out (the partially drained granule stays staged
-    /// in `due` and the next chunk resumes it exactly).
-    fn run_chunk_wheel(&mut self, state: &mut S, until: SimTime, mut budget: u64) -> bool {
-        loop {
-            // 1. Drain the granule staged in `due` (exact (time, seq) order).
-            loop {
-                if budget == 0 {
-                    return false;
-                }
-                match self.pop_due(until) {
-                    DueStep::Fire(at, packed) => {
-                        self.fire(state, at, packed);
-                        budget -= 1;
-                    }
-                    DueStep::Beyond => return true,
-                    DueStep::Drained => break,
-                }
-            }
-            // 2. Advance to the earliest occupied wheel slot: level 0 (and
-            //    any single-granule higher slot) stages into `due`, the
-            //    rest cascade down.
-            match self.advance_wheel(until) {
-                Advance::Advanced => continue,
-                Advance::Beyond => return true,
-                Advance::Empty => {}
-            }
-            // 3. Wheel empty: rebase onto the earliest overflow block.
-            if !self.refill_from_overflow(until) {
-                return true;
-            }
-        }
-    }
-
-    fn pop_due(&mut self, until: SimTime) -> DueStep {
-        let Queue::Wheel(w) = &mut self.queue else {
-            unreachable!()
-        };
-        loop {
-            let Some(&Reverse((at, _seq, packed))) = w.due.peek() else {
-                w.due_granule = None;
-                return DueStep::Drained;
-            };
-            if !Self::is_live(&self.slots, packed) {
-                w.due.pop();
-                continue;
-            }
-            if at > until {
-                return DueStep::Beyond;
-            }
-            w.due.pop();
-            return DueStep::Fire(at, packed);
-        }
-    }
-
-    /// Move the wheel to its earliest occupied slot if that slot starts at
-    /// or before `until`.
-    fn advance_wheel(&mut self, until: SimTime) -> Advance {
-        let Queue::Wheel(w) = &mut self.queue else {
-            unreachable!()
-        };
-        // The previous granule must be fully unstaged before the wheel
-        // moves (pop_due clears `due_granule` on drain); a violation here
-        // would let `base` run ahead of a granule still owed dispatch.
-        debug_assert!(w.due_granule.is_none(), "advance with a staged granule");
-        let Some((start, level, slot)) = w.next_slot() else {
-            return Advance::Empty;
-        };
-        if SimTime(start << GRANULE_BITS) > until {
-            return Advance::Beyond;
-        }
-        w.base = start;
-        let lv = &mut w.levels[level];
-        lv.occ &= !(1u64 << slot);
-        if lv.occ == 0 {
-            w.occ_levels &= !(1 << level);
-        }
-        let mut entries = std::mem::take(&mut lv.slots[slot]);
-        if level == 0 {
-            // One granule per level-0 slot: stage it for exact-order
-            // dispatch. Stale entries are filtered by `pop_due`, so no
-            // slab access happens here.
-            w.due_granule = Some(start);
-            for e in entries.drain(..) {
-                w.due.push(Reverse(e));
-            }
-        } else {
-            // Batched cascade: when every entry of this higher-level slot
-            // lands in one granule — a lone entry, a same-instant burst, or
-            // one batch of traffic — the whole slot jumps straight to
-            // dispatch instead of cascading level by level. Safe because
-            // the scan found no occupied lower level (empty by the
-            // scan-range invariant), every other wheel event lies in a
-            // later slot (granule beyond this slot's window), and the
-            // granule starting at or before `until` keeps
-            // `base <= granule(now)` when the run returns. Stale entries
-            // just drop out in `pop_due`.
-            let g = entries[0].0 .0 >> GRANULE_BITS;
-            let one_granule = entries.iter().all(|e| e.0 .0 >> GRANULE_BITS == g);
-            if one_granule && SimTime(g << GRANULE_BITS) <= until {
-                w.base = g;
-                w.due_granule = Some(g);
-                for e in entries.drain(..) {
-                    w.due.push(Reverse(e));
-                }
-            } else {
-                // Cascade: redistribute into strictly lower levels of the
-                // rebased wheel. Pure entry moves — no slab lookups.
-                for (at, seq, packed) in entries.drain(..) {
-                    w.insert(at, seq, packed);
-                }
-            }
-        }
-        // Hand the (now empty) Vec back to its slot to keep its capacity.
-        w.levels[level].slots[slot] = entries;
-        Advance::Advanced
-    }
-
-    /// When the wheel is empty, rebase it onto the block of the earliest
-    /// live overflow event (≤ `until`) and migrate that block in.
-    fn refill_from_overflow(&mut self, until: SimTime) -> bool {
-        let Queue::Wheel(w) = &mut self.queue else {
-            unreachable!()
-        };
-        debug_assert!(w.is_empty());
-        loop {
-            let Some(&Reverse((at, _seq, packed))) = w.overflow.peek() else {
-                return false;
-            };
-            if !Self::is_live(&self.slots, packed) {
-                w.overflow.pop();
-                continue;
-            }
-            if at > until {
-                return false;
-            }
-            let base = at.0 >> GRANULE_BITS;
-            w.base = base;
-            while let Some(&Reverse((at2, seq2, p2))) = w.overflow.peek() {
-                if !Self::is_live(&self.slots, p2) {
-                    w.overflow.pop();
-                    continue;
-                }
-                if (at2.0 >> GRANULE_BITS ^ base) >> WHEEL_BITS != 0 {
-                    break;
-                }
-                w.overflow.pop();
-                w.insert(at2, seq2, p2);
-            }
-            return true;
-        }
+        let Reverse((at, _seq, packed)) = self.queue.pop()?;
+        Some((at, packed))
     }
 
     /// Fire all remaining events (use only for workloads that are known to
-    /// quiesce, e.g. tests).
+    /// quiesce, e.g. tests). Like every [`Engine::run_until`], this leaves
+    /// the clock at its bound — here `SimTime::MAX` — not at the last
+    /// fired instant.
     pub fn run_to_completion(&mut self, state: &mut S) {
         self.run_until(state, SimTime::MAX);
-        // run_until sets now to MAX; pull it back to the last fired instant
-        // is not possible, so run_to_completion leaves now at MAX by design.
     }
 
     /// The instant of the next live (non-cancelled) pending event, if any.
+    /// Stale entries met at the head of the queue are dropped here.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        match &mut self.queue {
-            Queue::Heap(h) => {
-                while let Some(&Reverse((at, _seq, packed))) = h.peek() {
-                    if Self::is_live(&self.slots, packed) {
-                        return Some(at);
-                    }
-                    h.pop();
-                }
-                None
-            }
-            Queue::Wheel(_) => self.next_event_time_wheel(),
-        }
-    }
-
-    fn next_event_time_wheel(&mut self) -> Option<SimTime> {
-        {
-            let Queue::Wheel(w) = &mut self.queue else {
-                unreachable!()
-            };
-            while let Some(&Reverse((at, _seq, packed))) = w.due.peek() {
-                if Self::is_live(&self.slots, packed) {
-                    return Some(at);
-                }
-                w.due.pop();
-            }
-        }
-        // The earliest occupied slot holds the wheel's minimum (see
-        // next_slot); scan it for its minimum live key, pruning slots that
-        // turn out to be all-stale.
-        loop {
-            let Queue::Wheel(w) = &mut self.queue else {
-                unreachable!()
-            };
-            let Some((_start, level, slot)) = w.next_slot() else {
-                break;
-            };
-            let lv = &mut w.levels[level];
-            let mut best: Option<(SimTime, u64)> = None;
-            lv.slots[slot].retain(|&(at, seq, packed)| {
-                if !Self::is_live(&self.slots, packed) {
-                    return false;
-                }
-                if best.is_none_or(|b| (at, seq) < b) {
-                    best = Some((at, seq));
-                }
-                true
-            });
-            match best {
-                Some((at, _)) => return Some(at),
-                None => {
-                    lv.occ &= !(1u64 << slot);
-                    if lv.occ == 0 {
-                        w.occ_levels &= !(1 << level);
-                    }
-                }
-            }
-        }
-        let Queue::Wheel(w) = &mut self.queue else {
-            unreachable!()
-        };
-        while let Some(&Reverse((at, _seq, packed))) = w.overflow.peek() {
-            if Self::is_live(&self.slots, packed) {
+        while let Some(&Reverse((at, _seq, packed))) = self.queue.peek() {
+            if self.is_live(packed) {
                 return Some(at);
             }
-            w.overflow.pop();
+            self.queue.pop();
         }
         None
     }
@@ -1163,24 +491,18 @@ mod tests {
     /// old tombstone scheme counted them until they drained.
     #[test]
     fn pending_excludes_cancelled() {
-        for kind in [
-            QueueKind::Adaptive,
-            QueueKind::TimerWheel,
-            QueueKind::BinaryHeap,
-        ] {
-            let mut eng: Engine<()> = Engine::with_queue(kind);
-            let ids: Vec<_> = (0..100)
-                .map(|i| eng.schedule_at(SimTime::from_nanos(i + 1), |_, _| {}))
-                .collect();
-            assert_eq!(eng.pending(), 100);
-            for id in &ids[..60] {
-                eng.cancel(*id);
-            }
-            assert_eq!(eng.pending(), 40, "{kind:?}");
-            eng.run_until(&mut (), SimTime::from_secs(1));
-            assert_eq!(eng.pending(), 0, "{kind:?}");
-            assert_eq!(eng.events_fired(), 40, "{kind:?}");
+        let mut eng: Engine<()> = Engine::new();
+        let ids: Vec<_> = (0..100)
+            .map(|i| eng.schedule_at(SimTime::from_nanos(i + 1), |_, _| {}))
+            .collect();
+        assert_eq!(eng.pending(), 100);
+        for id in &ids[..60] {
+            eng.cancel(*id);
         }
+        assert_eq!(eng.pending(), 40);
+        eng.run_until(&mut (), SimTime::from_secs(1));
+        assert_eq!(eng.pending(), 0);
+        assert_eq!(eng.events_fired(), 40);
     }
 
     /// Regression (PR 5): ids that drain via `run_until` leave no
@@ -1188,21 +510,15 @@ mod tests {
     /// does not disturb a new event that reuses the slab slot.
     #[test]
     fn cancel_after_fire_is_noop_even_with_slot_reuse() {
-        for kind in [
-            QueueKind::Adaptive,
-            QueueKind::TimerWheel,
-            QueueKind::BinaryHeap,
-        ] {
-            let mut eng: Engine<Vec<u32>> = Engine::with_queue(kind);
-            let mut log = Vec::new();
-            let stale = eng.schedule_at(SimTime::from_nanos(1), |s: &mut Vec<u32>, _| s.push(1));
-            eng.run_until(&mut log, SimTime::from_nanos(2));
-            // The slot of `stale` is free now; this event reuses it.
-            eng.schedule_at(SimTime::from_nanos(3), |s: &mut Vec<u32>, _| s.push(2));
-            eng.cancel(stale);
-            eng.run_until(&mut log, SimTime::from_nanos(4));
-            assert_eq!(log, vec![1, 2], "{kind:?}");
-        }
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let mut log = Vec::new();
+        let stale = eng.schedule_at(SimTime::from_nanos(1), |s: &mut Vec<u32>, _| s.push(1));
+        eng.run_until(&mut log, SimTime::from_nanos(2));
+        // The slot of `stale` is free now; this event reuses it.
+        eng.schedule_at(SimTime::from_nanos(3), |s: &mut Vec<u32>, _| s.push(2));
+        eng.cancel(stale);
+        eng.run_until(&mut log, SimTime::from_nanos(4));
+        assert_eq!(log, vec![1, 2]);
     }
 
     #[test]
@@ -1257,46 +573,118 @@ mod tests {
         assert_eq!(eng.pending(), 0);
     }
 
-    /// The wheel must fire far-future events (overflow heap) and sentinel
-    /// events at `SimTime::MAX` exactly like the heap backend.
+    /// Far-future events and sentinels at `SimTime::MAX` fire in order.
     #[test]
     fn far_future_and_max_sentinel_events_fire() {
-        for kind in [
-            QueueKind::Adaptive,
-            QueueKind::TimerWheel,
-            QueueKind::BinaryHeap,
-        ] {
-            let mut eng: Engine<Vec<u32>> = Engine::with_queue(kind);
-            let mut log = Vec::new();
-            eng.schedule_at(SimTime::MAX, |s: &mut Vec<u32>, _| s.push(99));
-            eng.schedule_at(SimTime::from_secs(1000), |s: &mut Vec<u32>, _| s.push(2));
-            eng.schedule_at(SimTime::from_nanos(1), |s: &mut Vec<u32>, _| s.push(1));
-            eng.run_until(&mut log, SimTime::from_secs(2000));
-            assert_eq!(log, vec![1, 2], "{kind:?}");
-            eng.run_to_completion(&mut log);
-            assert_eq!(log, vec![1, 2, 99], "{kind:?}");
-        }
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let mut log = Vec::new();
+        eng.schedule_at(SimTime::MAX, |s: &mut Vec<u32>, _| s.push(99));
+        eng.schedule_at(SimTime::from_secs(1000), |s: &mut Vec<u32>, _| s.push(2));
+        eng.schedule_at(SimTime::from_nanos(1), |s: &mut Vec<u32>, _| s.push(1));
+        eng.run_until(&mut log, SimTime::from_secs(2000));
+        assert_eq!(log, vec![1, 2]);
+        eng.run_to_completion(&mut log);
+        assert_eq!(log, vec![1, 2, 99]);
+        assert_eq!(eng.now(), SimTime::MAX);
     }
 
-    /// Ties spanning the due-buffer path: events scheduled for the instant
-    /// currently being dispatched keep FIFO order.
+    /// Events scheduled for the instant currently being dispatched keep
+    /// FIFO order behind the ones already queued for it.
     #[test]
     fn same_instant_events_scheduled_during_dispatch_keep_fifo() {
-        for kind in [
-            QueueKind::Adaptive,
-            QueueKind::TimerWheel,
-            QueueKind::BinaryHeap,
-        ] {
-            let mut eng: Engine<Vec<u32>> = Engine::with_queue(kind);
-            let mut log = Vec::new();
-            let t = SimTime::from_micros(7);
-            eng.schedule_at(t, move |s: &mut Vec<u32>, e: &mut Engine<Vec<u32>>| {
-                s.push(0);
-                e.schedule_at(t, |s: &mut Vec<u32>, _| s.push(2));
-            });
-            eng.schedule_at(t, |s: &mut Vec<u32>, _| s.push(1));
-            eng.run_until(&mut log, SimTime::from_micros(8));
-            assert_eq!(log, vec![0, 1, 2], "{kind:?}");
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let mut log = Vec::new();
+        let t = SimTime::from_micros(7);
+        eng.schedule_at(t, move |s: &mut Vec<u32>, e: &mut Engine<Vec<u32>>| {
+            s.push(0);
+            e.schedule_at(t, |s: &mut Vec<u32>, _| s.push(2));
+        });
+        eng.schedule_at(t, |s: &mut Vec<u32>, _| s.push(1));
+        eng.run_until(&mut log, SimTime::from_micros(8));
+        assert_eq!(log, vec![0, 1, 2]);
+    }
+
+    /// An idle `run_until` costs O(1) however far it advances: days of
+    /// simulated time with one far-future event pending are crossed in
+    /// 100k small steps, and scheduling right after the gap still fires in
+    /// order.
+    #[test]
+    fn idle_advance_across_days() {
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let mut log = Vec::new();
+        let at = SimTime::from_secs(3 * 86_400);
+        eng.schedule_at(at, |s: &mut Vec<u32>, _| s.push(1));
+        // 100k idle advances of ~2.6 s each cross the three days.
+        let step = SimDuration::from_fs(3 * 86_400 * 1_000_000_000_000_000 / 100_000 + 1);
+        for _ in 0..100_000 {
+            eng.run_until(&mut log, eng.now() + step);
         }
+        assert_eq!(log, vec![1]);
+        assert_eq!(eng.pending(), 0);
+        assert_eq!(eng.events_fired(), 1);
+        assert_eq!(eng.now(), SimTime::ZERO + step * 100_000);
+
+        let gap_end = eng.now();
+        for i in 0..10u32 {
+            eng.schedule_after(
+                SimDuration::from_micros(i as u64 + 1),
+                move |s: &mut Vec<u32>, _| s.push(10 + i),
+            );
+        }
+        assert_eq!(
+            eng.next_event_time(),
+            Some(gap_end + SimDuration::from_micros(1))
+        );
+        eng.run_until(&mut log, gap_end + SimDuration::from_millis(1));
+        assert_eq!(log[1..], (10..20).collect::<Vec<_>>()[..]);
+        assert_eq!(eng.events_fired(), 11);
+    }
+
+    /// Burst-schedule → cancel-all → long quiet → sparse trickle: no
+    /// cancelled event fires or counts as pending, the stale entries are
+    /// gone once the head is inspected, and every trickle event fires at
+    /// exactly its scheduled instant.
+    #[test]
+    fn cancel_all_then_trickle() {
+        type Log = Vec<(u32, SimTime)>;
+        let mut eng: Engine<Log> = Engine::new();
+        let mut log = Vec::new();
+        let mut ids = Vec::new();
+        for i in 0..10_000u64 {
+            let at = SimTime::from_fs((i as u128 + 1) * 7_777_777);
+            ids.push(eng.schedule_at(at, move |s: &mut Log, e| s.push((i as u32, e.now()))));
+        }
+        let clump = SimTime::from_millis(40);
+        for _ in 0..64 {
+            ids.push(eng.schedule_at(clump, |s: &mut Log, e| s.push((u32::MAX, e.now()))));
+        }
+        for id in ids {
+            eng.cancel(id);
+        }
+        assert_eq!(eng.pending(), 0);
+        assert_eq!(eng.next_event_time(), None);
+        for _ in 0..8 {
+            eng.run_until(&mut log, eng.now() + SimDuration::from_secs(30));
+        }
+        assert!(log.is_empty(), "a cancelled event fired");
+        assert_eq!(eng.events_fired(), 0);
+
+        let quiet_end = SimTime::from_secs(240);
+        assert_eq!(eng.now(), quiet_end);
+        for i in 0..200u32 {
+            eng.schedule_after(SimDuration::from_millis(3), move |s: &mut Log, e| {
+                s.push((1_000_000 + i, e.now()))
+            });
+            eng.run_until(&mut log, eng.now() + SimDuration::from_millis(10));
+        }
+        let want: Log = (0..200u32)
+            .map(|i| {
+                let at = quiet_end + SimDuration::from_millis(10 * i as u64 + 3);
+                (1_000_000 + i, at)
+            })
+            .collect();
+        assert_eq!(log, want);
+        assert_eq!(eng.pending(), 0);
+        assert_eq!(eng.events_fired(), 200);
     }
 }

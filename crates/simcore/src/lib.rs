@@ -28,7 +28,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, EventId, QueueKind};
+pub use engine::{Engine, EventId};
 pub use ntp::{Accuracy, Macrostamp, NtpTime, Timestamp};
 pub use osc::{DriftExcursion, DriftModel, Oscillator};
 pub use rng::SimRng;

@@ -20,6 +20,7 @@
 //! ```
 
 use nti::core::cluster::{Cluster, ClusterConfig, GpsNodeCfg};
+use nti::faults::FaultPlan;
 use nti::gps::{GpsConfig, GpsFault};
 use nti::prelude::*;
 
@@ -33,24 +34,26 @@ fn main() {
         GpsNodeCfg {
             node: 0,
             cfg: GpsConfig::default(),
-            faults: vec![],
         },
         GpsNodeCfg {
             node: 1,
             cfg: GpsConfig::default(),
-            faults: vec![],
         },
-        // Node 2's receiver develops a 2 ms offset from second 10 on.
         GpsNodeCfg {
             node: 2,
             cfg: GpsConfig::default(),
-            faults: vec![GpsFault::Offset {
-                from: 10,
-                until: u64::MAX,
-                offset: SimDuration::from_millis(2),
-            }],
         },
     ];
+    // Node 2's receiver develops a 2 ms offset from second 10 on.
+    cfg.fault_plan = FaultPlan::gps(
+        2,
+        0,
+        GpsFault::Offset {
+            from: 10,
+            until: u64::MAX,
+            offset: SimDuration::from_millis(2),
+        },
+    );
 
     println!("== external synchronization: 8 nodes, 3 GPS receivers (1 faulty) ==");
     let report = Cluster::new(cfg).run();

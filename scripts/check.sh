@@ -29,9 +29,9 @@ echo "== churn-matrix smoke run (e18_churn --smoke) =="
 NTI_EXP_FAST=1 cargo run --release -q -p nti-bench --bin e18_churn -- --smoke \
   || { echo "check.sh: churn smoke failed (final states, containment, recovery, or bit-identity)" >&2; exit 1; }
 
-echo "== engine scheduler smoke run (e17_engine_perf --smoke) =="
-NTI_EXP_FAST=1 cargo run --release -q -p nti-bench --bin e17_engine_perf -- --smoke \
-  || { echo "check.sh: engine smoke failed (backend divergence, cancel-heavy regression, or default backend below 0.95x heap on cluster replay)" >&2; exit 1; }
+echo "== benchmark harness tests (perfbench, release) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml \
+  || { echo "check.sh: perfbench tests failed (pinned sim-lan128 event counts, or observed/paced runs diverging from plain ones)" >&2; exit 1; }
 
 echo "== serving-layer smoke run (e19_serve --smoke) =="
 NTI_EXP_FAST=1 cargo run --release -q -p nti-bench --bin e19_serve -- --smoke \

@@ -4,6 +4,7 @@
 
 use nti::core::cluster::{Cluster, ClusterConfig, DriftSpec, GpsNodeCfg};
 use nti::core::params::TimestampMode;
+use nti::faults::FaultPlan;
 use nti::gps::{GpsConfig, GpsFault};
 use nti::prelude::*;
 
@@ -61,21 +62,26 @@ fn containment_with_faulty_gps() {
         GpsNodeCfg {
             node: 0,
             cfg: GpsConfig::default(),
-            faults: vec![],
         },
         GpsNodeCfg {
             node: 1,
             cfg: GpsConfig::default(),
-            faults: vec![
-                GpsFault::Offset {
-                    from: 0,
-                    until: 1000,
-                    offset: SimDuration::from_millis(1),
-                },
-                GpsFault::Dropout { from: 8, until: 12 },
-            ],
         },
     ];
+    cfg.fault_plan = FaultPlan::gps(
+        1,
+        0,
+        GpsFault::Offset {
+            from: 0,
+            until: 1000,
+            offset: SimDuration::from_millis(1),
+        },
+    );
+    cfg.fault_plan.merge(&FaultPlan::gps(
+        1,
+        0,
+        GpsFault::Dropout { from: 8, until: 12 },
+    ));
     let rep = Cluster::new(cfg).run();
     assert_eq!(rep.containment.0, 0, "{rep:?}");
     assert!(rep.gps.1 > 0, "offset receiver must be rejected");
@@ -117,12 +123,10 @@ fn gps_anchoring_bounds_accuracy() {
         GpsNodeCfg {
             node: 0,
             cfg: GpsConfig::default(),
-            faults: vec![],
         },
         GpsNodeCfg {
             node: 1,
             cfg: GpsConfig::default(),
-            faults: vec![],
         },
     ];
     let rep = Cluster::new(cfg).run();
