@@ -130,7 +130,7 @@ fn quantiles(rep: &LoadReport) -> (u64, u64, u64, u64) {
 struct Scrape {
     /// Successful `/metrics` fetches.
     scrapes: u64,
-    /// Max summed per-shard `shard_queries` per-window rate seen.
+    /// Max per-window `queries` rate seen.
     qps_rate: f64,
     /// Max summed stage-total histogram count seen.
     stage_samples: f64,
@@ -149,9 +149,7 @@ fn scraper(addr: SocketAddr, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<S
         while !stop.load(Relaxed) {
             if let Ok(text) = http_get(addr, "/metrics", timeout) {
                 best.scrapes += 1;
-                best.qps_rate = best
-                    .qps_rate
-                    .max(prom_sum(&text, "nti_serve_shard_queries_rate"));
+                best.qps_rate = best.qps_rate.max(prom_sum(&text, "nti_serve_queries_rate"));
                 best.stage_samples = best
                     .stage_samples
                     .max(prom_sum(&text, "nti_serve_stage_total_ns_count"));
@@ -383,7 +381,7 @@ fn telemetry_gate() -> ! {
             failures.push("endpoint never answered a scrape".into());
         }
         if scrape.qps_rate <= 0.0 {
-            failures.push("live shard-qps rate never went positive".into());
+            failures.push("live qps rate never went positive".into());
         }
         if scrape.stage_samples <= 0.0 {
             failures.push("stage histograms never populated".into());

@@ -32,7 +32,7 @@ fn run(
             frame_bytes: 600,
         });
     }
-    Cluster::new(cfg).run_with_metrics()
+    Cluster::new(cfg).finish()
 }
 
 fn main() {

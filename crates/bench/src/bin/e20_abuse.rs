@@ -181,7 +181,7 @@ fn fuzz_phase(addr: std::net::SocketAddr) -> std::io::Result<(u64, u64, bool)> {
 struct FloodScrape {
     /// Successful `/metrics` fetches.
     scrapes: u64,
-    /// Max per-window admitted-query rate (`serve/queries` mirror).
+    /// Max per-window admitted-query rate (`serve/queries`).
     admit_rate: f64,
     /// Max per-window KoD `RATE` + silent-drop rate.
     limited_rate: f64,

@@ -308,8 +308,6 @@ struct Flight {
     payload_bytes: Vec<u8>,
     wire_end: SimTime,
     sw_stamp_real: SimTime,
-    hw_ts: Option<u32>,
-    hw_acc: Option<u32>,
     xmit_trigger_real: Option<SimTime>,
     corrupted: bool,
     byzantine: bool,
@@ -1185,21 +1183,9 @@ impl Cluster {
         Cluster { eng, world }
     }
 
-    /// Run to the configured duration and produce the report plus the full
-    /// measurement accumulators (raw distributions for histograms).
-    pub fn run_with_metrics(self) -> (Report, Metrics) {
-        let mut me = self;
-        let until = SimTime::ZERO + me.world.cfg.duration;
-        me.eng.run_until(&mut me.world, until);
-        let report = finalize(&mut me.world);
-        (report, me.world.metrics)
-    }
-
     /// Run to the configured duration and produce the report.
-    pub fn run(mut self) -> Report {
-        let until = SimTime::ZERO + self.world.cfg.duration;
-        self.eng.run_until(&mut self.world, until);
-        finalize(&mut self.world)
+    pub fn run(self) -> Report {
+        self.finish().0
     }
 
     /// Advance the simulation to `until` (capped at the configured
@@ -1559,8 +1545,6 @@ fn csp_send(world: &mut World, eng: &mut Eng, id: usize, sw_stamp: NtpTime, sw_r
                 payload_bytes: payload_bytes.clone(),
                 wire_end: grant.wire_end,
                 sw_stamp_real: sw_real,
-                hw_ts: None,
-                hw_acc: None,
                 xmit_trigger_real: None,
                 corrupted,
                 byzantine,
@@ -1583,7 +1567,6 @@ fn csp_send(world: &mut World, eng: &mut Eng, id: usize, sw_stamp: NtpTime, sw_r
         }
         let we = grant.wire_end;
         eng.schedule_at(we, move |w, e| wire_done(w, e, fid));
-        let _ = a;
     }
 }
 
@@ -1646,10 +1629,8 @@ fn exec_tx_read(world: &mut World, eng: &mut Eng, id: usize, fid: u64, slot: u32
         } else {
             value
         };
-        flight.hw_ts = Some(v);
         flight.payload.hw_timestamp = v;
     } else if off == cpld.xmt_map_acc_off {
-        flight.hw_acc = Some(value);
         flight.payload.hw_acc = value;
     }
 }

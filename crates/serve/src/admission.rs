@@ -105,19 +105,6 @@ struct Slot {
     kod_tokens: u64,
 }
 
-/// Running totals of admission decisions (mirrored into `ServerStats`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Queries admitted.
-    pub admitted: u64,
-    /// Queries answered with KoD `RATE`.
-    pub rate_kod: u64,
-    /// Queries dropped silently.
-    pub dropped: u64,
-    /// Tracked clients evicted to make room (table pressure).
-    pub evictions: u64,
-}
-
 /// One shard's bounded client table + rate-limit ladder.
 pub struct ClientTable {
     cfg: AdmissionConfig,
@@ -125,7 +112,9 @@ pub struct ClientTable {
     slots: Vec<Slot>,
     k0: u64,
     k1: u64,
-    stats: AdmissionStats,
+    /// Tracked clients evicted to make room since the last
+    /// [`take_evictions`](ClientTable::take_evictions).
+    evictions: u64,
     /// Slots currently holding a tracked client — maintained on slot
     /// claim so [`occupancy`](ClientTable::occupancy) is O(1), never a
     /// table scan on the telemetry path.
@@ -137,7 +126,7 @@ impl std::fmt::Debug for ClientTable {
         f.debug_struct("ClientTable")
             .field("sets", &self.sets)
             .field("ways", &WAYS)
-            .field("stats", &self.stats)
+            .field("evictions", &self.evictions)
             .finish()
     }
 }
@@ -154,14 +143,15 @@ impl ClientTable {
             slots: vec![Slot::default(); sets * WAYS],
             k0: splitmix(cfg.seed),
             k1: splitmix(cfg.seed ^ 0x5851_F42D_4C95_7F2D),
-            stats: AdmissionStats::default(),
+            evictions: 0,
             occupied: 0,
         }
     }
 
-    /// Decision totals so far.
-    pub fn stats(&self) -> AdmissionStats {
-        self.stats
+    /// Clients evicted since the last call (table pressure). The server
+    /// adds them to its `evictions` counter at each drain-batch boundary.
+    pub(crate) fn take_evictions(&mut self) -> u64 {
+        std::mem::take(&mut self.evictions)
     }
 
     /// How many clients the table can track at once.
@@ -212,7 +202,7 @@ impl ClientTable {
             }
             None => {
                 if ways[victim].used {
-                    self.stats.evictions += 1;
+                    self.evictions += 1;
                 } else {
                     self.occupied += 1;
                 }
@@ -233,15 +223,12 @@ impl ClientTable {
 
         if slot.tokens >= MILLI {
             slot.tokens -= MILLI;
-            self.stats.admitted += 1;
             return Verdict::Admit;
         }
         if slot.kod_tokens >= MILLI {
             slot.kod_tokens -= MILLI;
-            self.stats.rate_kod += 1;
             return Verdict::RateKod;
         }
-        self.stats.dropped += 1;
         Verdict::Drop
     }
 
@@ -379,11 +366,7 @@ mod tests {
         }
         // After a second of quiet: 10 tokens refilled — admitted again.
         assert_eq!(t.check(p, SEC), Verdict::Admit);
-        let s = t.stats();
-        assert_eq!(
-            (s.admitted, s.rate_kod, s.dropped, s.evictions),
-            (4, 2, 50, 0)
-        );
+        assert_eq!(t.take_evictions(), 0, "one client evicts nobody");
     }
 
     #[test]
@@ -401,16 +384,18 @@ mod tests {
         let mut t = ClientTable::new(&tight());
         let p = peer(9002);
         // Flood at 1000/s for 4 virtual seconds.
-        let mut kod = 0u64;
+        let (mut kod, mut dropped) = (0u64, 0u64);
         for i in 0..4000u64 {
-            if t.check(p, i * SEC / 1000) == Verdict::RateKod {
-                kod += 1;
+            match t.check(p, i * SEC / 1000) {
+                Verdict::Admit => {}
+                Verdict::RateKod => kod += 1,
+                Verdict::Drop => dropped += 1,
             }
         }
         // Budget: kod_burst (2) + ~4 s × kod_per_sec (1) — the limiter
         // must never reflect more than a trickle.
         assert!(kod <= 7, "kod replies {kod} exceed the cap");
-        assert!(t.stats().dropped > 3900, "the flood is mostly silence");
+        assert!(dropped > 3900, "the flood is mostly silence");
     }
 
     #[test]
@@ -439,13 +424,12 @@ mod tests {
             }
         }
         assert_eq!(t.capacity(), cap, "no growth under flood");
-        let s = t.stats();
-        assert_eq!(s.admitted, 4096);
+        let evictions = t.take_evictions();
         assert!(
-            s.evictions >= 4096 - cap as u64,
-            "evictions ({}) must absorb the overflow",
-            s.evictions
+            evictions >= 4096 - cap as u64,
+            "evictions ({evictions}) must absorb the overflow"
         );
+        assert_eq!(t.take_evictions(), 0, "taking resets the count");
     }
 
     #[test]

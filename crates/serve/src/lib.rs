@@ -42,11 +42,9 @@ pub mod packet;
 pub mod server;
 pub mod telemetry;
 
-pub use admission::{AdmissionConfig, AdmissionStats, ClientTable, Verdict};
+pub use admission::{AdmissionConfig, ClientTable, Verdict};
 pub use clock::{response_profile, ClockHandle, ResponseProfile};
 pub use loadgen::{containment_holds, LoadGenConfig, LoadReport};
 pub use packet::{NtpPacket, PacketError, PACKET_LEN};
-pub use server::{
-    classify, Ingress, RunningServer, Server, ServerConfig, ServerStats, StatsSnapshot,
-};
+pub use server::{classify, Ingress, RunningServer, Server, ServerConfig, Stats, StatsSnapshot};
 pub use telemetry::{SlowRing, SlowTrace, TelemetryConfig, STAGES};

@@ -36,11 +36,11 @@ use crate::clock::{rate_limit_kod, ClockHandle};
 use crate::packet::{NtpPacket, KISS_STALE, MODE_CLIENT};
 use crate::telemetry::{self, ShardTelemetry, TelemetryConfig};
 use nti_faults::{IngressFate, ServeFaultInjector, ServeFaultPlan};
-use nti_obs::{Counter, Json, MetricKey, SimObserver};
+use nti_obs::{Counter, MetricKey, SimObserver};
 use nti_simcore::rng::SimRng;
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -81,168 +81,81 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared serving counters, updated relaxed from every shard.
-#[derive(Debug, Default)]
-pub struct ServerStats {
+/// Declares [`Stats`] from one documented list of counter names, plus
+/// the by-name helpers every other use goes through: a counter added to
+/// the list is registered, bumped, snapshotted and exported with no
+/// further wiring.
+macro_rules! serve_counters {
+    ($($(#[doc = $doc:literal])+ $name:ident,)+) => {
+        /// The serving counters, one field each. A server holds them as
+        /// the registry counters `serve/<field>` its shards bump, the only
+        /// store; a [`StatsSnapshot`] holds values read off them.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct Stats<T> {
+            $($(#[doc = $doc])+ pub $name: T,)+
+        }
+
+        impl<T> Stats<T> {
+            /// Build every counter from its name.
+            pub(crate) fn from_fn(mut f: impl FnMut(&'static str) -> T) -> Stats<T> {
+                Stats { $($name: f(stringify!($name)),)+ }
+            }
+
+            /// Every counter as `(name, value)`, in declaration order.
+            pub fn fields(&self) -> [(&'static str, &T); [$(stringify!($name)),+].len()] {
+                [$((stringify!($name), &self.$name)),+]
+            }
+        }
+
+        impl ServerStats {
+            /// Every counter's value less `base`: the counts added since
+            /// `base` was read. Relaxed reads, exact once the shards have
+            /// stopped (the counters are independent monotone counts).
+            pub(crate) fn since(&self, base: &StatsSnapshot) -> StatsSnapshot {
+                Stats { $($name: self.$name.get() - base.$name,)+ }
+            }
+        }
+    };
+}
+
+serve_counters! {
     /// Well-formed client-mode requests accepted.
-    pub queries: AtomicU64,
+    queries,
     /// Responses that went out on the wire.
-    pub responses: AtomicU64,
+    responses,
     /// Responses that were kiss-o'-death refusals.
-    pub kod: AtomicU64,
+    kod,
     /// KoD refusals specifically for ensemble staleness (`XSTL`) — the
     /// "my simulation stopped publishing" alarm, split out from `kod` so
     /// a scrape can tell degradation from admission back-pressure.
-    pub stale_kod: AtomicU64,
+    stale_kod,
     /// Datagrams that failed to decode (truncated).
-    pub malformed: AtomicU64,
+    malformed,
     /// Well-formed packets in a non-client mode, dropped without answer.
-    pub ignored: AtomicU64,
+    ignored,
     /// `send_to` failures.
-    pub send_errors: AtomicU64,
+    send_errors,
     /// Queries answered with admission-control KoD `RATE`.
-    pub rate_kod: AtomicU64,
+    rate_kod,
     /// Queries silently dropped by admission control (sustained abuse).
-    pub dropped: AtomicU64,
+    dropped,
     /// Admission-table clients evicted to make room.
-    pub evictions: AtomicU64,
+    evictions,
     /// Datagrams swallowed by the ingress fault injector.
-    pub ingress_dropped: AtomicU64,
+    ingress_dropped,
     /// Datagrams delivered twice by the ingress fault injector.
-    pub ingress_duplicated: AtomicU64,
+    ingress_duplicated,
     /// Datagrams truncated by the ingress fault injector.
-    pub ingress_truncated: AtomicU64,
+    ingress_truncated,
     /// Datagrams bit-corrupted by the ingress fault injector.
-    pub ingress_corrupted: AtomicU64,
+    ingress_corrupted,
 }
 
-/// A plain-integer copy of [`ServerStats`] at one instant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Well-formed client-mode requests accepted.
-    pub queries: u64,
-    /// Responses that went out on the wire.
-    pub responses: u64,
-    /// Responses that were kiss-o'-death refusals.
-    pub kod: u64,
-    /// KoD refusals for ensemble staleness (`XSTL`).
-    pub stale_kod: u64,
-    /// Datagrams that failed to decode (truncated).
-    pub malformed: u64,
-    /// Well-formed packets in a non-client mode, dropped without answer.
-    pub ignored: u64,
-    /// `send_to` failures.
-    pub send_errors: u64,
-    /// Queries answered with admission-control KoD `RATE`.
-    pub rate_kod: u64,
-    /// Queries silently dropped by admission control (sustained abuse).
-    pub dropped: u64,
-    /// Admission-table clients evicted to make room.
-    pub evictions: u64,
-    /// Datagrams swallowed by the ingress fault injector.
-    pub ingress_dropped: u64,
-    /// Datagrams delivered twice by the ingress fault injector.
-    pub ingress_duplicated: u64,
-    /// Datagrams truncated by the ingress fault injector.
-    pub ingress_truncated: u64,
-    /// Datagrams bit-corrupted by the ingress fault injector.
-    pub ingress_corrupted: u64,
-}
+/// The live counters one server bumps: handles into the registry.
+pub(crate) type ServerStats = Stats<Arc<Counter>>;
 
-impl ServerStats {
-    /// Every counter as `(name, field)`, in declaration order. The single
-    /// source of truth for mirroring and export — a new field added here
-    /// is live on the metrics endpoint with no further wiring. All reads
-    /// anywhere go through these fields with relaxed ordering: the
-    /// counters are independent monotone event counts, so relaxed is the
-    /// whole story (exactness across counters only at shard join).
-    pub fn fields(&self) -> [(&'static str, &AtomicU64); 14] {
-        [
-            ("queries", &self.queries),
-            ("responses", &self.responses),
-            ("kod", &self.kod),
-            ("stale_kod", &self.stale_kod),
-            ("malformed", &self.malformed),
-            ("ignored", &self.ignored),
-            ("send_errors", &self.send_errors),
-            ("rate_kod", &self.rate_kod),
-            ("dropped", &self.dropped),
-            ("evictions", &self.evictions),
-            ("ingress_dropped", &self.ingress_dropped),
-            ("ingress_duplicated", &self.ingress_duplicated),
-            ("ingress_truncated", &self.ingress_truncated),
-            ("ingress_corrupted", &self.ingress_corrupted),
-        ]
-    }
-
-    /// Copy the counters (relaxed; exact once the shards have stopped).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            queries: self.queries.load(Relaxed),
-            responses: self.responses.load(Relaxed),
-            kod: self.kod.load(Relaxed),
-            stale_kod: self.stale_kod.load(Relaxed),
-            malformed: self.malformed.load(Relaxed),
-            ignored: self.ignored.load(Relaxed),
-            send_errors: self.send_errors.load(Relaxed),
-            rate_kod: self.rate_kod.load(Relaxed),
-            dropped: self.dropped.load(Relaxed),
-            evictions: self.evictions.load(Relaxed),
-            ingress_dropped: self.ingress_dropped.load(Relaxed),
-            ingress_duplicated: self.ingress_duplicated.load(Relaxed),
-            ingress_truncated: self.ingress_truncated.load(Relaxed),
-            ingress_corrupted: self.ingress_corrupted.load(Relaxed),
-        }
-    }
-
-    /// The counters as a JSON object (the `/json` endpoint's `stats`).
-    pub fn to_json(&self) -> Json {
-        Json::obj(
-            self.fields()
-                .map(|(name, v)| (name, Json::num(v.load(Relaxed) as f64))),
-        )
-    }
-}
-
-/// Live mirroring of [`ServerStats`] into obs counters (subsystem
-/// `serve`). Every shard calls [`mirror`](ObsMirror::mirror) at its
-/// drain-batch boundaries; per-field `fetch_max` on the last-mirrored
-/// watermark makes concurrent mirrors exact — each delta is counted once
-/// no matter how shards interleave, and the obs counter converges to the
-/// stats field.
-#[derive(Debug)]
-struct ObsMirror {
-    /// `(obs counter, last-mirrored watermark)`, aligned with
-    /// [`ServerStats::fields`].
-    pairs: Vec<(Arc<Counter>, AtomicU64)>,
-}
-
-impl ObsMirror {
-    fn new(obs: &SimObserver, stats: &ServerStats) -> Option<Arc<ObsMirror>> {
-        obs.core()?;
-        let pairs = stats
-            .fields()
-            .iter()
-            .map(|(name, _)| {
-                let c = obs
-                    .counter(MetricKey::global("serve", name))
-                    .expect("observer checked enabled above");
-                (c, AtomicU64::new(0))
-            })
-            .collect();
-        Some(Arc::new(ObsMirror { pairs }))
-    }
-
-    fn mirror(&self, stats: &ServerStats) {
-        for ((counter, last), (_name, field)) in self.pairs.iter().zip(stats.fields()) {
-            let cur = field.load(Relaxed);
-            let prev = last.fetch_max(cur, Relaxed);
-            if cur > prev {
-                counter.add(cur - prev);
-            }
-        }
-    }
-}
+/// The counters' values at one instant.
+pub type StatsSnapshot = Stats<u64>;
 
 /// A bound (not yet serving) server: sockets exist, threads do not.
 #[derive(Debug)]
@@ -251,7 +164,9 @@ pub struct Server {
     addrs: Vec<SocketAddr>,
     reuseport: bool,
     handle: ClockHandle,
-    stats: Arc<ServerStats>,
+    obs: SimObserver,
+    stats: ServerStats,
+    base: StatsSnapshot,
     batch: usize,
     admission: Option<AdmissionConfig>,
     faults: ServeFaultPlan,
@@ -270,12 +185,26 @@ impl Server {
             s.set_nonblocking(true)?;
             addrs.push(s.local_addr()?);
         }
+        // The registry is the counters' one store: the telemetry
+        // observer's, or a private one when telemetry is off. `base` lets
+        // `stop` report only this server's counts on an observer that
+        // earlier servers counted into too.
+        let obs = if cfg.telemetry.obs.is_enabled() {
+            cfg.telemetry.obs.clone()
+        } else {
+            SimObserver::enabled()
+        };
+        let registry = &obs.core().expect("observer is enabled").registry;
+        let stats = ServerStats::from_fn(|name| registry.counter(MetricKey::global("serve", name)));
+        let base = stats.since(&StatsSnapshot::default());
         Ok(Server {
             sockets,
             addrs,
             reuseport,
             handle,
-            stats: Arc::new(ServerStats::default()),
+            obs,
+            stats,
+            base,
             batch: cfg.batch,
             admission: cfg.admission,
             faults: cfg.faults.clone(),
@@ -295,21 +224,19 @@ impl Server {
         self.reuseport
     }
 
-    /// Shared live counters.
-    pub fn stats(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.stats)
-    }
-
     /// Spawn one drain thread per shard and start answering.
     pub fn start(self) -> RunningServer {
         let stop = Arc::new(AtomicBool::new(false));
         let fault_rng = SimRng::new(self.fault_seed);
         // Telemetry plane (ticker + endpoint), if configured. A failed
         // endpoint bind is reported inside and does not stop serving.
-        let runtime = telemetry::Runtime::start(&self.telemetry, &self.handle, &self.stats);
-        let mirror = runtime
-            .as_ref()
-            .and_then(|rt| ObsMirror::new(rt.obs(), &self.stats));
+        let runtime = telemetry::Runtime::start(
+            &self.telemetry,
+            &self.obs,
+            &self.handle,
+            &self.stats,
+            self.base,
+        );
         let mut threads = Vec::with_capacity(self.sockets.len());
         for (i, sock) in self.sockets.into_iter().enumerate() {
             // Per-shard policing state: each shard owns its table (the
@@ -318,14 +245,13 @@ impl Server {
             let worker = ShardWorker {
                 sock,
                 handle: self.handle.clone(),
-                stats: Arc::clone(&self.stats),
+                stats: self.stats.clone(),
                 stop: Arc::clone(&stop),
                 batch: self.batch,
                 admission: self.admission.as_ref().map(ClientTable::new),
                 injector: (!self.faults.is_empty())
                     .then(|| ServeFaultInjector::for_shard(&self.faults, &fault_rng, i)),
                 tele: runtime.as_ref().map(|rt| rt.shard(i)),
-                mirror: mirror.clone(),
             };
             threads.push(
                 std::thread::Builder::new()
@@ -338,9 +264,9 @@ impl Server {
             stop,
             threads,
             stats: self.stats,
+            base: self.base,
             addrs: self.addrs,
             runtime,
-            mirror,
         }
     }
 }
@@ -351,21 +277,16 @@ impl Server {
 pub struct RunningServer {
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    stats: Arc<ServerStats>,
+    stats: ServerStats,
+    base: StatsSnapshot,
     addrs: Vec<SocketAddr>,
     runtime: Option<telemetry::Runtime>,
-    mirror: Option<Arc<ObsMirror>>,
 }
 
 impl RunningServer {
     /// Every bound address (see [`Server::local_addrs`]).
     pub fn addrs(&self) -> &[SocketAddr] {
         &self.addrs
-    }
-
-    /// Live counters while serving.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
     }
 
     /// Where the metrics endpoint is listening — `None` when telemetry
@@ -377,25 +298,20 @@ impl RunningServer {
             .and_then(telemetry::Runtime::metrics_addr)
     }
 
-    /// Stop the shards, join them, finish the final obs mirror, shut the
-    /// telemetry plane down, and return the totals. (Counters stream into
-    /// obs at every drain-batch boundary while serving — the observer was
-    /// configured up-front in [`TelemetryConfig::obs`], which is why this
-    /// no longer takes one.)
+    /// Stop the shards, join them, shut the telemetry plane down, and
+    /// return this server's totals: the registry counters less their
+    /// values at [`Server::bind`]. Servers that take turns on one
+    /// [`TelemetryConfig::obs`] each report their own traffic; servers
+    /// sharing it *at the same time* see each other's counts.
     pub fn stop(self) -> StatsSnapshot {
         self.stop.store(true, Relaxed);
         for t in self.threads {
             let _ = t.join();
         }
-        if let Some(m) = &self.mirror {
-            // Shards mirrored on their way out; one more pass is free and
-            // makes the obs totals exact even if a shard died early.
-            m.mirror(&self.stats);
-        }
         if let Some(rt) = self.runtime {
             rt.stop();
         }
-        self.stats.snapshot()
+        self.stats.since(&self.base)
     }
 }
 
@@ -448,27 +364,25 @@ impl StageTimer {
 
 /// Everything one shard thread owns: socket, clock handle, shared
 /// counters, its private policing table, and (optionally) its telemetry
-/// handles and the live obs mirror.
+/// handles.
 struct ShardWorker {
     sock: UdpSocket,
     handle: ClockHandle,
-    stats: Arc<ServerStats>,
+    stats: ServerStats,
     stop: Arc<AtomicBool>,
     batch: usize,
     admission: Option<ClientTable>,
     injector: Option<ServeFaultInjector>,
     tele: Option<ShardTelemetry>,
-    mirror: Option<Arc<ObsMirror>>,
 }
 
 impl ShardWorker {
     /// One shard's life: drain up to `batch` poll outcomes, answer each
-    /// admitted query, mirror the batch's counter deltas into obs, check
-    /// the stop flag, yield when idle.
+    /// admitted query, surface the admission table's state, check the
+    /// stop flag, yield when idle.
     fn run(mut self) {
         let mut buf = [0u8; 2048];
         let epoch = Instant::now();
-        let mut evictions_seen = 0u64;
         while !self.stop.load(Relaxed) {
             let mut drained = 0usize;
             while drained < self.batch {
@@ -502,19 +416,19 @@ impl ShardWorker {
                     match inj.ingress_fate(now, n) {
                         IngressFate::Deliver => {}
                         IngressFate::Drop => {
-                            self.stats.ingress_dropped.fetch_add(1, Relaxed);
+                            self.stats.ingress_dropped.inc();
                             continue;
                         }
                         IngressFate::Duplicate => {
-                            self.stats.ingress_duplicated.fetch_add(1, Relaxed);
+                            self.stats.ingress_duplicated.inc();
                             deliveries = 2;
                         }
                         IngressFate::Truncate { len } => {
-                            self.stats.ingress_truncated.fetch_add(1, Relaxed);
+                            self.stats.ingress_truncated.inc();
                             n = len.min(n);
                         }
                         IngressFate::Corrupt { at, mask } => {
-                            self.stats.ingress_corrupted.fetch_add(1, Relaxed);
+                            self.stats.ingress_corrupted.inc();
                             if n > 0 {
                                 buf[at % n] ^= mask;
                             }
@@ -524,31 +438,17 @@ impl ShardWorker {
                 for _ in 0..deliveries {
                     self.handle_datagram(&buf[..n], peer, now, recv_ns);
                 }
-                // Evictions live inside the table; surface the delta.
-                if let Some(t) = &self.admission {
-                    let e = t.stats().evictions;
-                    if e != evictions_seen {
-                        self.stats.evictions.fetch_add(e - evictions_seen, Relaxed);
-                        evictions_seen = e;
-                    }
-                }
-            }
-            // Batch boundary: publish occupancy and stream the counter
-            // deltas into obs so a mid-run scrape sees live totals.
-            if drained > 0 {
-                if let (Some(t), Some(a)) = (&self.tele, &self.admission) {
-                    t.set_occupancy(a.occupancy());
-                }
-                if let Some(m) = &self.mirror {
-                    m.mirror(&self.stats);
-                }
             }
             if drained == 0 {
                 std::thread::yield_now();
+            } else if let Some(a) = &mut self.admission {
+                // Batch boundary: surface the table's evictions and
+                // occupancy.
+                self.stats.evictions.add(a.take_evictions());
+                if let Some(t) = &self.tele {
+                    t.set_occupancy(a.occupancy());
+                }
             }
-        }
-        if let Some(m) = &self.mirror {
-            m.mirror(&self.stats);
         }
     }
 
@@ -578,7 +478,7 @@ impl ShardWorker {
                 req
             }
             Ingress::Foreign => {
-                self.stats.ignored.fetch_add(1, Relaxed);
+                self.stats.ignored.inc();
                 if let Some(t) = &mut timer {
                     stage_ns[1] = t.lap();
                 }
@@ -586,7 +486,7 @@ impl ShardWorker {
                 return;
             }
             Ingress::Malformed => {
-                self.stats.malformed.fetch_add(1, Relaxed);
+                self.stats.malformed.inc();
                 if let Some(t) = &mut timer {
                     stage_ns[1] = t.lap();
                 }
@@ -602,8 +502,8 @@ impl ShardWorker {
             match verdict {
                 Verdict::Admit => {}
                 Verdict::RateKod => {
-                    self.stats.rate_kod.fetch_add(1, Relaxed);
-                    self.stats.kod.fetch_add(1, Relaxed);
+                    self.stats.rate_kod.inc();
+                    self.stats.kod.inc();
                     let bytes = rate_limit_kod(&req).encode();
                     if let Some(t) = &mut timer {
                         stage_ns[4] = t.lap();
@@ -616,24 +516,21 @@ impl ShardWorker {
                     return;
                 }
                 Verdict::Drop => {
-                    self.stats.dropped.fetch_add(1, Relaxed);
+                    self.stats.dropped.inc();
                     self.finish_sample(timer, "drop", peer, stage_ns);
                     return;
                 }
             }
         }
-        self.stats.queries.fetch_add(1, Relaxed);
-        if let Some(t) = &self.tele {
-            t.count_query();
-        }
+        self.stats.queries.inc();
         let resp = self.handle.respond(&req);
         if let Some(t) = &mut timer {
             stage_ns[3] = t.lap();
         }
         if resp.is_kod() {
-            self.stats.kod.fetch_add(1, Relaxed);
+            self.stats.kod.inc();
             if resp.ref_id == KISS_STALE {
-                self.stats.stale_kod.fetch_add(1, Relaxed);
+                self.stats.stale_kod.inc();
             }
         }
         let bytes = resp.encode();
@@ -650,10 +547,10 @@ impl ShardWorker {
     fn send(&self, bytes: &[u8], peer: SocketAddr) {
         match self.sock.send_to(bytes, peer) {
             Ok(_) => {
-                self.stats.responses.fetch_add(1, Relaxed);
+                self.stats.responses.inc();
             }
             Err(_) => {
-                self.stats.send_errors.fetch_add(1, Relaxed);
+                self.stats.send_errors.inc();
             }
         }
     }

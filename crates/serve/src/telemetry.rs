@@ -13,6 +13,13 @@
 //! stays inside the <2 % overhead budget (`e19_serve --telemetry-gate`
 //! measures it).
 //!
+//! ## Counters
+//!
+//! The server's counters (see [`Stats`](crate::server::Stats)) live in
+//! the observer's registry as `serve/<name>`, and the shards bump them
+//! there; the plane records into that same observer, so `/metrics`
+//! exports the counters the shards write, with no copy in between.
+//!
 //! ## The live view
 //!
 //! A ticker thread closes one [`LiveWindows`] window per
@@ -37,10 +44,10 @@
 //! serve shards but atomics, so a scrape can never block a shard.
 
 use crate::clock::ClockHandle;
-use crate::server::ServerStats;
+use crate::server::{ServerStats, StatsSnapshot};
 use nti_obs::expo::Provider;
 use nti_obs::{
-    Counter, Gauge, Histogram, Json, LiveConfig, LiveWindows, MetricKey, MetricsServer, SimObserver,
+    Gauge, Histogram, Json, LiveConfig, LiveWindows, MetricKey, MetricsServer, SimObserver,
 };
 use std::collections::VecDeque;
 use std::net::{IpAddr, SocketAddr};
@@ -67,10 +74,11 @@ const STAGE_METRICS: [&str; 6] = [
 /// How (and whether) a server measures itself.
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
-    /// Metrics sink. A disabled observer with no
+    /// Metrics sink, and the store of the server's counters
+    /// (`serve/<name>`). A disabled observer with no
     /// [`metrics_addr`](TelemetryConfig::metrics_addr) turns the whole
-    /// plane off; a disabled observer *with* an address is upgraded to a
-    /// private enabled one so the endpoint has something to serve.
+    /// plane off. With a disabled observer the server keeps its counters
+    /// in a private enabled one, which an endpoint, if set, serves.
     pub obs: SimObserver,
     /// Where to bind the exposition endpoint; `None` = no endpoint.
     /// Bind loopback unless the scrape network is trusted.
@@ -214,7 +222,6 @@ pub(crate) struct ShardTelemetry {
     shard: u32,
     stage_hists: [Arc<Histogram>; 6],
     total_hist: Arc<Histogram>,
-    queries: Arc<Counter>,
     occupancy: Arc<Gauge>,
     sample_mask: u32,
     tick: u32,
@@ -230,13 +237,6 @@ impl ShardTelemetry {
         let t = self.tick;
         self.tick = self.tick.wrapping_add(1);
         t & self.sample_mask == 0
-    }
-
-    /// Count one admitted query toward the per-shard qps counter (every
-    /// query, sampled or not — rates must not depend on the mask).
-    #[inline]
-    pub(crate) fn count_query(&self) {
-        self.queries.inc();
     }
 
     /// Publish the shard's admission-table occupancy.
@@ -300,23 +300,24 @@ impl GenAge {
 }
 
 impl Runtime {
-    /// Start the plane for `cfg`, or `None` when it is fully off. An
-    /// endpoint bind failure is reported and tolerated — a server must
-    /// not refuse to serve time because its metrics port is taken.
+    /// Start the plane for `cfg`, or `None` when it is fully off. `obs`
+    /// is the enabled observer holding the server's counters `stats`; the
+    /// plane records into it too, and `/json` reports `stats` less
+    /// `base`. An endpoint bind failure is reported and tolerated — a
+    /// server must not refuse to serve time because its metrics port is
+    /// taken.
     pub(crate) fn start(
         cfg: &TelemetryConfig,
+        obs: &SimObserver,
         handle: &ClockHandle,
-        stats: &Arc<ServerStats>,
+        stats: &ServerStats,
+        base: StatsSnapshot,
     ) -> Option<Runtime> {
         if !cfg.enabled() {
             return None;
         }
-        let obs = if cfg.obs.core().is_some() {
-            cfg.obs.clone()
-        } else {
-            SimObserver::enabled()
-        };
-        let core = Arc::clone(obs.core().expect("observer just enabled"));
+        let obs = obs.clone();
+        let core = Arc::clone(obs.core().expect("server observer is enabled"));
         let live = Arc::new(LiveWindows::new(cfg.live));
         let slow = Arc::new(SlowRing::new(cfg.slow_capacity));
         let sample_mask = cfg.sample_every.max(1).next_power_of_two() - 1;
@@ -372,7 +373,8 @@ impl Runtime {
                 Arc::clone(&core),
                 Arc::clone(&live),
                 Arc::clone(&slow),
-                Arc::clone(stats),
+                stats.clone(),
+                base,
                 handle.clone(),
             );
             match MetricsServer::spawn(addr, provider) {
@@ -397,12 +399,6 @@ impl Runtime {
         })
     }
 
-    /// The observer the plane actually records into (the configured one,
-    /// or the private upgrade).
-    pub(crate) fn obs(&self) -> &SimObserver {
-        &self.obs
-    }
-
     /// Where the endpoint is listening, if it bound.
     pub(crate) fn metrics_addr(&self) -> Option<SocketAddr> {
         self.endpoint.as_ref().map(MetricsServer::local_addr)
@@ -421,10 +417,6 @@ impl Runtime {
             shard,
             stage_hists: STAGE_METRICS.map(h),
             total_hist: h("stage_total_ns"),
-            queries: self
-                .obs
-                .counter(key("shard_queries"))
-                .expect("telemetry observer is enabled"),
             occupancy: self
                 .obs
                 .gauge(key("admission_occupancy"))
@@ -458,7 +450,8 @@ fn make_provider(
     core: Arc<nti_obs::ObsCore>,
     live: Arc<LiveWindows>,
     slow: Arc<SlowRing>,
-    stats: Arc<ServerStats>,
+    stats: ServerStats,
+    base: StatsSnapshot,
     handle: ClockHandle,
 ) -> Provider {
     Arc::new(move |path: &str| {
@@ -473,8 +466,10 @@ fn make_provider(
             nti_obs::render_prometheus(&core.registry, Some(&live)),
         )),
         "/json" => {
+            let stats = stats.since(&base);
+            let stats = stats.fields().map(|(name, v)| (name, Json::num(*v as f64)));
             let snapshot = Json::obj([
-                ("stats", stats.to_json()),
+                ("stats", Json::obj(stats)),
                 ("status", handle.status().to_json()),
                 ("generation", Json::num(handle.generation() as f64)),
                 ("metrics", core.registry.to_json()),

@@ -1,15 +1,17 @@
 //! End-to-end hardening tests over loopback: the admission ladder as a
 //! client experiences it (answered → KoD `RATE` → silence → forgiveness
-//! after idle), drain-loop fairness under an asymmetric flood, and
-//! stale-ensemble degradation visible on the wire.
+//! after idle), table evictions reaching the server's counters,
+//! drain-loop fairness under an asymmetric flood, and stale-ensemble
+//! degradation visible on the wire.
 
 use nti_core::health::HealthState;
 use nti_core::status::{ClusterStatus, NodeStatus, StatusCell};
+use nti_obs::{MetricKey, SimObserver};
 use nti_serve::clock::{ClockHandle, StalenessPolicy};
 use nti_serve::loadgen::containment_holds;
 use nti_serve::packet::{NtpPacket, KISS_RATE, KISS_STALE, MODE_CLIENT, MODE_SERVER};
 use nti_serve::server::{Server, ServerConfig};
-use nti_serve::AdmissionConfig;
+use nti_serve::{AdmissionConfig, TelemetryConfig};
 use nti_simcore::ntp::NtpTime;
 use nti_simcore::time::{SimDuration, SimTime};
 use std::net::UdpSocket;
@@ -134,6 +136,57 @@ fn rate_limit_ladder_walks_ok_kod_silence_recovery() {
     assert_eq!(snap.rate_kod, 2);
     assert_eq!(snap.dropped, 3);
     assert!(snap.queries >= 5, "admitted: 3 burst + recovery + other");
+}
+
+/// Eight clients through a four-slot admission table: every query is
+/// admitted (a fresh client gets a full burst) and each client past the
+/// fourth evicts one, so the server counts 4 evictions. With telemetry
+/// on, every `serve/<name>` registry counter equals the snapshot field of
+/// the same name.
+#[test]
+fn evictions_reach_the_server_counters() {
+    if !loopback_available() {
+        eprintln!("skipping: loopback sockets unavailable in this sandbox");
+        return;
+    }
+    let obs = SimObserver::enabled();
+    let cell = Arc::new(StatusCell::new(1));
+    cell.publish(&frame(1));
+    let server = Server::bind(
+        &ServerConfig {
+            admission: Some(AdmissionConfig {
+                capacity: 4,
+                ..AdmissionConfig::default()
+            }),
+            telemetry: TelemetryConfig {
+                obs: obs.clone(),
+                ..TelemetryConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+        ClockHandle::new(cell, 0),
+    )
+    .expect("bind server");
+    let addr = server.local_addrs()[0];
+    let running = server.start();
+    for c in 0..8u64 {
+        let client = UdpSocket::bind("127.0.0.1:0").expect("client bind");
+        client.connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout");
+        let resp = try_query(&client, 0x800 + c).expect("fresh client answered");
+        assert_eq!(resp.stratum, 1);
+    }
+    let snap = running.stop();
+    assert_eq!(snap.queries, 8);
+    assert_eq!(snap.evictions, 4);
+    for (name, value) in snap.fields() {
+        let counter = obs
+            .counter(MetricKey::global("serve", name))
+            .expect("enabled observer");
+        assert_eq!(counter.get(), *value, "serve/{name}");
+    }
 }
 
 /// Regression for the drain-loop bound: one shard under a garbage flood

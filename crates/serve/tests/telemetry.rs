@@ -1,8 +1,9 @@
 //! Integration tests for the serve telemetry plane against a real
 //! loopback server: stage histograms fill under full sampling, the
-//! obs mirror is live *during* the run (not just at shard exit), the
-//! slow-request flight recorder captures structured traces, and garbage
-//! on the metrics port never blocks NTP serving.
+//! registry counters are live *during* the run (not just at shard exit),
+//! servers taking turns on one observer each report their own totals,
+//! the slow-request flight recorder captures structured traces, and
+//! garbage on the metrics port never blocks NTP serving.
 
 use nti_core::health::HealthState;
 use nti_core::status::{ClusterStatus, NodeStatus, StatusCell};
@@ -68,10 +69,8 @@ fn client_for(addr: std::net::SocketAddr) -> UdpSocket {
     client
 }
 
-/// Full sampling: every stage histogram fills, per-shard query counters
-/// reconcile with the server's own stats, and — the mirror fix — the
-/// shared observer sees the query counter move *while the server is
-/// still running*.
+/// Full sampling: every stage histogram fills, and the shared observer
+/// sees the query counter move *while the server is still running*.
 #[test]
 fn stage_timing_and_live_mirror_under_full_sampling() {
     if !loopback_available() {
@@ -107,7 +106,7 @@ fn stage_timing_and_live_mirror_under_full_sampling() {
         query(&clients[(i % clients.len() as u64) as usize], 0x1000 + i);
     }
 
-    // The mirror runs on every drain-batch boundary, so the shared
+    // Shards bump the registry counters themselves, so the shared
     // observer must see all the queries while the server still runs.
     let queries_ctr = obs
         .counter(MetricKey::global("serve", "queries"))
@@ -119,19 +118,14 @@ fn stage_timing_and_live_mirror_under_full_sampling() {
     assert_eq!(
         queries_ctr.get(),
         QUERIES,
-        "mirror made all queries visible before stop"
+        "all queries visible before stop"
     );
 
     let snap = running.stop();
     assert_eq!(snap.queries, QUERIES);
 
-    // Per-shard telemetry: query counters reconcile, every pipeline
-    // stage histogram holds samples (sample_every = 1).
-    let shard_queries: u64 = (0..2)
-        .filter_map(|s| obs.counter(MetricKey::node(s, "serve", "shard_queries")))
-        .map(|c| c.get())
-        .sum();
-    assert_eq!(shard_queries, QUERIES);
+    // Per-shard telemetry: every pipeline stage histogram holds samples
+    // (sample_every = 1).
     let total_count: u64 = (0..2)
         .filter_map(|s| obs.hist(MetricKey::node(s, "serve", "stage_total_ns")))
         .map(|h| h.count())
@@ -144,6 +138,43 @@ fn stage_timing_and_live_mirror_under_full_sampling() {
             .sum();
         assert!(n > 0, "{stage} histogram populated");
     }
+}
+
+/// Two telemetry-on servers bound, queried and stopped in turn on one
+/// observer: each `stop()` reports its own queries, while the registry
+/// counter, the one store, holds both.
+#[test]
+fn sequential_servers_on_one_observer_report_their_own_counts() {
+    if !loopback_available() {
+        eprintln!("skipping: loopback sockets unavailable in this sandbox");
+        return;
+    }
+    let obs = SimObserver::enabled();
+    let cell = Arc::new(StatusCell::new(1));
+    cell.publish(&frame(1));
+    for (queries, nonce) in [(3u64, 0x4000u64), (5, 0x5000)] {
+        let server = Server::bind(
+            &ServerConfig {
+                telemetry: TelemetryConfig {
+                    obs: obs.clone(),
+                    ..TelemetryConfig::default()
+                },
+                ..ServerConfig::default()
+            },
+            ClockHandle::new(Arc::clone(&cell), 0),
+        )
+        .expect("bind server");
+        let client = client_for(server.local_addrs()[0]);
+        let running = server.start();
+        for i in 0..queries {
+            query(&client, nonce + i);
+        }
+        assert_eq!(running.stop().queries, queries, "this server's own count");
+    }
+    let total = obs
+        .counter(MetricKey::global("serve", "queries"))
+        .expect("enabled observer");
+    assert_eq!(total.get(), 8, "the registry holds both servers' queries");
 }
 
 /// With a zero slow threshold every sampled request lands in the flight

@@ -7,8 +7,14 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+echo "== cargo fmt --check (perfbench workspace) =="
+cargo fmt --manifest-path perfbench/Cargo.toml --all --check
+
 echo "== cargo clippy --workspace (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo clippy (perfbench workspace, deny warnings) =="
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== cargo test =="
 cargo test --workspace -q
