@@ -163,14 +163,8 @@ pub struct ClusterConfig {
     pub algo: AlgoKind,
     /// Round period `P`.
     pub round_period: SimDuration,
-    /// CF application offset Δ.
-    pub cf_delta: SimDuration,
-    /// Continuous-amortization duration (0 = instantaneous steps).
-    pub amortization: SimDuration,
     /// Fault-tolerance degree `f`.
     pub f: usize,
-    /// Per-node broadcast stagger within the round (collision avoidance).
-    pub stagger: SimDuration,
     /// Shared-medium parameters.
     pub medium: MediumConfig,
     /// COMCO timing.
@@ -265,10 +259,7 @@ impl ClusterConfig {
             mode: TimestampMode::Hardware,
             algo: AlgoKind::IntervalOa,
             round_period: SimDuration::from_secs(1),
-            cf_delta: SimDuration::from_millis(250),
-            amortization: SimDuration::from_millis(100),
             f: if n >= 4 { 1 } else { 0 },
-            stagger: SimDuration::from_millis(2),
             medium: MediumConfig::ethernet_10m(),
             comco: ComcoTiming::i82596(),
             cpld: CpldConfig::default(),
@@ -295,6 +286,13 @@ impl ClusterConfig {
         }
     }
 }
+
+/// CF application offset Δ after each round's start.
+const CF_DELTA: SimDuration = SimDuration::from_millis(250);
+/// Duration of the continuous amortization of each state correction.
+const AMORTIZATION: SimDuration = SimDuration::from_millis(100);
+/// Per-node broadcast stagger within the round (collision avoidance).
+const STAGGER: SimDuration = SimDuration::from_millis(2);
 
 /// A frame in flight on some segment.
 #[derive(Clone, Debug)]
@@ -374,8 +372,6 @@ pub struct Metrics {
     pub app_event_spread: Summary,
     /// Cross-node spread of synchronized duty-timer actuations (s).
     pub actuation_spread: Summary,
-    /// Real fire instants of the current actuation, collected per node.
-    actuation_pending: Vec<SimTime>,
     /// Sum of GPS validation stats over nodes (filled at teardown).
     pub gps_accepted: u64,
     /// Rejected external intervals.
@@ -518,6 +514,17 @@ enum DropCause {
     Injected,
 }
 
+/// One receiver's record of one flight's RECEIVE trigger, kept from the
+/// trigger until the packet interrupt (`rx_complete`) consumes it.
+#[derive(Clone, Copy, Debug)]
+struct Rx {
+    /// Real instant of the trigger (the receive end of the ε pair).
+    trigger: SimTime,
+    /// Receive-side span chain head: the latch span (or the trigger span
+    /// when nothing latched) and its real end instant. `None` untraced.
+    head: Option<(SpanId, SimTime)>,
+}
+
 /// The simulated world (the engine's state type).
 pub struct World {
     /// All nodes.
@@ -528,22 +535,18 @@ pub struct World {
     pub topology: Topology,
     /// Frames in flight.
     flights: HashMap<u64, Flight>,
-    /// Receive-trigger instants per (flight, receiver) for ε measurement.
-    rx_triggers: HashMap<(u64, usize), SimTime>,
-    /// Receive-side span chain heads per (flight, receiver): the latch (or
-    /// trigger) span and its real end instant, consumed by `rx_complete`.
-    rx_spans: HashMap<(u64, usize), (SpanId, SimTime)>,
+    /// RECEIVE-trigger records per (flight, receiver).
+    rx: HashMap<(u64, usize), Rx>,
     next_flight: u64,
     /// The fault-plan applicator (owns all fault RNG streams).
     injector: FaultInjector,
-    /// Crashed nodes (true = down). Down nodes run no handlers, receive no
-    /// frames and are excluded from metrics until they reintegrate.
-    down: Vec<bool>,
     /// Restarted nodes whose post-rejoin α trajectory is still being
     /// recorded: node → index into `metrics.rejoin_alpha`.
     rejoin_track: HashMap<usize, usize>,
     /// Per-application-event collected APU stamps (event id -> stamps).
     app_pending: HashMap<u64, Vec<NtpTime>>,
+    /// Real fire instants of the current actuation, collected per node.
+    actuation_pending: Vec<SimTime>,
     /// Measurements.
     pub metrics: Metrics,
     /// Frames published into `cfg.status_cell` so far.
@@ -569,7 +572,7 @@ impl World {
 
     /// Is node `id` currently crashed?
     pub fn is_down(&self, id: usize) -> bool {
-        self.down[id]
+        self.nodes[id].is_down()
     }
 
     /// The online invariant monitor bank, when observability is enabled
@@ -582,12 +585,12 @@ impl World {
     /// clock, accuracy interval and health state, plus the frame header.
     /// This is what `Report.final_states` and the membership gauges cannot
     /// give you — the state *while the run is still going* — and it is the
-    /// frame [`snapshot`] publishes into `ClusterConfig::status_cell`.
+    /// frame every HWSNAP sweep publishes into `ClusterConfig::status_cell`.
     pub fn status(&mut self, now: SimTime) -> ClusterStatus {
         let ref_fs = ref_time(self, now).as_fs();
         let nodes = (0..self.nodes.len())
             .map(|id| {
-                if self.down[id] {
+                if self.nodes[id].is_down() {
                     return NodeStatus {
                         clock: NtpTime::ZERO,
                         alpha_minus: SimDuration::ZERO,
@@ -834,14 +837,14 @@ pub fn derive_params(cfg: &ClusterConfig) -> SyncParams {
     };
     SyncParams {
         round_period: cfg.round_period,
-        cf_delta: cfg.cf_delta,
+        cf_delta: CF_DELTA,
         f: cfg.f,
         delay_min: dmin,
         delay_max: dmax,
         rho_ppm: cfg.rho_budget_ppm,
         rate_adj_uncertainty: SimDuration::from_fs(1_000_000_000_000_000 / cfg.fosc_hz as u128),
         granularity: cfg.granularity,
-        amortization: cfg.amortization,
+        amortization: AMORTIZATION,
     }
 }
 
@@ -852,10 +855,7 @@ impl Cluster {
             cfg.rho_budget_ppm >= cfg.drift.rho_bound_ppm(),
             "drift budget must bound the oscillator population"
         );
-        assert!(
-            cfg.cf_delta < cfg.round_period,
-            "Δ must fit inside the round"
-        );
+        assert!(CF_DELTA < cfg.round_period, "Δ must fit inside the round");
         if let Some(cell) = &cfg.status_cell {
             assert_eq!(
                 cell.node_count(),
@@ -872,46 +872,63 @@ impl Cluster {
             assert!(node < n, "crash episode targets node {node} of {n}");
             assert!(at > SimTime::ZERO, "crash at t=0 is not meaningful");
         }
-        let quant = if cfg.granularity <= SimDuration::from_nanos(60) {
-            UTCSU_QUANT_UNITS
-        } else {
-            quant_units_for(cfg.granularity)
-        };
+        // GPS receivers, with the plan's receiver faults: an episode rides
+        // on a receiver declared in `cfg.gps` (it cannot conjure hardware),
+        // and `receiver` counts the node's own.
+        let mut gps: Vec<Vec<GpsReceiver>> = (0..n).map(|_| Vec::new()).collect();
+        for (k, g) in cfg.gps.iter().enumerate() {
+            let rx = GpsReceiver::new(g.cfg, root.split_idx("gps", k as u64));
+            assert!(
+                gps[g.node].len() < nti_utcsu::NUM_GPU,
+                "at most 3 receivers per node"
+            );
+            gps[g.node].push(rx);
+        }
+        for (id, receivers) in gps.iter_mut().enumerate() {
+            for (receiver, fault) in injector.gps_faults(id) {
+                assert!(
+                    receiver < receivers.len(),
+                    "Gps fault episode targets receiver {receiver} of node {id}, \
+                     which has {} receivers configured",
+                    receivers.len()
+                );
+                receivers[receiver].inject(fault);
+            }
+        }
+        let mediums = (0..cfg.topology.lan_count())
+            .map(|l| Medium::new(cfg.medium, root.split_idx("medium", l as u64)))
+            .collect();
 
-        let mut nodes = Vec::with_capacity(n);
+        let mut world = World {
+            nodes: Vec::with_capacity(n),
+            mediums,
+            topology: cfg.topology.clone(),
+            flights: HashMap::new(),
+            rx: HashMap::new(),
+            next_flight: 0,
+            injector,
+            rejoin_track: HashMap::new(),
+            app_pending: HashMap::new(),
+            actuation_pending: Vec::new(),
+            metrics: Metrics::default(),
+            status_publishes: 0,
+            obs: None,
+            monitors: None,
+            cfg,
+            params,
+        };
         let mut cfg_rng = root.split("cfg");
-        for id in 0..n {
+        for (id, gps) in gps.into_iter().enumerate() {
+            let cfg = &world.cfg;
             let node_rng = root.split_idx("node", id as u64);
             let mut osc = cfg
                 .drift
                 .build(&mut cfg_rng, cfg.fosc_hz, node_rng.split("osc"));
-            let excursions = injector.drift_excursions(id);
+            let excursions = world.injector.drift_excursions(id);
             if !excursions.is_empty() {
                 osc.set_excursions(&excursions);
             }
-            let mut nti = Nti::new(
-                UtcsuConfig {
-                    fosc_hz: cfg.fosc_hz,
-                    reliable_pin: true,
-                },
-                cfg.cpld,
-            );
-            // Initial clock: UTC + uniform [0, 2·init_offset); accuracy
-            // loaded to cover the scatter (containment from the start).
-            let off = SimDuration::from_fs(
-                cfg_rng.below((2 * cfg.init_offset.as_fs()).max(1) as u64) as u128,
-            );
-            let g_margin = SimDuration::from_nanos(120);
-            nti.utcsu_mut()
-                .stage_time_load(NtpTime::from_sim_time(SimTime::ZERO + off));
-            nti.utcsu_mut().stage_acc_load(
-                Accuracy::from_duration_ceil(cfg.init_offset * 2 + g_margin),
-                Accuracy::from_duration_ceil(g_margin),
-            );
-            nti.utcsu_mut().sync_run();
-            nti.write32(UTCSU_BASE + uregs::R_INT_MASK, u32::MAX);
-            let attachments = cfg.topology.attachments(id).len();
-            let comcos = (0..attachments)
+            let comcos = (0..cfg.topology.attachments(id).len())
                 .map(|a| {
                     Comco::new(
                         cfg.comco,
@@ -920,92 +937,23 @@ impl Cluster {
                     )
                 })
                 .collect();
-            let mut node = Node {
-                id,
+            let hw = Hardware {
                 osc,
-                nti,
                 comcos,
                 kernel: Kernel::new(cfg.kernel, node_rng.split("kernel")),
-                driver: ComcoDriver::new(),
-                scb: nti_module::ScbDriver::default(),
-                core: SyncCore::new(params, cfg.algo),
                 health: HealthTracker::new(HealthConfig::for_f(cfg.f)),
-                rate: RateSync::new(),
-                gps: Vec::new(),
-                vstats: ValidationStats::default(),
-                rx_slot: 0,
-                tx_slot: 0,
-                utcsu_event: None,
-                amort_dstep_saved: None,
-                cum_adj_units: 0,
-                quant_units: quant,
+                gps,
             };
-            node.core.blind_external = cfg.gps_blind_trust;
-            node.core.reintegration_quorum = reintegration_quorum_for(&cfg.topology, id, cfg.f);
-            node.core.congestion = cfg.congestion;
-            node.scb.init(&mut node.nti);
-            node.program_dsteps(cfg.rho_budget_ppm);
-            nodes.push(node);
+            // Initial clock: UTC + uniform [0, 2·init_offset).
+            let boot = SimTime::ZERO + boot_offset(&mut cfg_rng, cfg.init_offset);
+            let node = world.power_up(id, hw, NtpTime::from_sim_time(boot), 0, SimTime::ZERO);
+            world.nodes.push(node);
         }
-        for (k, g) in cfg.gps.iter().enumerate() {
-            let rx = GpsReceiver::new(g.cfg, root.split_idx("gps", k as u64));
-            let gpu_idx = nodes[g.node].gps.len();
-            assert!(gpu_idx < nti_utcsu::NUM_GPU, "at most 3 receivers per node");
-            nodes[g.node].nti.utcsu_mut().gpu[gpu_idx].enabled = true;
-            nodes[g.node].gps.push(rx);
-        }
-        // GPS faults ride on receivers declared in `cfg.gps` (an episode
-        // cannot conjure hardware); `receiver` counts the node's own.
-        for (id, node) in nodes.iter_mut().enumerate() {
-            for (receiver, fault) in injector.gps_faults(id) {
-                assert!(
-                    receiver < node.gps.len(),
-                    "Gps fault episode targets receiver {receiver} of node {id}, \
-                     which has {} receivers configured",
-                    node.gps.len()
-                );
-                node.gps[receiver].inject(fault);
-            }
-        }
-
-        if let Some(sec) = cfg.actuation_start_sec {
-            for node in &mut nodes {
+        if let Some(sec) = world.cfg.actuation_start_sec {
+            for node in &mut world.nodes {
                 arm_timer(node, 2, NtpTime::from_secs(sec));
             }
         }
-        if let Some(sec) = cfg.leap_insert_at_sec {
-            for node in &mut nodes {
-                node.nti.write32(UTCSU_BASE + uregs::R_LEAP_SECS, sec);
-                node.nti.write32(
-                    UTCSU_BASE + uregs::R_CTRL,
-                    uregs::CTRL_RUN | uregs::CTRL_LEAP_INSERT,
-                );
-            }
-        }
-
-        let mediums = (0..cfg.topology.lan_count())
-            .map(|l| Medium::new(cfg.medium, root.split_idx("medium", l as u64)))
-            .collect();
-
-        let mut world = World {
-            nodes,
-            mediums,
-            topology: cfg.topology.clone(),
-            flights: HashMap::new(),
-            rx_triggers: HashMap::new(),
-            rx_spans: HashMap::new(),
-            next_flight: 0,
-            injector,
-            down: vec![false; n],
-            rejoin_track: HashMap::new(),
-            app_pending: HashMap::new(),
-            metrics: Metrics::default(),
-            status_publishes: 0,
-            obs: None,
-            monitors: None,
-            cfg,
-            params,
-        };
         // Thread the observer through every layer: engine, one medium per
         // LAN, one kernel + UTCSU per node, plus the cluster-level metrics.
         let obs = world.cfg.obs.clone();
@@ -1059,8 +1007,7 @@ impl Cluster {
                     // Amortized interval clocks slew continuously and never
                     // read backwards; instantaneous-step modes and leap
                     // insertion legitimately do.
-                    check_monotonic: world.cfg.amortization.as_fs() > 0
-                        && world.cfg.leap_insert_at_sec.is_none()
+                    check_monotonic: world.cfg.leap_insert_at_sec.is_none()
                         && matches!(
                             world.cfg.algo,
                             AlgoKind::IntervalOa | AlgoKind::IntervalMarzullo
@@ -1084,12 +1031,11 @@ impl Cluster {
             if dark {
                 let edge = world.nodes[id].health.set_down();
                 note_health_edge(&mut world, SimTime::ZERO, id, edge);
-                world.down[id] = true;
             }
         }
         // Arm the first round's timers and start services.
         for id in 0..n {
-            if world.down[id] {
+            if world.nodes[id].is_down() {
                 continue;
             }
             arm_round_timers(&mut world, id, 1);
@@ -1116,9 +1062,6 @@ impl Cluster {
         }
         // Application events: one physical stimulus hits every node's APU 0.
         if let Some(period) = world.cfg.app_event_period {
-            for id in 0..n {
-                world.nodes[id].nti.utcsu_mut().apu[0].enabled = true;
-            }
             let mut ev: u64 = 0;
             eng.schedule_every(SimTime::ZERO + period, period, move |w, e| {
                 let k = ev;
@@ -1357,7 +1300,7 @@ fn rx_data_buf(slot: u32) -> u32 {
 
 fn round_target(world: &World, id: usize, k: u32) -> NtpTime {
     let p = units(world.cfg.round_period);
-    let stagger = units(world.cfg.stagger) * id as u128;
+    let stagger = units(STAGGER) * id as u128;
     NtpTime::from_raw(k as u128 * p + stagger)
 }
 
@@ -1369,7 +1312,7 @@ fn arm_timer(node: &mut Node, idx: usize, target: NtpTime) {
 
 fn arm_round_timers(world: &mut World, id: usize, k: u32) {
     let t0 = round_target(world, id, k);
-    let t1 = t0.wrapping_add_units(units(world.cfg.cf_delta) as i128);
+    let t1 = t0.wrapping_add_units(units(CF_DELTA) as i128);
     let node = &mut world.nodes[id];
     arm_timer(node, 0, t0);
     arm_timer(node, 1, t1);
@@ -1393,7 +1336,7 @@ fn schedule_utcsu_service(world: &mut World, eng: &mut Eng, id: usize) {
 /// internal event (duty timer, amortization end, leap).
 fn utcsu_service(world: &mut World, eng: &mut Eng, id: usize) {
     world.nodes[id].utcsu_event = None;
-    if world.down[id] {
+    if world.nodes[id].is_down() {
         return;
     }
     let now = eng.now();
@@ -1445,7 +1388,7 @@ fn round_start(world: &mut World, eng: &mut Eng, id: usize) {
 /// Step 2-4: hand the CSP to the COMCO(s) and plan the transmissions.
 fn csp_send(world: &mut World, eng: &mut Eng, id: usize, sw_stamp: NtpTime, sw_real: SimTime) {
     let now = eng.now();
-    if world.down[id] {
+    if world.nodes[id].is_down() {
         return; // crashed between assembly and the COMCO hand-off
     }
     world.nodes[id].advance(now);
@@ -1474,19 +1417,9 @@ fn csp_send(world: &mut World, eng: &mut Eng, id: usize, sw_stamp: NtpTime, sw_r
         let node = &mut world.nodes[id];
         let buf = nti_module::DATA_BUF_BASE + (node.tx_slot % 8) * 256;
         let bytes = payload.encode();
-        for (i, chunk) in bytes.chunks(4).enumerate() {
-            let mut w = [0u8; 4];
-            w[..chunk.len()].copy_from_slice(chunk);
-            node.nti.write32(
-                nti_module::CPU_BASE + buf + i as u32 * 4,
-                u32::from_le_bytes(w),
-            );
-        }
+        node.nti.write_bytes(nti_module::CPU_BASE + buf, &bytes);
         node.driver.record_tx(Interface::Ci);
-        (0..bytes.len().div_ceil(4))
-            .flat_map(|i| node.nti.read32(buf + i as u32 * 4).to_le_bytes())
-            .take(bytes.len())
-            .collect()
+        node.nti.read_bytes(buf, bytes.len())
     };
     // Control path: the CPU queues a TRANSMIT command block in the System
     // Structures section and strobes channel attention; the COMCO walks the
@@ -1576,7 +1509,7 @@ fn csp_send(world: &mut World, eng: &mut Eng, id: usize, sw_stamp: NtpTime, sw_r
 /// insertion into the outgoing packet").
 fn exec_tx_read(world: &mut World, eng: &mut Eng, id: usize, fid: u64, slot: u32, off: u32) {
     let now = eng.now();
-    if world.down[id] {
+    if world.nodes[id].is_down() {
         return; // DMA engine lost power mid-transmission
     }
     world.nodes[id].advance(now);
@@ -1590,20 +1523,9 @@ fn exec_tx_read(world: &mut World, eng: &mut Eng, id: usize, fid: u64, slot: u32
         let addr = world.nodes[id].nti.tx_header_addr(slot) + off;
         world.nodes[id].nti.read32(addr)
     } else {
-        // Additional attachments (gateways): the decode for SSU `a` is the
-        // same CPLD rule on a different header bank; shortcut to the
-        // triggers directly.
-        if off == cpld.xmt_trigger_off {
-            world.nodes[id].nti.utcsu_mut().trigger_ssu_transmit(a);
-        }
-        let latch = world.nodes[id].nti.utcsu().ssu[a].transmit.peek();
-        if off == cpld.xmt_map_ts_off {
-            latch.map_or(0, |s| s.ts.0)
-        } else if off == cpld.xmt_map_acc_off {
-            latch.map_or(0, |s| s.acc_packed())
-        } else {
-            0
-        }
+        // Additional attachments (gateways): the same CPLD rule on a
+        // different header bank, driving SSU `a`.
+        world.nodes[id].nti.xmt_header_read(a, off).unwrap_or(0)
     };
     if off == cpld.xmt_trigger_off {
         flight.xmit_trigger_real = Some(now);
@@ -1674,7 +1596,7 @@ fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
     }
     let mut scheduled: usize = 0;
     for q in members {
-        if world.down[q] {
+        if world.nodes[q].is_down() {
             continue; // powered-off NIC: the frame falls on deaf ears
         }
         if world.injector.drop_reception(src, q, now) {
@@ -1728,21 +1650,15 @@ fn schedule_reception(
     // buffer (a plain region: no triggers) before the interrupt.
     let first_write = plan.header_writes.first().map(|a| a.at).unwrap_or(arrival);
     eng.schedule_at(first_write, move |w, _| {
-        if w.down[q] {
+        if w.nodes[q].is_down() {
             return;
         }
         let Some(flight) = w.flights.get(&fid) else {
             return;
         };
-        let bytes = flight.payload_bytes.clone();
-        let buf = rx_data_buf(slot);
-        for (i, chunk) in bytes.chunks(4).enumerate() {
-            let mut word = [0u8; 4];
-            word[..chunk.len()].copy_from_slice(chunk);
-            w.nodes[q]
-                .nti
-                .write32(buf + i as u32 * 4, u32::from_le_bytes(word));
-        }
+        w.nodes[q]
+            .nti
+            .write_bytes(rx_data_buf(slot), &flight.payload_bytes);
     });
     let int_at = plan.interrupt_at;
     eng.schedule_at(int_at, move |w, e| rx_complete(w, e, q, fid, a_q, slot));
@@ -1760,183 +1676,156 @@ fn exec_rx_write(
     off: u32,
 ) {
     let now = eng.now();
-    if world.down[q] {
+    if world.nodes[q].is_down() {
         return;
     }
     world.nodes[q].advance(now);
-    let cpld = world.nodes[q].nti.cpld();
-    if off == cpld.rcv_trigger_off {
-        // The inbound chain head (the wire span) of this frame, when the
-        // sender's side was traced.
-        let chain = world
-            .flights
-            .get(&fid)
-            .map(|f| (f.span, f.span_t))
-            .unwrap_or((SpanId::NONE, now));
-        // Trigger-path fault injection: a missed DMA trigger means the
-        // stamp is never latched (the frame later drops in rx_complete); a
-        // late trigger latches a stamp that post-dates the true arrival.
-        if world.injector.missed_trigger(q, now) {
-            world
-                .injector
-                .annotate_span(now, q, "fault_trigger_missed", chain.0, 0);
-            world.nodes[q]
-                .driver
-                .deliver(nti_kernel::ETHERTYPE_CI, fid as usize, Vec::new());
-            return;
+    if off != world.nodes[q].nti.cpld().rcv_trigger_off {
+        // A plain header word: only the primary attachment's headers live
+        // in the NTI memory map.
+        if a == 0 {
+            let addr = world.nodes[q].nti.rx_header_addr(slot) + off;
+            world.nodes[q].nti.write32(addr, 0);
         }
-        if let Some(d) = world.injector.late_trigger(q, now) {
-            let xt = world.flights.get(&fid).and_then(|f| f.xmit_trigger_real);
-            eng.schedule_at(now + d, move |w, e| {
-                if w.down[q] {
-                    return;
-                }
-                let t = e.now();
-                w.nodes[q].advance(t);
-                if let Some(o) = &w.obs {
-                    if chain.0.is_some() {
-                        let rcv = o.hop(
-                            HOP_RCV_TRIGGER,
-                            t.as_fs(),
-                            t.saturating_since(chain.1).as_fs(),
-                            q as u32,
-                            chain.0,
-                        );
-                        // The injected lateness rides the chain as a fault
-                        // annotation child of the trigger span.
-                        w.injector
-                            .annotate_span(t, q, "fault_trigger_late", rcv, d.as_fs());
-                        w.nodes[q]
-                            .nti
-                            .utcsu_mut()
-                            .stage_trigger_span(rcv, t.as_fs());
-                        w.rx_spans.insert((fid, q), (rcv, t));
-                    }
-                }
-                if a == 0 {
-                    let addr = w.nodes[q].nti.rx_header_addr(slot) + off;
-                    w.nodes[q].nti.write32(addr, 0);
-                } else {
-                    w.nodes[q].nti.utcsu_mut().trigger_ssu_receive(a);
-                }
-                note_latch_span(w, t, fid, q);
-                // The trigger-latency invariant is checked here rather
-                // than at the reception interrupt: a trigger this late may
-                // miss the latch window entirely, in which case the frame
-                // drops before `record_eps` would ever observe the pair.
-                if let (Some(m), Some(xt)) = (w.monitors.as_mut(), xt) {
-                    m.trigger_latency(t.as_fs(), q as u32, t.saturating_since(xt).as_fs());
-                }
-                w.rx_triggers.insert((fid, q), t);
-            });
-            world.nodes[q]
-                .driver
-                .deliver(nti_kernel::ETHERTYPE_CI, fid as usize, Vec::new());
-            return;
-        }
-        // Nominal trigger: the receive hop (propagation plus the header
-        // writes preceding the trigger) ends now; stage the span context
-        // so the UTCSU parents its latch span under the trigger span.
-        if let Some(o) = &world.obs {
-            if chain.0.is_some() {
-                let rcv = o.hop(
-                    HOP_RCV_TRIGGER,
-                    now.as_fs(),
-                    now.saturating_since(chain.1).as_fs(),
-                    q as u32,
-                    chain.0,
-                );
-                world.nodes[q]
-                    .nti
-                    .utcsu_mut()
-                    .stage_trigger_span(rcv, now.as_fs());
-                world.rx_spans.insert((fid, q), (rcv, now));
-            }
-        }
-    }
-    if a == 0 {
-        let addr = world.nodes[q].nti.rx_header_addr(slot) + off;
-        world.nodes[q].nti.write32(addr, 0);
-    } else if off == cpld.rcv_trigger_off {
-        world.nodes[q].nti.utcsu_mut().trigger_ssu_receive(a);
-    }
-    if off == cpld.rcv_trigger_off {
-        note_latch_span(world, now, fid, q);
-        world.rx_triggers.insert((fid, q), now);
-        // The ISR-level driver sees the frame as CI traffic (Figure 9).
-        world.nodes[q]
-            .driver
-            .deliver(nti_kernel::ETHERTYPE_CI, fid as usize, Vec::new());
-    }
-}
-
-/// A receive trigger just fired with a staged span context: upgrade the
-/// recorded chain head to the latch span the UTCSU emitted (which ends one
-/// synchronizer delay after the trigger), so the packet-interrupt hop
-/// parents on the latch. A null latch span (untraced chain) leaves the
-/// trigger span in place.
-fn note_latch_span(world: &mut World, now: SimTime, fid: u64, q: usize) {
-    let latch = world.nodes[q].nti.utcsu_mut().take_latch_span();
-    if latch.is_none() {
         return;
     }
-    let lat_fs = world.nodes[q].nti.utcsu().stamp_delay_ticks() * 1_000_000_000_000_000
-        / world.cfg.fosc_hz as u128;
-    if let Some(o) = &world.obs {
-        o.hop_dur(HOP_LATCH, lat_fs);
+    // The inbound chain head (the wire span) of this frame, when the
+    // sender's side was traced.
+    let chain = world
+        .flights
+        .get(&fid)
+        .map(|f| (f.span, f.span_t))
+        .unwrap_or((SpanId::NONE, now));
+    // Trigger-path fault injection: a missed DMA trigger means the stamp
+    // is never latched (the frame later drops in rx_complete); a late
+    // trigger latches a stamp that post-dates the true arrival.
+    if world.injector.missed_trigger(q, now) {
+        world
+            .injector
+            .annotate_span(now, q, "fault_trigger_missed", chain.0, 0);
+    } else if let Some(d) = world.injector.late_trigger(q, now) {
+        let xt = world.flights.get(&fid).and_then(|f| f.xmit_trigger_real);
+        eng.schedule_at(now + d, move |w, e| {
+            if w.nodes[q].is_down() {
+                return;
+            }
+            let t = e.now();
+            w.nodes[q].advance(t);
+            rcv_trigger(w, t, q, fid, a, slot, chain, Some(d));
+            // The trigger-latency invariant is checked here rather than at
+            // the reception interrupt: a trigger this late may miss the
+            // latch window entirely, in which case the frame drops before
+            // `record_eps` would ever observe the pair.
+            if let (Some(m), Some(xt)) = (w.monitors.as_mut(), xt) {
+                m.trigger_latency(t.as_fs(), q as u32, t.saturating_since(xt).as_fs());
+            }
+        });
+    } else {
+        rcv_trigger(world, now, q, fid, a, slot, chain, None);
     }
-    world
-        .rx_spans
-        .insert((fid, q), (latch, now + SimDuration::from_fs(lat_fs)));
+    // The ISR-level driver sees the frame as CI traffic (Figure 9).
+    world.nodes[q]
+        .driver
+        .deliver(nti_kernel::ETHERTYPE_CI, fid as usize, Vec::new());
+}
+
+/// The RECEIVE trigger fires at `t` on receiver `q` of flight `fid`, on
+/// time or `late` by an injected delay. The receive hop (propagation plus
+/// the header writes before the trigger) ends at `t` and extends `chain`,
+/// the inbound wire head; its span is staged so the UTCSU parents its
+/// latch span under it. The trigger itself is the header write, or on a
+/// gateway's further attachment `a` the SSU's trigger line directly. The
+/// trigger instant and the chain head, upgraded to the latch span (which
+/// ends one synchronizer delay later) when one was emitted, are recorded
+/// for `rx_complete`.
+#[allow(clippy::too_many_arguments)]
+fn rcv_trigger(
+    world: &mut World,
+    t: SimTime,
+    q: usize,
+    fid: u64,
+    a: usize,
+    slot: u32,
+    chain: (SpanId, SimTime),
+    late: Option<SimDuration>,
+) {
+    let mut head = None;
+    if let Some(o) = &world.obs {
+        if chain.0.is_some() {
+            let rcv = o.hop(
+                HOP_RCV_TRIGGER,
+                t.as_fs(),
+                t.saturating_since(chain.1).as_fs(),
+                q as u32,
+                chain.0,
+            );
+            if let Some(d) = late {
+                // The injected lateness rides the chain as a fault
+                // annotation child of the trigger span.
+                world
+                    .injector
+                    .annotate_span(t, q, "fault_trigger_late", rcv, d.as_fs());
+            }
+            world.nodes[q]
+                .nti
+                .utcsu_mut()
+                .stage_trigger_span(rcv, t.as_fs());
+            head = Some((rcv, t));
+        }
+    }
+    let node = &mut world.nodes[q];
+    if a == 0 {
+        let addr = node.nti.rx_header_addr(slot) + node.nti.cpld().rcv_trigger_off;
+        node.nti.write32(addr, 0);
+    } else {
+        node.nti.utcsu_mut().trigger_ssu_receive(a);
+    }
+    let latch = node.nti.utcsu_mut().take_latch_span();
+    if latch.is_some() {
+        let lat_fs = node.nti.utcsu().stamp_delay_ticks() * 1_000_000_000_000_000
+            / world.cfg.fosc_hz as u128;
+        if let Some(o) = &world.obs {
+            o.hop_dur(HOP_LATCH, lat_fs);
+        }
+        head = Some((latch, t + SimDuration::from_fs(lat_fs)));
+    }
+    world.rx.insert((fid, q), Rx { trigger: t, head });
 }
 
 /// Step 6→7: the packet interrupt; ISR + dispatch; stamps resolved per the
 /// timestamping mode; the CSP enters the algorithm.
 fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, slot: u32) {
     let now = eng.now();
-    if world.down[q] {
-        // Still decrement the flight bookkeeping so the sender-side state
-        // is reclaimed, then drop the frame on the floor.
-        if let Some(flight) = world.flights.get_mut(&fid) {
-            flight.receivers_pending -= 1;
-            if flight.receivers_pending == 0 {
-                world.flights.remove(&fid);
+    // Release this reception's claim on the flight, whether or not the
+    // receiver is still up to process it; the last one reclaims the
+    // sender-side state.
+    let rx = world.rx.remove(&(fid, q));
+    let flight = match world.flights.get_mut(&fid) {
+        None => None,
+        Some(f) => {
+            f.receivers_pending -= 1;
+            if f.receivers_pending == 0 {
+                world.flights.remove(&fid)
+            } else {
+                Some(f.clone())
             }
         }
-        world.rx_triggers.remove(&(fid, q));
-        world.rx_spans.remove(&(fid, q));
-        return;
+    };
+    if world.nodes[q].is_down() {
+        return; // a powered-off receiver drops the frame on the floor
     }
     world.nodes[q].advance(now);
     // The protocol software reads the CSP payload out of the receiver's
     // own NTI memory (CPU view) — the bytes the COMCO deposited.
-    let stored: Vec<u8> = {
-        let buf = rx_data_buf(slot);
-        let n = CSP_PAYLOAD_LEN.div_ceil(4);
-        (0..n)
-            .flat_map(|i| {
-                world.nodes[q]
-                    .nti
-                    .read32(nti_module::CPU_BASE + buf + i as u32 * 4)
-                    .to_le_bytes()
-            })
-            .take(CSP_PAYLOAD_LEN)
-            .collect()
-    };
-    // Pull the receive-trigger instant recorded by exec_rx_write, and let
-    // the driver consume the CI queue entry (KI/NI traffic is untouched).
-    let trigger_real = world.rx_triggers.remove(&(fid, q));
-    let rx_span = world.rx_spans.remove(&(fid, q));
+    let stored = world.nodes[q]
+        .nti
+        .read_bytes(nti_module::CPU_BASE + rx_data_buf(slot), CSP_PAYLOAD_LEN);
+    // Let the driver consume the CI queue entry (KI/NI traffic is
+    // untouched).
     let _ = world.nodes[q].driver.pop(Interface::Ci);
-    let Some(flight) = world.flights.get_mut(&fid) else {
+    let Some(mut flight) = flight else {
         return;
     };
-    flight.receivers_pending -= 1;
-    let done = flight.receivers_pending == 0;
-    let mut flight = flight.clone();
-    if done {
-        world.flights.remove(&fid);
-    }
     // Decode what actually landed in memory; the hardware-inserted fields
     // (transmit stamp + accuracies) came in the *header*, so they are
     // merged from the mapped values the COMCO fetched.
@@ -1962,15 +1851,15 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
         count_drop(world, now, q, DropCause::Crc);
         return;
     }
-    let mode = world.cfg.mode;
     let isr = world.nodes[q].kernel.isr_entry() + world.nodes[q].kernel.isr_body();
     let dispatch = world.nodes[q].kernel.task_dispatch();
+    let at = now + isr + dispatch;
     // Packet-interrupt hop (latch end → interrupt assertion), then the
     // ISR + dispatch hop the kernel emits; `chain` is what the sync
     // task's accept span parents on.
     let mut chain = SpanId::NONE;
     if let Some(o) = &world.obs {
-        if let Some((ls, lt)) = rx_span {
+        if let Some((ls, lt)) = rx.and_then(|r| r.head) {
             let ispan = o.hop(
                 HOP_INTERRUPT,
                 now.as_fs(),
@@ -1978,104 +1867,83 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
                 q as u32,
                 ls,
             );
-            let end = now + isr + dispatch;
-            let dur_fs = end.saturating_since(now).as_fs();
+            let dur_fs = at.saturating_since(now).as_fs();
             chain = world.nodes[q]
                 .kernel
-                .isr_dispatch_span(end.as_fs(), dur_fs, ispan);
+                .isr_dispatch_span(at.as_fs(), dur_fs, ispan);
             o.hop_dur(HOP_ISR_DISPATCH, dur_fs);
         }
     }
-    match mode {
-        TimestampMode::Hardware => {
-            // The ISR (after its entry latency) reads the latched stamp; the
-            // value was sampled at the trigger regardless of ISR timing.
-            let recv_local = match world.nodes[q].take_rx_stamp(a) {
-                Some(t) => t,
-                None => {
-                    // No usable latch: either back-to-back triggers overran
-                    // the stamp latch, or an injected missed trigger never
-                    // latched one.
-                    let cause = if trigger_real.is_some() {
-                        DropCause::Overrun
-                    } else {
-                        DropCause::Injected
-                    };
-                    count_drop(world, now, q, cause);
-                    return;
-                }
-            };
-            if let (Some(tr), Some(tx)) = (trigger_real, flight.xmit_trigger_real) {
-                record_eps(world, eng.now(), tr, tx);
-                // Trigger-to-latch budget: the measured stamp-pair delay
-                // must stay inside the static bound δ_max.
-                if let Some(m) = world.monitors.as_mut() {
-                    m.trigger_latency(now.as_fs(), q as u32, tr.saturating_since(tx).as_fs());
-                }
+    let mode = world.cfg.mode;
+    if mode == TimestampMode::Software {
+        // Step 7: the stamp is taken when the protocol task processes
+        // the packet.
+        world.nodes[q].nti.utcsu_mut().ssu[a].receive.clear();
+        eng.schedule_at(at, move |w, e| {
+            let t = e.now();
+            w.nodes[q].advance(t);
+            let recv_local = w.nodes[q].read_clock_regs(t);
+            record_eps(w, t, t, flight.sw_stamp_real);
+            let xmit = sw_xmit_stamp(&flight, recv_local);
+            process_csp(
+                w,
+                e,
+                q,
+                flight.payload,
+                xmit,
+                recv_local,
+                flight.marked,
+                chain,
+            );
+        });
+        return;
+    }
+    // The hardware-stamped modes differ only in where the receive stamp
+    // and its real instant come from.
+    let (recv_local, recv_real) = if mode == TimestampMode::Hardware {
+        // The ISR (after its entry latency) reads the latched stamp; the
+        // value was sampled at the trigger regardless of ISR timing.
+        match world.nodes[q].take_rx_stamp(a) {
+            Some(t) => (t, rx.map(|r| r.trigger)),
+            None => {
+                // No usable latch: either back-to-back triggers overran
+                // the stamp latch, or an injected missed trigger never
+                // latched one.
+                let cause = if rx.is_some() {
+                    DropCause::Overrun
+                } else {
+                    DropCause::Injected
+                };
+                count_drop(world, now, q, cause);
+                return;
             }
-            let at = now + isr + dispatch;
-            eng.schedule_at(at, move |w, e| {
-                process_csp(
-                    w,
-                    e,
-                    q,
-                    flight.payload,
-                    flight_hw_stamp(&flight),
-                    recv_local,
-                    flight.marked,
-                    chain,
-                )
-            });
         }
-        TimestampMode::InterruptRx => {
-            // CSU-style: the stamp is taken when the reception interrupt
-            // asserts (now), before any ISR latency.
-            world.nodes[q].nti.utcsu_mut().ssu[a].receive.clear();
-            let recv_local = world.nodes[q].read_clock_regs(now);
-            if let Some(tx) = flight.xmit_trigger_real {
-                record_eps(world, eng.now(), now, tx);
-                if let Some(m) = world.monitors.as_mut() {
-                    m.trigger_latency(now.as_fs(), q as u32, now.saturating_since(tx).as_fs());
-                }
-            }
-            let at = now + isr + dispatch;
-            eng.schedule_at(at, move |w, e| {
-                process_csp(
-                    w,
-                    e,
-                    q,
-                    flight.payload,
-                    flight_hw_stamp(&flight),
-                    recv_local,
-                    flight.marked,
-                    chain,
-                )
-            });
-        }
-        TimestampMode::Software => {
-            // Step 7: the stamp is taken when the protocol task processes
-            // the packet.
-            world.nodes[q].nti.utcsu_mut().ssu[a].receive.clear();
-            let at = now + isr + dispatch;
-            eng.schedule_at(at, move |w, e| {
-                let t = e.now();
-                w.nodes[q].advance(t);
-                let recv_local = w.nodes[q].read_clock_regs(t);
-                record_eps(w, t, t, flight.sw_stamp_real);
-                let xmit = sw_xmit_stamp(&flight, recv_local);
-                process_csp(
-                    w,
-                    e,
-                    q,
-                    flight.payload,
-                    xmit,
-                    recv_local,
-                    flight.marked,
-                    chain,
-                );
-            });
+    } else {
+        // CSU-style: the stamp is taken when the reception interrupt
+        // asserts (now), before any ISR latency.
+        world.nodes[q].nti.utcsu_mut().ssu[a].receive.clear();
+        (world.nodes[q].read_clock_regs(now), Some(now))
+    };
+    if let (Some(tr), Some(tx)) = (recv_real, flight.xmit_trigger_real) {
+        record_eps(world, now, tr, tx);
+        // Trigger-to-latch budget: the measured stamp-pair delay must stay
+        // inside the static bound δ_max.
+        if let Some(m) = world.monitors.as_mut() {
+            m.trigger_latency(now.as_fs(), q as u32, tr.saturating_since(tx).as_fs());
         }
     }
+    eng.schedule_at(at, move |w, e| {
+        process_csp(
+            w,
+            e,
+            q,
+            flight.payload,
+            flight_hw_stamp(&flight),
+            recv_local,
+            flight.marked,
+            chain,
+        )
+    });
 }
 
 /// The sender stamp as `(value, α)` for the hardware-stamped modes,
@@ -2192,7 +2060,7 @@ fn cf_time(world: &mut World, eng: &mut Eng, id: usize) {
     let now = eng.now();
     // Re-arm CF timer for the next round.
     let k = world.nodes[id].core.round + 2;
-    let t1 = round_target(world, id, k).wrapping_add_units(units(world.cfg.cf_delta) as i128);
+    let t1 = round_target(world, id, k).wrapping_add_units(units(CF_DELTA) as i128);
     arm_timer(&mut world.nodes[id], 1, t1);
 
     // Membership watchdog: decide from this round's evidence whether to
@@ -2274,10 +2142,10 @@ fn cf_time(world: &mut World, eng: &mut Eng, id: usize) {
         let edge = world.nodes[id].health.note_rejoined();
         note_health_edge(world, now, id, edge);
     }
-    let amort_ticks = world.nodes[id].ticks_for(world.cfg.amortization);
     let node = &mut world.nodes[id];
     match world.cfg.algo {
-        AlgoKind::IntervalOa | AlgoKind::IntervalMarzullo if amort_ticks > 0 => {
+        AlgoKind::IntervalOa | AlgoKind::IntervalMarzullo => {
+            let amort_ticks = node.ticks_for(AMORTIZATION);
             // Load the slew-covering accuracies atomically.
             node.nti
                 .utcsu_mut()
@@ -2311,22 +2179,16 @@ fn cf_time(world: &mut World, eng: &mut Eng, id: usize) {
                 }
             }
         }
-        _ => {
-            // Instantaneous state step (FTM baseline, or amortization=0).
+        AlgoKind::Ftm => {
+            // Instantaneous state step, no interval maintenance.
             let cur = node.nti.utcsu().time();
             node.cum_adj_units += enf.delta_units;
             node.nti
                 .utcsu_mut()
                 .stage_time_load(cur.wrapping_add_units(enf.delta_units));
-            if world.cfg.algo != AlgoKind::Ftm {
-                node.nti
-                    .utcsu_mut()
-                    .stage_acc_load(enf.new_alpha.0, enf.new_alpha.1);
-            } else {
-                node.nti
-                    .utcsu_mut()
-                    .stage_acc_load(Accuracy::MAX, Accuracy::MAX);
-            }
+            node.nti
+                .utcsu_mut()
+                .stage_acc_load(Accuracy::MAX, Accuracy::MAX);
             node.nti.utcsu_mut().apply_load();
         }
     }
@@ -2373,21 +2235,15 @@ fn note_health_edge(
 fn churn_event(world: &mut World, eng: &mut Eng, ev: ChurnEvent) {
     match ev.kind {
         ChurnKind::Join => {
-            if !world.down[ev.node] {
+            if !world.nodes[ev.node].is_down() {
                 return; // already up
             }
             world.metrics.joins += 1;
-            let init = world.cfg.init_offset;
-            let off = SimDuration::from_fs(
-                world
-                    .injector
-                    .churn_rng()
-                    .below((2 * init.as_fs()).max(1) as u64) as u128,
-            );
+            let off = boot_offset(world.injector.churn_rng(), world.cfg.init_offset);
             restart_node_with(world, eng, ev.node, off);
         }
         ChurnKind::Leave => {
-            if world.down[ev.node] {
+            if world.nodes[ev.node].is_down() {
                 return; // already down
             }
             world.metrics.leaves += 1;
@@ -2427,30 +2283,22 @@ fn in_leap_blackout(world: &World, now: SimTime) -> bool {
 /// one round period later.
 fn actuation_fired(world: &mut World, eng: &mut Eng, id: usize) {
     let now = eng.now();
-    if world.down.iter().any(|&d| d) {
+    if world.nodes.iter().any(Node::is_down) {
         // A crashed node can never complete the barrier; discard partial
         // samples rather than recording a bogus spread.
-        world.metrics.actuation_pending.clear();
-        if world.down[id] {
-            return;
-        }
-        let node = &mut world.nodes[id];
-        let next = node.nti.utcsu().timers[2]
-            .target()
-            .wrapping_add_units(units(world.cfg.round_period) as i128);
-        arm_timer(node, 2, next);
-        return;
-    }
-    world.metrics.actuation_pending.push(now);
-    if world.metrics.actuation_pending.len() == world.nodes.len() {
-        let v = std::mem::take(&mut world.metrics.actuation_pending);
-        if now.as_fs() >= world.cfg.warmup.as_fs() {
-            let min = v.iter().min().expect("nonempty");
-            let max = v.iter().max().expect("nonempty");
-            world
-                .metrics
-                .actuation_spread
-                .add(max.saturating_since(*min).as_secs_f64());
+        world.actuation_pending.clear();
+    } else {
+        world.actuation_pending.push(now);
+        if world.actuation_pending.len() == world.nodes.len() {
+            let v = std::mem::take(&mut world.actuation_pending);
+            if now.as_fs() >= world.cfg.warmup.as_fs() {
+                let min = v.iter().min().expect("nonempty");
+                let max = v.iter().max().expect("nonempty");
+                world
+                    .metrics
+                    .actuation_spread
+                    .add(max.saturating_since(*min).as_secs_f64());
+            }
         }
     }
     // Re-arm at the previous absolute target plus one round period (the
@@ -2472,11 +2320,11 @@ fn snapshot(world: &mut World, eng: &mut Eng) {
         // Crashed nodes hold no clock; reintegrating nodes are excluded
         // from ensemble metrics until they have reacquired synchronized
         // time (their cold-start interval would otherwise dominate).
-        if world.down[id] || world.nodes[id].core.reintegrating {
+        if world.nodes[id].is_down() || world.nodes[id].core.reintegrating {
             continue;
         }
         world.nodes[id].advance(now);
-        let stamp = world.nodes[id].nti.utcsu_mut().trigger_hwsnap();
+        world.nodes[id].nti.utcsu_mut().trigger_hwsnap();
         let _ = world.nodes[id].nti.utcsu_mut().snu.take();
         let t = world.nodes[id].nti.utcsu().time();
         // A holdover node free-runs outside the precision ensemble (its
@@ -2523,7 +2371,6 @@ fn snapshot(world: &mut World, eng: &mut Eng) {
                 }
                 m.clock_sample(now.as_fs(), id as u32, ntp_to_fs(t));
             }
-            let _ = stamp;
         }
     }
     if in_window {
@@ -2580,18 +2427,14 @@ fn snapshot(world: &mut World, eng: &mut Eng) {
 /// stamp and TOD handling. The per-second cadence itself is a periodic
 /// engine event (`schedule_every` in `Cluster::new`).
 fn gps_second(world: &mut World, eng: &mut Eng, id: usize, g: usize, sec: u64) {
-    if world.down[id] {
+    if world.nodes[id].is_down() {
         // The receiver keeps running, but the crashed node samples nothing.
         return;
     }
     if let Some(pulse) = world.nodes[id].gps[g].pulse_for_second(sec) {
-        // The GPU samples at the first tick after the edge plus the
-        // synchronizer stages.
-        let stages = world.nodes[id].nti.utcsu().stamp_delay_ticks();
-        let idx = world.nodes[id].osc.ticks_at(pulse.at) + (stages - 1);
-        let sample_at = world.nodes[id].osc.time_of_tick(idx).max(pulse.at);
+        let sample_at = world.nodes[id].sample_instant(pulse.at);
         eng.schedule_at(sample_at, move |w, e| {
-            if w.down[id] {
+            if w.nodes[id].is_down() {
                 return;
             }
             w.nodes[id].advance(e.now());
@@ -2605,7 +2448,7 @@ fn gps_second(world: &mut World, eng: &mut Eng, id: usize, g: usize, sec: u64) {
 /// CF on acceptance.
 fn gps_tod(world: &mut World, eng: &mut Eng, id: usize, g: usize, pulse: nti_gps::PpsEvent) {
     let now = eng.now();
-    if world.down[id] {
+    if world.nodes[id].is_down() {
         return;
     }
     world.nodes[id].advance(now);
@@ -2638,7 +2481,7 @@ fn bg_load(world: &mut World, eng: &mut Eng, id: usize) {
         return;
     };
     let now = eng.now();
-    if !world.down[id] {
+    if !world.nodes[id].is_down() {
         let lan = world.topology.attachments(id)[0];
         let bits = ((nti_netsim::frame::PREAMBLE_LEN
             + nti_netsim::frame::HEADER_LEN
@@ -2648,7 +2491,10 @@ fn bg_load(world: &mut World, eng: &mut Eng, id: usize) {
         let _ = world.mediums[lan].grant(now, bits);
         world.metrics.bg_frames += 1;
     }
-    // Draw the next arrival from the node's kernel RNG stream (exponential).
+    // The next arrival (exponential) comes from a generator seeded with
+    // the run seed, the node id and the run-wide background-frame count,
+    // XORed together, not from a per-node stream: node 1 at count 2 and
+    // node 2 at count 1 draw the same gap.
     let mean = 1.0 / load.frames_per_sec.max(1e-9);
     let mut rng = SimRng::new(world.cfg.seed ^ (id as u64) ^ world.metrics.bg_frames);
     let dt = SimDuration::from_secs_f64(rng.exponential(mean).max(1e-6));
@@ -2663,18 +2509,16 @@ fn bg_load(world: &mut World, eng: &mut Eng, id: usize) {
 fn app_event(world: &mut World, eng: &mut Eng, ev: u64) {
     let now = eng.now();
     let n = world.nodes.len();
-    if world.down.iter().any(|&d| d) {
+    if world.nodes.iter().any(Node::is_down) {
         // The all-nodes barrier cannot complete while any node is dark;
         // skip this event (the periodic engine event keeps the cadence).
         return;
     }
     world.app_pending.insert(ev, Vec::with_capacity(n));
     for id in 0..n {
-        let stages = world.nodes[id].nti.utcsu().stamp_delay_ticks();
-        let idx = world.nodes[id].osc.ticks_at(now) + (stages - 1);
-        let sample_at = world.nodes[id].osc.time_of_tick(idx).max(now);
+        let sample_at = world.nodes[id].sample_instant(now);
         eng.schedule_at(sample_at, move |w, e| {
-            if w.down[id] {
+            if w.nodes[id].is_down() {
                 return;
             }
             w.nodes[id].advance(e.now());
@@ -2726,12 +2570,11 @@ fn apply_lan_faults(world: &mut World, now: SimTime) {
 /// pending service events are cancelled, and any frame it currently has on
 /// the wire is truncated (receivers see an FCS failure).
 fn crash_node(world: &mut World, eng: &mut Eng, id: usize) {
-    if world.down[id] {
+    if world.nodes[id].is_down() {
         return;
     }
     let now = eng.now();
     world.nodes[id].advance(now);
-    world.down[id] = true;
     world.metrics.crashes += 1;
     world.injector.note_crash(now, id);
     let edge = world.nodes[id].health.set_down();
@@ -2751,6 +2594,101 @@ fn crash_node(world: &mut World, eng: &mut Eng, id: usize) {
         if flight.src == id {
             flight.corrupted = true;
         }
+    }
+}
+
+/// What a node keeps across a power cycle: its physical oscillator, COMCOs,
+/// kernel model and GPS receivers, and the ensemble's membership record of
+/// it.
+struct Hardware {
+    osc: Oscillator,
+    comcos: Vec<Comco>,
+    kernel: Kernel,
+    health: HealthTracker,
+    gps: Vec<GpsReceiver>,
+}
+
+/// A boot-clock offset, uniform in `[0, 2·init_offset)`: how far a node's
+/// power-up estimate of UTC sits from the reference.
+fn boot_offset(rng: &mut SimRng, init_offset: SimDuration) -> SimDuration {
+    SimDuration::from_fs(rng.below((2 * init_offset.as_fs()).max(1) as u64) as u128)
+}
+
+impl World {
+    /// Power node `id` up on `hw`: a fresh NTI, its UTCSU caught up to
+    /// oscillator tick `tick`, with its clock loaded to `boot` under an
+    /// accuracy cover of the boot scatter, the SYNCRUN started and every
+    /// interrupt unmasked; a fresh `SyncCore`; driver, SCB and rate state
+    /// reset; the drift budget programmed; and the GPS, application-event
+    /// and leap hardware enabled as configured, the leap only while its
+    /// boundary lies after `now`.
+    fn power_up(&self, id: usize, hw: Hardware, boot: NtpTime, tick: u128, now: SimTime) -> Node {
+        let cfg = &self.cfg;
+        let mut nti = Nti::new(
+            UtcsuConfig {
+                fosc_hz: cfg.fosc_hz,
+                reliable_pin: true,
+            },
+            cfg.cpld,
+        );
+        // Catch the fresh UTCSU's tick counter up with the physical
+        // oscillator (which never stopped) *before* starting the clock, so
+        // no clock time accumulates during an outage.
+        nti.utcsu_mut().advance_to_tick(tick);
+        let g_margin = SimDuration::from_nanos(120);
+        nti.utcsu_mut().stage_time_load(boot);
+        nti.utcsu_mut().stage_acc_load(
+            Accuracy::from_duration_ceil(cfg.init_offset * 2 + g_margin),
+            Accuracy::from_duration_ceil(g_margin),
+        );
+        nti.utcsu_mut().sync_run();
+        nti.write32(UTCSU_BASE + uregs::R_INT_MASK, u32::MAX);
+        let mut core = SyncCore::new(self.params, cfg.algo);
+        core.blind_external = cfg.gps_blind_trust;
+        core.reintegration_quorum = reintegration_quorum_for(&self.topology, id, cfg.f);
+        core.congestion = cfg.congestion;
+        let mut node = Node {
+            id,
+            osc: hw.osc,
+            nti,
+            comcos: hw.comcos,
+            kernel: hw.kernel,
+            driver: ComcoDriver::new(),
+            scb: nti_module::ScbDriver::default(),
+            core,
+            health: hw.health,
+            rate: RateSync::new(),
+            gps: hw.gps,
+            vstats: ValidationStats::default(),
+            rx_slot: 0,
+            tx_slot: 0,
+            utcsu_event: None,
+            amort_dstep_saved: None,
+            cum_adj_units: 0,
+            quant_units: if cfg.granularity <= SimDuration::from_nanos(60) {
+                UTCSU_QUANT_UNITS
+            } else {
+                quant_units_for(cfg.granularity)
+            },
+        };
+        node.scb.init(&mut node.nti);
+        node.program_dsteps(cfg.rho_budget_ppm);
+        for g in 0..node.gps.len() {
+            node.nti.utcsu_mut().gpu[g].enabled = true;
+        }
+        if cfg.app_event_period.is_some() {
+            node.nti.utcsu_mut().apu[0].enabled = true;
+        }
+        if let Some(sec) = cfg.leap_insert_at_sec {
+            if now < SimTime::from_secs(sec as u64) {
+                node.nti.write32(UTCSU_BASE + uregs::R_LEAP_SECS, sec);
+                node.nti.write32(
+                    UTCSU_BASE + uregs::R_CTRL,
+                    uregs::CTRL_RUN | uregs::CTRL_LEAP_INSERT,
+                );
+            }
+        }
+        node
     }
 }
 
@@ -2779,16 +2717,10 @@ fn reintegration_quorum_for(topo: &Topology, id: usize, f: usize) -> usize {
 /// contributes no own interval until its first convergence completes
 /// (a-posteriori initial synchronization, Section 6 of the paper).
 fn restart_node(world: &mut World, eng: &mut Eng, id: usize) {
-    if !world.down[id] {
+    if !world.nodes[id].is_down() {
         return;
     }
-    let init_offset = world.cfg.init_offset;
-    let off = SimDuration::from_fs(
-        world
-            .injector
-            .lifecycle_rng()
-            .below((2 * init_offset.as_fs()).max(1) as u64) as u128,
-    );
+    let off = boot_offset(world.injector.lifecycle_rng(), world.cfg.init_offset);
     restart_node_with(world, eng, id, off);
 }
 
@@ -2796,64 +2728,30 @@ fn restart_node(world: &mut World, eng: &mut Eng, id: usize) {
 /// the fault lifecycle and churn joins draw it from *different* RNG
 /// streams so the two compose deterministically.
 fn restart_node_with(world: &mut World, eng: &mut Eng, id: usize, off: SimDuration) {
-    if !world.down[id] {
+    if !world.nodes[id].is_down() {
         return;
     }
     let now = eng.now();
-    let (fosc_hz, cpld, init_offset) = (world.cfg.fosc_hz, world.cfg.cpld, world.cfg.init_offset);
-    let mut nti = Nti::new(
-        UtcsuConfig {
-            fosc_hz,
-            reliable_pin: true,
-        },
-        cpld,
-    );
-    // Catch the fresh UTCSU's tick counter up with the physical oscillator
-    // (which never stopped) *before* starting the clock, so no clock time
-    // accumulates during the outage.
-    nti.utcsu_mut()
-        .advance_to_tick(world.nodes[id].osc.ticks_at(now));
-    let g_margin = SimDuration::from_nanos(120);
     let boot = NtpTime::from_sim_time(ref_time(world, now) + off);
-    nti.utcsu_mut().stage_time_load(boot);
-    nti.utcsu_mut().stage_acc_load(
-        Accuracy::from_duration_ceil(init_offset * 2 + g_margin),
-        Accuracy::from_duration_ceil(g_margin),
-    );
-    nti.utcsu_mut().sync_run();
-    nti.write32(UTCSU_BASE + uregs::R_INT_MASK, u32::MAX);
-    let node = &mut world.nodes[id];
-    node.nti = nti;
-    node.driver = ComcoDriver::new();
-    node.scb = nti_module::ScbDriver::default();
-    node.core = SyncCore::new(world.params, world.cfg.algo);
-    node.core.blind_external = world.cfg.gps_blind_trust;
-    node.core.reintegration_quorum = reintegration_quorum_for(&world.topology, id, world.cfg.f);
-    node.core.congestion = world.cfg.congestion;
-    node.core.reintegrating = true;
-    node.rate = RateSync::new();
-    node.vstats = ValidationStats::default();
-    node.rx_slot = 0;
-    node.tx_slot = 0;
-    node.amort_dstep_saved = None;
-    node.cum_adj_units = 0;
-    node.scb.init(&mut node.nti);
-    node.program_dsteps(world.cfg.rho_budget_ppm);
-    for g in 0..node.gps.len() {
-        node.nti.utcsu_mut().gpu[g].enabled = true;
-    }
-    if world.cfg.app_event_period.is_some() {
-        node.nti.utcsu_mut().apu[0].enabled = true;
-    }
-    if let Some(sec) = world.cfg.leap_insert_at_sec {
-        if now < SimTime::from_secs(sec as u64) {
-            node.nti.write32(UTCSU_BASE + uregs::R_LEAP_SECS, sec);
-            node.nti.write32(
-                UTCSU_BASE + uregs::R_CTRL,
-                uregs::CTRL_RUN | uregs::CTRL_LEAP_INSERT,
-            );
-        }
-    }
+    let tick = world.nodes[id].osc.ticks_at(now);
+    let Node {
+        osc,
+        comcos,
+        kernel,
+        health,
+        gps,
+        ..
+    } = world.nodes.remove(id);
+    let hw = Hardware {
+        osc,
+        comcos,
+        kernel,
+        health,
+        gps,
+    };
+    let node = world.power_up(id, hw, boot, tick, now);
+    world.nodes.insert(id, node);
+    world.nodes[id].core.reintegrating = true;
     // Resume the round schedule at the next boundary after the boot clock.
     let p = units(world.cfg.round_period);
     let k = (boot.raw() / p + 1) as u32;
@@ -2868,7 +2766,6 @@ fn restart_node_with(world: &mut World, eng: &mut Eng, id: usize, off: SimDurati
         };
         arm_timer(&mut world.nodes[id], 2, NtpTime::from_raw(target));
     }
-    world.down[id] = false;
     let edge = world.nodes[id].health.set_reintegrating();
     note_health_edge(world, now, id, edge);
     if let Some(m) = world.monitors.as_mut() {

@@ -17,7 +17,7 @@
 //! * [`ntp_sync`] — an NTP-style client (the class-III baseline of §1);
 //! * [`aposteriori`] — the CesiumSpray-style a-posteriori agreement
 //!   baseline (\[VRC97\], §5);
-//! * [`validate`] — clock validation of external (GPS) time sources;
+//! * [`validate`](mod@validate) — clock validation of external (GPS) time sources;
 //! * [`health`] — the per-node membership / holdover state machine
 //!   (`Synchronized → Degraded → Holdover → Down → Reintegrating`);
 //! * [`status`] — mid-run ensemble snapshots through a seqlock cell

@@ -12,7 +12,7 @@
 //! triggers always observe current hardware state.
 
 use crate::algo::SyncCore;
-use crate::health::HealthTracker;
+use crate::health::{HealthState, HealthTracker};
 use crate::rate::RateSync;
 use crate::validate::ValidationStats;
 use nti_gps::GpsReceiver;
@@ -68,6 +68,12 @@ pub struct Node {
 }
 
 impl Node {
+    /// Is the node powered off (crashed, left, or not yet joined)? Its
+    /// membership state is the one record of that.
+    pub fn is_down(&self) -> bool {
+        self.health.state() == HealthState::Down
+    }
+
     /// Advance the node's UTCSU to the tick corresponding to `now`.
     pub fn advance(&mut self, now: SimTime) {
         let n = self.osc.ticks_at(now);
@@ -141,6 +147,15 @@ impl Node {
         let d = nti_utcsu::Acu::dstep_for_drift(self.osc.nominal_hz(), rho_ppm);
         self.nti.utcsu_mut().acu.set_dstep_minus(d);
         self.nti.utcsu_mut().acu.set_dstep_plus(d);
+    }
+
+    /// The real instant at which the UTCSU samples an asynchronous input
+    /// edge (GPS pulse, APU event) arriving at `edge`: the first tick after
+    /// it plus the synchronizer stages.
+    pub fn sample_instant(&mut self, edge: SimTime) -> SimTime {
+        let stages = self.nti.utcsu().stamp_delay_ticks();
+        let idx = self.osc.ticks_at(edge) + (stages - 1);
+        self.osc.time_of_tick(idx).max(edge)
     }
 
     /// Convert a duration to whole oscillator ticks (nominal rate, floor).

@@ -234,26 +234,53 @@ impl Nti {
         self.mem[i..i + 4].copy_from_slice(&v.to_le_bytes());
     }
 
+    /// Write `bytes` from `addr` on as little-endian longwords (the last
+    /// one zero-padded), each through the same decode as [`Nti::write32`].
+    pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
+        for (i, chunk) in bytes.chunks(4).enumerate() {
+            let mut word = [0u8; 4];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write32(addr + i as u32 * 4, u32::from_le_bytes(word));
+        }
+    }
+
+    /// Read `len` bytes from `addr` on as little-endian longwords, each
+    /// through the same decode as [`Nti::read32`].
+    pub fn read_bytes(&mut self, addr: u32, len: usize) -> Vec<u8> {
+        (0..len.div_ceil(4) as u32)
+            .flat_map(|i| self.read32(addr + i * 4).to_le_bytes())
+            .take(len)
+            .collect()
+    }
+
+    /// The CPLD's transmit-header rule for a COMCO read at offset `within`
+    /// of a transmit header whose network drives SSU `ssu`: the trigger
+    /// offset raises TRANSMIT, and the two mapping offsets return the
+    /// sampled stamp (timestamp, packed accuracies) instead of memory.
+    /// `None` at every other offset, which is plain memory. The module's
+    /// own header section applies it with [`CpldConfig::ssu_idx`]; a
+    /// gateway applies it to each further network with that network's SSU.
+    pub fn xmt_header_read(&mut self, ssu: usize, within: u32) -> Option<u32> {
+        if within == self.cpld.xmt_trigger_off {
+            self.utcsu.trigger_ssu_transmit(ssu);
+        }
+        let latch = self.utcsu.ssu[ssu].transmit.peek();
+        if within == self.cpld.xmt_map_ts_off {
+            Some(latch.map_or(0, |s| s.ts.0))
+        } else if within == self.cpld.xmt_map_acc_off {
+            Some(latch.map_or(0, |s| s.acc_packed()))
+        } else {
+            None
+        }
+    }
+
     /// COMCO-region read: plain RAM plus TRANSMIT trigger / transparent
     /// mapping inside the transmit-header section.
     fn comco_read32(&mut self, off: u32) -> u32 {
         if (TX_HDR_BASE..TX_HDR_BASE + TX_HDR_SIZE).contains(&off) {
             let within = off & (self.cpld.header_len - 1);
-            if within == self.cpld.xmt_trigger_off {
-                self.utcsu.trigger_ssu_transmit(self.cpld.ssu_idx);
-            }
-            if within == self.cpld.xmt_map_ts_off {
-                // Transparent mapping: the sampled transmit timestamp.
-                return self.utcsu.ssu[self.cpld.ssu_idx]
-                    .transmit
-                    .peek()
-                    .map_or(0, |s| s.ts.0);
-            }
-            if within == self.cpld.xmt_map_acc_off {
-                return self.utcsu.ssu[self.cpld.ssu_idx]
-                    .transmit
-                    .peek()
-                    .map_or(0, |s| s.acc_packed());
+            if let Some(v) = self.xmt_header_read(self.cpld.ssu_idx, within) {
+                return v;
             }
         }
         self.ram_read32(off)

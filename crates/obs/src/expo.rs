@@ -5,7 +5,7 @@
 //! format (`# HELP` / `# TYPE` + sample lines); per-node metrics become
 //! one family with a `node` label, histograms become summaries
 //! (`quantile="…"` + `_sum` + `_count`), and when a
-//! [`LiveWindows`](crate::live::LiveWindows) is attached its per-window
+//! [`LiveWindows`] is attached its per-window
 //! rates and rolling quantiles are appended as gauges. Output is sorted
 //! by metric name so scrapes are byte-stable for a quiescent registry —
 //! which is what the golden test pins.

@@ -25,7 +25,7 @@
 //! A ticker thread closes one [`LiveWindows`] window per
 //! [`LiveConfig::window`], turning the registry's lifetime counters into
 //! per-second rates and rolling p50/p99/p999 — and on the same cadence
-//! exports the simulation's published [`ClusterStatus`] as health gauges
+//! exports the simulation's published [`ClusterStatus`](nti_core::ClusterStatus) as health gauges
 //! plus `serve/status_generation` / `serve/status_age_ms` (wall-clock
 //! age of the newest frame generation, the ensemble-liveness signal).
 //!

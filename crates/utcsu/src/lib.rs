@@ -231,7 +231,7 @@ impl Utcsu {
     /// Stage the causal-span context for the next external trigger:
     /// `parent` is the span of the event that raises the trigger line
     /// (e.g. the RECEIVE header write) and `real_fs` the engine time at
-    /// which it does. The next [`Utcsu::obs_trigger`] turns the
+    /// which it does. That trigger turns the
     /// synchronizer latency into a parent-linked `latch` span; fetch its
     /// id with [`Utcsu::take_latch_span`]. No-op state when no observer
     /// is attached (callers guard on a non-null `parent`).

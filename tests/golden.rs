@@ -276,3 +276,36 @@ fn status_cell_publication() {
     cfg.status_cell = Some(Arc::new(StatusCell::new(4)));
     check("status_cell_publication", cfg);
 }
+
+/// Missed, late and duplicated receive triggers on a two-LAN chain: the
+/// late-trigger, missed-trigger and duplicate-reception paths, and the
+/// gateways' second SSU.
+#[test]
+fn trigger_faults_gateways() {
+    let mut cfg = base(0, 0x601D);
+    cfg.topology = Topology::chain_of_lans(2, 4);
+    cfg.f = 0;
+    cfg.fault_plan = FaultPlan::new()
+        .with(all_nodes(3, 7, FaultKind::MissedTrigger { rate: 0.1 }))
+        .with(all_nodes(
+            3,
+            7,
+            FaultKind::LateTrigger {
+                rate: 0.2,
+                delay: SimDuration::from_micros(3),
+            },
+        ))
+        .with(all_nodes(3, 7, FaultKind::PacketDuplicate { rate: 0.1 }));
+    check("trigger_faults_gateways", cfg);
+}
+
+/// Synchronized actuations and application events with one node crashed
+/// mid-run: both all-node barriers must skip the outage.
+#[test]
+fn actuation_app_events_crash() {
+    let mut cfg = base(4, 0x601D);
+    cfg.actuation_start_sec = Some(2);
+    cfg.app_event_period = Some(SimDuration::from_millis(700));
+    cfg.fault_plan = FaultPlan::crash(3, SimTime::from_secs(4), Some(SimTime::from_secs(5)));
+    check("actuation_app_events_crash", cfg);
+}
