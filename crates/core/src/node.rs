@@ -70,7 +70,7 @@ pub struct Node {
 impl Node {
     /// Is the node powered off (crashed, left, or not yet joined)? Its
     /// membership state is the one record of that.
-    pub fn is_down(&self) -> bool {
+    pub(crate) fn is_down(&self) -> bool {
         self.health.state() == HealthState::Down
     }
 
@@ -152,7 +152,7 @@ impl Node {
     /// The real instant at which the UTCSU samples an asynchronous input
     /// edge (GPS pulse, APU event) arriving at `edge`: the first tick after
     /// it plus the synchronizer stages.
-    pub fn sample_instant(&mut self, edge: SimTime) -> SimTime {
+    pub(crate) fn sample_instant(&mut self, edge: SimTime) -> SimTime {
         let stages = self.nti.utcsu().stamp_delay_ticks();
         let idx = self.osc.ticks_at(edge) + (stages - 1);
         self.osc.time_of_tick(idx).max(edge)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide gate: format, lints, tests, and an observability smoke run.
+# Repo-wide gate: format, lints, rustdoc, tests, and the smoke runs.
 # Usage: scripts/check.sh  (from anywhere inside the repo)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo clippy (perfbench workspace, deny warnings) =="
 cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
+echo "== cargo doc --workspace (deny rustdoc warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo test =="
 cargo test --workspace -q
