@@ -87,7 +87,7 @@ pub(super) fn csp_send(
     // Root of the CSP's causal span chain: the assembly hop, from the
     // software stamp taken at round start to the COMCO hand-off.
     let mut span = SpanId::NONE;
-    if let Some(o) = &world.obs {
+    if let Some(o) = &mut world.obs {
         span = o.hop(
             HOP_CSP_SEND,
             now.as_fs(),
@@ -171,7 +171,7 @@ fn exec_tx_read(world: &mut World, eng: &mut Eng, id: usize, fid: u64, slot: u32
     };
     if off == cpld.xmt_trigger_off {
         flight.xmit_trigger_real = Some(now);
-        if let Some(o) = &world.obs {
+        if let Some(o) = &mut world.obs {
             if flight.span.is_some() {
                 flight.span = o.hop(
                     HOP_XMIT_TRIGGER,
@@ -231,7 +231,7 @@ fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
     let mut wire_span = SpanId::NONE;
     if chain.0.is_some() {
         let dur = wire_end.saturating_since(chain.1);
-        if let Some(o) = &world.obs {
+        if let Some(o) = &mut world.obs {
             o.hop_dur(HOP_WIRE, dur.as_fs());
         }
         wire_span = world.mediums[lan].wire_span(wire_end.as_fs(), dur.as_fs(), chain.0);
@@ -392,7 +392,7 @@ fn rcv_trigger(
     late: Option<SimDuration>,
 ) {
     let mut head = None;
-    if let Some(o) = &world.obs {
+    if let Some(o) = &mut world.obs {
         if chain.0.is_some() {
             let rcv = o.hop(
                 HOP_RCV_TRIGGER,
@@ -426,7 +426,7 @@ fn rcv_trigger(
     if latch.is_some() {
         let lat_fs = node.nti.utcsu().stamp_delay_ticks() * 1_000_000_000_000_000
             / world.cfg.fosc_hz as u128;
-        if let Some(o) = &world.obs {
+        if let Some(o) = &mut world.obs {
             o.hop_dur(HOP_LATCH, lat_fs);
         }
         head = Some((latch, t + SimDuration::from_fs(lat_fs)));
@@ -500,7 +500,7 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
     // ISR + dispatch hop the kernel emits; `chain` is what the sync
     // task's accept span parents on.
     let mut chain = SpanId::NONE;
-    if let Some(o) = &world.obs {
+    if let Some(o) = &mut world.obs {
         if let Some((ls, lt)) = rx.and_then(|r| r.head) {
             let ispan = o.hop(
                 HOP_INTERRUPT,
@@ -650,7 +650,7 @@ fn record_eps(world: &mut World, now: SimTime, recv_real: SimTime, xmit_real: Si
     if now.as_fs() >= world.cfg.warmup.as_fs() {
         let d = recv_real.saturating_since(xmit_real).as_secs_f64();
         world.metrics.eps_delay.add(d);
-        if let Some(o) = &world.obs {
+        if let Some(o) = &mut world.obs {
             o.eps_delay_ns.record((d * 1e9) as u64);
         }
     }
@@ -687,7 +687,7 @@ fn process_csp(
     let rate_local = recv_local.wrapping_add_units(-node.cum_adj_units);
     node.rate.observe(payload.node, csp.xmit_stamp, rate_local);
     world.metrics.csps_delivered += 1;
-    if let Some(o) = &world.obs {
+    if let Some(o) = &mut world.obs {
         o.csps_delivered.inc();
         if span.is_some() {
             // Terminal hop: the CSP entered the algorithm's inbox.

@@ -42,8 +42,8 @@ use nti_kernel::{ComcoDriver, Interface, Kernel, KernelConfig};
 use nti_module::{CpldConfig, Nti, UTCSU_BASE};
 use nti_netsim::{Comco, ComcoTiming, Frame, Medium, MediumConfig, Topology};
 use nti_obs::{
-    fs_to_ns, Counter, Gauge, Histogram, MetricKey, MonitorConfig, Monitors, SimObserver, SpanId,
-    Subsystem, GLOBAL_NODE,
+    fs_to_ns, Counter, Gauge, Histogram, LocalCounter, LocalHist, MetricKey, MonitorConfig,
+    Monitors, SimObserver, SpanId, Subsystem, GLOBAL_NODE,
 };
 use nti_simcore::ntp::{NtpTime, FRAC_BITS, NTP_FRAC_BITS};
 use nti_simcore::time::{SimDuration, SimTime};
@@ -390,7 +390,10 @@ const HOP_ISR_DISPATCH: usize = 6;
 const HOP_ACCEPT: usize = 7;
 
 /// Pre-resolved cluster-level observability handles (metrics under the
-/// `cluster` subsystem, global scope unless noted).
+/// `cluster` subsystem, global scope unless noted). The metrics recorded
+/// per CSP reception (`eps_delay_ns`, `csps_delivered`, the hop
+/// histograms) are local accumulators, flushed by [`World::flush_obs`]
+/// and on drop; the rest are written directly.
 struct ClusterObs {
     obs: SimObserver,
     /// Per-snapshot worst pairwise clock difference (ns).
@@ -400,18 +403,18 @@ struct ClusterObs {
     /// Per-snapshot per-node max(α⁻, α⁺) (ns).
     alpha_ns: Arc<Histogram>,
     /// Stamp-pair delays (ns).
-    eps_delay_ns: Arc<Histogram>,
+    eps_delay_ns: LocalHist,
     /// Per-round convergence-input offset spread (ns).
     cf_input_spread_ns: Arc<Histogram>,
     csps_sent: Arc<Counter>,
-    csps_delivered: Arc<Counter>,
+    csps_delivered: LocalCounter,
     csps_dropped: Arc<Counter>,
     csps_dropped_crc: Arc<Counter>,
     csps_dropped_overrun: Arc<Counter>,
     csps_dropped_injected: Arc<Counter>,
     /// Per-hop latency decomposition of the CSP causal chain, one
     /// histogram per [`SPAN_HOPS`] entry.
-    hop_ns: [Arc<Histogram>; SPAN_HOPS.len()],
+    hop_ns: [LocalHist; SPAN_HOPS.len()],
     /// `membership/enter_<state>` — transitions into each health state,
     /// index-aligned with [`HEALTH_STATES`].
     enter_state: [Arc<Counter>; HEALTH_STATES.len()],
@@ -428,7 +431,7 @@ impl ClusterObs {
     /// id, link it under `parent` (null parent ⇒ root), and record the hop
     /// duration into the decomposition histogram. Returns the new span id
     /// so the caller can thread the chain head forward.
-    fn hop(&self, idx: usize, end_fs: u128, dur_fs: u128, node: u32, parent: SpanId) -> SpanId {
+    fn hop(&mut self, idx: usize, end_fs: u128, dur_fs: u128, node: u32, parent: SpanId) -> SpanId {
         let span = self.obs.new_span();
         self.obs.span_link(
             end_fs,
@@ -446,8 +449,16 @@ impl ClusterObs {
     /// Record the duration of a hop whose span another layer emitted (the
     /// medium's wire hop, the UTCSU latch, the kernel's ISR + dispatch)
     /// into the same decomposition family.
-    fn hop_dur(&self, idx: usize, dur_fs: u128) {
+    fn hop_dur(&mut self, idx: usize, dur_fs: u128) {
         self.hop_ns[idx].record(fs_to_ns(dur_fs));
+    }
+
+    fn flush(&mut self) {
+        self.eps_delay_ns.flush();
+        self.csps_delivered.flush();
+        for h in &mut self.hop_ns {
+            h.flush();
+        }
     }
 }
 
@@ -527,6 +538,18 @@ impl World {
     /// (violation counts, first offenses).
     pub fn monitors(&self) -> Option<&Monitors> {
         self.monitors.as_ref()
+    }
+
+    /// Flush every per-reception local accumulator (the cluster's, and
+    /// each node's kernel and UTCSU) into the observer's registry.
+    fn flush_obs(&mut self) {
+        if let Some(o) = &mut self.obs {
+            o.flush();
+        }
+        for node in &mut self.nodes {
+            node.kernel.flush_obs();
+            node.nti.utcsu_mut().flush_obs();
+        }
     }
 }
 
@@ -709,16 +732,19 @@ impl Cluster {
                 precision_ns: obs.hist(key("precision_ns")).expect("enabled"),
                 true_error_ns: obs.hist(key("true_error_ns")).expect("enabled"),
                 alpha_ns: obs.hist(key("alpha_ns")).expect("enabled"),
-                eps_delay_ns: obs.hist(key("eps_delay_ns")).expect("enabled"),
+                eps_delay_ns: LocalHist::new(obs.hist(key("eps_delay_ns")).expect("enabled")),
                 cf_input_spread_ns: obs.hist(key("cf_input_spread_ns")).expect("enabled"),
                 csps_sent: obs.counter(key("csps_sent")).expect("enabled"),
-                csps_delivered: obs.counter(key("csps_delivered")).expect("enabled"),
+                csps_delivered: LocalCounter::new(
+                    obs.counter(key("csps_delivered")).expect("enabled"),
+                ),
                 csps_dropped: obs.counter(key("csps_dropped")).expect("enabled"),
                 csps_dropped_crc: obs.counter(key("csps_dropped_crc")).expect("enabled"),
                 csps_dropped_overrun: obs.counter(key("csps_dropped_overrun")).expect("enabled"),
                 csps_dropped_injected: obs.counter(key("csps_dropped_injected")).expect("enabled"),
-                hop_ns: HOP_HIST_NAMES
-                    .map(|nm| obs.hist(MetricKey::global("span", nm)).expect("enabled")),
+                hop_ns: HOP_HIST_NAMES.map(|nm| {
+                    LocalHist::new(obs.hist(MetricKey::global("span", nm)).expect("enabled"))
+                }),
                 enter_state: ENTER_STATE_NAMES.map(|nm| {
                     obs.counter(MetricKey::global("membership", nm))
                         .expect("enabled")
@@ -874,6 +900,7 @@ impl Cluster {
     pub fn advance_until(&mut self, until: SimTime) -> SimTime {
         let end = SimTime::ZERO + self.world.cfg.duration;
         self.eng.run_until(&mut self.world, until.min(end));
+        self.world.flush_obs();
         self.eng.now()
     }
 
@@ -894,6 +921,7 @@ impl Cluster {
     pub fn finish(mut self) -> (Report, Metrics) {
         let until = SimTime::ZERO + self.world.cfg.duration;
         self.eng.run_until(&mut self.world, until);
+        self.world.flush_obs();
         let report = finalize(&mut self.world);
         (report, self.world.metrics)
     }

@@ -1,11 +1,13 @@
 //! End-to-end observability check: run a traced 4-node cluster and verify
 //! that (a) the JSONL trace export is well-formed and time-ordered, (b)
-//! the Chrome export is loadable JSON, and (c) the registry's cluster
-//! metrics agree with the `Report` the run produced.
+//! the Chrome export is loadable JSON, (c) the registry's cluster
+//! metrics agree with the `Report` the run produced, and (d) they agree
+//! with the running `World` after every `advance_until` chunk.
 
 use nti_core::cluster::{Cluster, ClusterConfig, Report};
+use nti_faults::{FaultEpisode, FaultKind, FaultPlan, FaultTarget};
 use nti_obs::{Json, MetricKey, SimObserver, Subsystem};
-use nti_simcore::SimDuration;
+use nti_simcore::{SimDuration, SimTime};
 use std::path::PathBuf;
 
 /// One traced 4-node run. The trace is restricted to the `cluster`
@@ -128,6 +130,65 @@ fn traced_cluster_exports_match_report() {
         eps.count() as usize,
         rep.eps_samples,
         "one ε sample per stamp pair"
+    );
+}
+
+/// The per-reception metrics are local accumulators flushed at the end of
+/// each `advance_until`, so what a live reader of the registry sees
+/// between chunks (the serve plane's telemetry) equals the running
+/// `World` counts — drops included.
+#[test]
+fn registry_matches_world_after_every_advance_chunk() {
+    let obs = SimObserver::enabled();
+    let mut cfg = ClusterConfig::default_lan(6, 11);
+    cfg.duration = SimDuration::from_secs(8);
+    cfg.warmup = SimDuration::from_secs(2);
+    cfg.fault_plan = FaultPlan::new().with(FaultEpisode {
+        from: SimTime::from_secs(3),
+        until: SimTime::from_secs(5),
+        target: FaultTarget::All,
+        kind: FaultKind::PacketLoss { rate: 0.2 },
+    });
+    cfg.obs = obs.clone();
+    let mut cluster = Cluster::new(cfg);
+    let reg = &obs.core().expect("enabled").registry;
+    let counter = |name| {
+        reg.find_counter(MetricKey::global("cluster", name))
+            .expect(name)
+            .get()
+    };
+    let mut t = SimTime::ZERO;
+    while t < SimTime::from_secs(8) {
+        t = cluster.advance_until(t + SimDuration::from_millis(350));
+        let m = &cluster.world().metrics;
+        assert_eq!(
+            [
+                counter("csps_sent"),
+                counter("csps_delivered"),
+                counter("csps_dropped"),
+                counter("csps_dropped_crc"),
+                counter("csps_dropped_overrun"),
+                counter("csps_dropped_injected"),
+            ],
+            [
+                m.csps_sent,
+                m.csps_delivered,
+                m.csps_dropped,
+                m.csps_dropped_crc,
+                m.csps_dropped_overrun,
+                m.csps_dropped_injected,
+            ],
+            "at {t:?}"
+        );
+        let eps = reg
+            .find_hist(MetricKey::global("cluster", "eps_delay_ns"))
+            .expect("eps_delay_ns");
+        assert_eq!(eps.count() as usize, m.eps_delay.count(), "at {t:?}");
+    }
+    let m = &cluster.world().metrics;
+    assert!(
+        m.csps_delivered > 100 && m.csps_dropped_injected > 0,
+        "{m:?}"
     );
 }
 

@@ -7,7 +7,8 @@
 //! everywhere. Counts are `AtomicU64`s updated with relaxed ordering —
 //! recording is lock-free and allocation-free, and histograms merge
 //! exactly (bucket-wise addition), which makes per-node / per-shard
-//! instances combinable into cluster-wide distributions.
+//! instances combinable into cluster-wide distributions. The same merge
+//! lands a single owner's plain-`u64` [`crate::LocalHist`] window.
 
 use crate::quantile::rank_for;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -59,9 +60,14 @@ impl Histogram {
         1.0 / (1u64 << self.sub_bucket_bits) as f64
     }
 
+    /// Number of buckets.
+    pub(crate) fn len(&self) -> usize {
+        self.counts.len()
+    }
+
     /// Bucket index for a value.
     #[inline]
-    fn index(&self, v: u64) -> usize {
+    pub(crate) fn index(&self, v: u64) -> usize {
         let n = self.sub_bucket_bits;
         if v < (1 << n) {
             return v as usize;
@@ -92,14 +98,15 @@ impl Histogram {
         self.record_n(v, 1);
     }
 
-    /// Record a value `n` times.
+    /// Record a value `n` times (the same state as `n` calls of
+    /// [`Histogram::record`], sum included).
     pub fn record_n(&self, v: u64, n: u64) {
         if n == 0 {
             return;
         }
         self.counts[self.index(v)].fetch_add(n, Relaxed);
         self.total.fetch_add(n, Relaxed);
-        self.sum.fetch_add(v.saturating_mul(n), Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Relaxed);
         self.min.fetch_min(v, Relaxed);
         self.max.fetch_max(v, Relaxed);
     }
@@ -109,7 +116,9 @@ impl Histogram {
         self.total.load(Relaxed)
     }
 
-    /// Sum of recorded values (saturating).
+    /// Sum of recorded values, modulo 2⁶⁴ (it wraps, so that recording,
+    /// [`Histogram::record_n`] and [`Histogram::merge`] add up to the same
+    /// value in any order and grouping).
     pub fn sum(&self) -> u64 {
         self.sum.load(Relaxed)
     }
@@ -169,16 +178,37 @@ impl Histogram {
             self.sub_bucket_bits, other.sub_bucket_bits,
             "cannot merge histograms of different resolution"
         );
-        for (a, b) in self.counts.iter().zip(other.counts.iter()) {
-            let v = b.load(Relaxed);
+        self.add_parts(
+            0,
+            other.counts.iter().map(|c| c.load(Relaxed)),
+            other.total.load(Relaxed),
+            other.sum.load(Relaxed),
+            other.min.load(Relaxed),
+            other.max.load(Relaxed),
+        );
+    }
+
+    /// The bucket-wise addition behind [`Histogram::merge`]: add `counts`
+    /// to the buckets from index `lo` on, and fold in the aggregates of
+    /// the values they count.
+    pub(crate) fn add_parts(
+        &self,
+        lo: usize,
+        counts: impl IntoIterator<Item = u64>,
+        total: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+    ) {
+        for (a, v) in self.counts[lo..].iter().zip(counts) {
             if v != 0 {
                 a.fetch_add(v, Relaxed);
             }
         }
-        self.total.fetch_add(other.total.load(Relaxed), Relaxed);
-        self.sum.fetch_add(other.sum.load(Relaxed), Relaxed);
-        self.min.fetch_min(other.min.load(Relaxed), Relaxed);
-        self.max.fetch_max(other.max.load(Relaxed), Relaxed);
+        self.total.fetch_add(total, Relaxed);
+        self.sum.fetch_add(sum, Relaxed);
+        self.min.fetch_min(min, Relaxed);
+        self.max.fetch_max(max, Relaxed);
     }
 
     /// A deep copy (snapshot) of the current state.

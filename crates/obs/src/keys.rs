@@ -31,7 +31,10 @@ pub fn engine_queue_depth() -> MetricKey {
     MetricKey::global(ENGINE_SUBSYSTEM, "queue_depth")
 }
 
-/// Wall-clock handler busy time in nanoseconds.
+/// Wall-clock handler busy time in nanoseconds: a 1-in-64 sample (the
+/// engine reads the clock around the first fired event and every 64th
+/// after it), so its count is ⌈fired / 64⌉ and its quantiles estimate the
+/// per-event distribution.
 pub fn engine_handler_busy_ns() -> MetricKey {
     MetricKey::global(ENGINE_SUBSYSTEM, "handler_busy_ns")
 }

@@ -8,6 +8,12 @@
 //!   interned to compact [`MetricId`]s. Recording is lock-free
 //!   (`AtomicU64` relaxed) and histograms merge exactly across nodes and
 //!   shards.
+//! * [`local`] — single-owner accumulators ([`LocalHist`],
+//!   [`LocalCounter`]) for metrics updated per engine event or per CSP
+//!   reception: a plain add, flushed into the registry with the exact
+//!   bucket-wise merge where someone reads it (the end of
+//!   `Engine::run_until` and `Cluster::advance_until`/`finish`) and on
+//!   drop. The registry is exact at those flush boundaries.
 //! * [`trace`] — structured event tracing: a bounded pre-allocated ring of
 //!   `Copy` [`TraceEvent`]s with per-[`Subsystem`] enable masks; the
 //!   fully-disabled path costs one branch.
@@ -43,6 +49,7 @@ pub mod hist;
 pub mod json;
 pub mod keys;
 pub mod live;
+pub mod local;
 pub mod metrics;
 pub mod monitor;
 pub mod observer;
@@ -54,6 +61,7 @@ pub use expo::{http_get, render_prometheus, MetricsServer};
 pub use hist::Histogram;
 pub use json::Json;
 pub use live::{LiveConfig, LiveWindows};
+pub use local::{LocalCounter, LocalHist};
 pub use metrics::{Counter, Gauge, MetricHandle, MetricId, MetricKey, Registry};
 pub use monitor::{MonitorConfig, Monitors, Violation};
 pub use observer::{fs_to_ns, ObsCore, SimObserver};

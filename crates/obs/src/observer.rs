@@ -3,9 +3,13 @@
 //! An observer is either **disabled** (the default: a `None`, so every
 //! instrumentation call is one branch and touches nothing) or **enabled**,
 //! in which case it carries a shared [`Registry`] and [`Tracer`].
-//! Components that record on hot paths should resolve their metric handles
-//! once at attach time (an `Option<MyObsHandles>` of `Arc`s) rather than
-//! going through the registry per event.
+//! Components resolve their metric handles once at attach time (an
+//! `Option<MyObsHandles>`) rather than going through the registry per
+//! event. A metric updated per engine event or per CSP reception goes one
+//! step further: its owner keeps a [`crate::LocalHist`] or
+//! [`crate::LocalCounter`] (a plain add) and flushes it where the registry
+//! is read, so the registry is exact at flush boundaries and the shared
+//! atomics stay off the hot path. Rare recorders write the `Arc`s directly.
 
 use crate::export::{write_chrome, write_jsonl};
 use crate::metrics::{Counter, Gauge, MetricKey, Registry};

@@ -1,12 +1,16 @@
 //! Property tests for the observability primitives: histogram merge
-//! algebra, quantile error bounds, and the cost contract of a disabled
-//! observer (records nothing, allocates nothing).
+//! algebra, quantile error bounds, the exactness of the single-owner
+//! accumulators, and the cost contracts of a disabled observer and a warm
+//! accumulator (neither allocates).
 
 use nti_obs::quantile::rank_for;
-use nti_obs::{Histogram, MetricKey, Payload, SimObserver, SpanId, Subsystem};
+use nti_obs::{
+    Counter, Histogram, LocalCounter, LocalHist, MetricKey, Payload, SimObserver, SpanId, Subsystem,
+};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// Counting allocator: lets the disabled-path test assert zero allocation.
 struct CountingAlloc;
@@ -56,6 +60,13 @@ fn assert_hist_eq(a: &Histogram, b: &Histogram) {
 
 fn arb_values() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..(1 << 48), 0..200)
+}
+
+/// Values over the whole `u64` range, a few octaves at a time: a random
+/// word shifted right by a random amount, so small and huge values mix
+/// (and the sum wraps).
+fn arb_wide_values() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec((any::<u64>(), 0u32..64).prop_map(|(w, s)| w >> s), 0..300)
 }
 
 proptest! {
@@ -114,6 +125,96 @@ proptest! {
         prop_assert!((got as f64) <= upper, "q={q}: got {got} > allowed {upper} (truth {truth})");
         prop_assert!((got as f64) >= lower, "q={q}: got {got} < allowed {lower} (truth {truth})");
     }
+}
+
+proptest! {
+    /// A local accumulator flushed at arbitrary points lands exactly what
+    /// recording straight into the histogram does: every bucket, the
+    /// count, the (wrapping) sum, min, max and every quantile.
+    #[test]
+    fn local_hist_flushes_equal_direct_records(
+        xs in arb_wide_values(),
+        cuts in proptest::collection::vec(0usize..300, 0..6),
+    ) {
+        let direct = Histogram::new();
+        let shared = Arc::new(Histogram::new());
+        let mut local = LocalHist::new(Arc::clone(&shared));
+        for (i, &v) in xs.iter().enumerate() {
+            if cuts.contains(&i) {
+                local.flush();
+            }
+            direct.record(v);
+            local.record(v);
+        }
+        local.flush();
+        assert_hist_eq(&direct, &shared);
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            prop_assert_eq!(direct.quantile(q), shared.quantile(q));
+        }
+    }
+
+    /// `record_n` and `merge` agree with repeated `record` on the sum,
+    /// which wraps modulo 2⁶⁴ on every path.
+    #[test]
+    fn sum_wraps_alike_on_every_path(v in any::<u64>(), n in 0u64..5) {
+        let once = Histogram::new();
+        once.record_n(v, n);
+        let each = Histogram::new();
+        for _ in 0..n {
+            each.record(v);
+        }
+        assert_hist_eq(&once, &each);
+        let merged = Histogram::new();
+        merged.merge(&once);
+        merged.merge(&each);
+        prop_assert_eq!(merged.sum(), v.wrapping_mul(n).wrapping_mul(2));
+    }
+}
+
+/// Once its window covers the values it sees, an accumulator records
+/// (and flushes) without touching the heap.
+#[test]
+fn warm_local_hist_records_without_allocating() {
+    let shared = Arc::new(Histogram::new());
+    let mut local = LocalHist::new(Arc::clone(&shared));
+    let mut count = LocalCounter::new(Arc::new(Counter::default()));
+    let values: Vec<u64> = (0..10_000u64)
+        .map(|i| 100 + (i * 7_919) % 900_000)
+        .collect();
+    for &v in &values {
+        local.record(v);
+    }
+    local.flush();
+    let before = allocs();
+    for _ in 0..3 {
+        for &v in &values {
+            local.record(v);
+            count.inc();
+        }
+        local.flush();
+        count.flush();
+    }
+    let after = allocs();
+    assert_eq!(after - before, 0, "a warm accumulator must not allocate");
+    assert_eq!(shared.count(), 4 * values.len() as u64);
+}
+
+/// An accumulator dropped unflushed lands its values, and a clone starts
+/// empty (a copied component must not record its original's values twice).
+#[test]
+fn dropped_accumulators_land_their_values() {
+    let shared = Arc::new(Histogram::new());
+    let counter = Arc::new(Counter::default());
+    let mut h = LocalHist::new(Arc::clone(&shared));
+    let mut c = LocalCounter::new(Arc::clone(&counter));
+    for v in [1, 10, 100, 1_000] {
+        h.record(v);
+        c.inc();
+    }
+    let (h2, c2) = (h.clone(), c.clone());
+    assert_eq!((h2.pending(), c2.pending()), (0, 0));
+    drop((h, c, h2, c2));
+    assert_eq!((shared.count(), shared.sum(), counter.get()), (4, 1_111, 4));
 }
 
 fn arb_span_event() -> impl Strategy<Value = nti_obs::TraceEvent> {

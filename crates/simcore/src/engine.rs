@@ -40,10 +40,9 @@
 //! wheel may come back).
 
 use crate::time::{SimDuration, SimTime};
-use nti_obs::{keys, Counter, Histogram, Payload, SimObserver, Subsystem, GLOBAL_NODE};
+use nti_obs::{keys, LocalCounter, LocalHist, Payload, SimObserver, Subsystem, GLOBAL_NODE};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// Handle to a scheduled event, usable for cancellation.
 ///
@@ -99,19 +98,36 @@ fn unpack(packed: u64) -> (u32, u32) {
 /// rides along (it never decides an ordering: `(time, seq)` is unique).
 type QEntry = (SimTime, u64, u64);
 
-/// Pre-resolved observability handles for the engine hot path: resolved
-/// once at [`Engine::attach_observer`] time so firing an event touches no
-/// registry locks. When no observer is attached the whole block is absent
-/// and every instrumentation site is a single `Option` branch.
+/// The engine times one fired handler in this many for
+/// `engine/handler_busy_ns`, instead of reading the clock twice per event.
+pub const BUSY_SAMPLE_EVERY: u64 = 64;
+
+/// The engine's metrics, resolved once at [`Engine::attach_observer`] and
+/// kept in local accumulators: firing an event does plain adds, and the
+/// registry receives them at the end of each [`Engine::run_until`] (and
+/// when the engine is dropped or re-attached). When no observer is
+/// attached the whole block is absent and every instrumentation site is a
+/// single `Option` branch.
 struct EngineObs {
     obs: SimObserver,
-    scheduled: Arc<Counter>,
-    fired: Arc<Counter>,
-    cancelled: Arc<Counter>,
+    scheduled: LocalCounter,
+    fired: LocalCounter,
+    cancelled: LocalCounter,
     /// Queue depth (live events) sampled after each fired event.
-    queue_depth: Arc<Histogram>,
-    /// Wall-clock busy time per fired handler (nanoseconds).
-    busy_ns: Arc<Histogram>,
+    queue_depth: LocalHist,
+    /// Wall-clock busy time of one fired handler in
+    /// [`BUSY_SAMPLE_EVERY`] (nanoseconds).
+    busy_ns: LocalHist,
+}
+
+impl EngineObs {
+    fn flush(&mut self) {
+        self.scheduled.flush();
+        self.fired.flush();
+        self.cancelled.flush();
+        self.queue_depth.flush();
+        self.busy_ns.flush();
+    }
 }
 
 /// The event queue plus the simulation clock.
@@ -151,19 +167,18 @@ impl<S> Engine<S> {
     /// Attach an observer. A disabled observer detaches instrumentation
     /// entirely (the per-event cost returns to one branch). Metric handles
     /// are resolved here, once, so the hot path never touches the registry.
+    /// What the replaced observer had pending lands in its registry.
     pub fn attach_observer(&mut self, obs: &SimObserver) {
         self.obs = if obs.is_enabled() {
+            let counter = |key| LocalCounter::new(obs.counter(key).expect("enabled"));
+            let hist = |key| LocalHist::new(obs.hist(key).expect("enabled"));
             Some(EngineObs {
                 obs: obs.clone(),
-                scheduled: obs
-                    .counter(keys::engine_events_scheduled())
-                    .expect("enabled"),
-                fired: obs.counter(keys::engine_events_fired()).expect("enabled"),
-                cancelled: obs
-                    .counter(keys::engine_events_cancelled())
-                    .expect("enabled"),
-                queue_depth: obs.hist(keys::engine_queue_depth()).expect("enabled"),
-                busy_ns: obs.hist(keys::engine_handler_busy_ns()).expect("enabled"),
+                scheduled: counter(keys::engine_events_scheduled()),
+                fired: counter(keys::engine_events_fired()),
+                cancelled: counter(keys::engine_events_cancelled()),
+                queue_depth: hist(keys::engine_queue_depth()),
+                busy_ns: hist(keys::engine_handler_busy_ns()),
             })
         } else {
             None
@@ -212,7 +227,7 @@ impl<S> Engine<S> {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Reverse((at, seq, packed)));
-        if let Some(o) = &self.obs {
+        if let Some(o) = &mut self.obs {
             o.scheduled.inc();
             if o.obs.tracing(Subsystem::Engine) {
                 o.obs.event(
@@ -299,7 +314,7 @@ impl<S> Engine<S> {
         s.gen = s.gen.wrapping_add(1);
         self.free.push(id.idx);
         self.live -= 1;
-        if let Some(o) = &self.obs {
+        if let Some(o) = &mut self.obs {
             o.cancelled.inc();
         }
     }
@@ -310,12 +325,13 @@ impl<S> Engine<S> {
         let (idx, gen) = unpack(packed);
         debug_assert!(at >= self.now);
         self.now = at;
-        self.fired += 1;
-        let body = std::mem::replace(&mut self.slots[idx as usize].body, Body::Vacant);
         // The only per-event cost with no observer attached is this
         // one branch (`--obs-summary`-off must stay within 2 % of the
         // uninstrumented engine).
-        let t0 = self.obs.as_ref().map(|_| std::time::Instant::now());
+        let t0 = (self.obs.is_some() && self.fired.is_multiple_of(BUSY_SAMPLE_EVERY))
+            .then(std::time::Instant::now);
+        self.fired += 1;
+        let body = std::mem::replace(&mut self.slots[idx as usize].body, Body::Vacant);
         match body {
             Body::Once(f) => {
                 // Free before running so the handler sees this event as
@@ -341,11 +357,12 @@ impl<S> Engine<S> {
             }
             Body::Vacant | Body::InFlight => unreachable!("fired a dead slab slot"),
         }
-        if let (Some(t0), Some(o)) = (t0, self.obs.as_ref()) {
-            let busy = t0.elapsed();
+        if let Some(o) = &mut self.obs {
+            if let Some(t0) = t0 {
+                o.busy_ns
+                    .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+            }
             o.fired.inc();
-            o.busy_ns
-                .record(busy.as_nanos().min(u64::MAX as u128) as u64);
             o.queue_depth.record(self.live as u64);
             if o.obs.tracing(Subsystem::Engine) {
                 o.obs.event(
@@ -362,13 +379,17 @@ impl<S> Engine<S> {
     }
 
     /// Fire events in order until the queue is exhausted or the next event
-    /// lies beyond `until`; then advance the clock to `until`.
+    /// lies beyond `until`; then advance the clock to `until` and flush the
+    /// engine's metrics into the observer's registry.
     pub fn run_until(&mut self, state: &mut S, until: SimTime) {
         while let Some((at, packed)) = self.pop_due(until) {
             self.fire(state, at, packed);
         }
         if until > self.now {
             self.now = until;
+        }
+        if let Some(o) = &mut self.obs {
+            o.flush();
         }
     }
 
@@ -571,6 +592,61 @@ mod tests {
         eng.run_until(&mut st, SimTime::from_secs(1));
         assert_eq!(st.hits, 3);
         assert_eq!(eng.pending(), 0);
+    }
+
+    /// The engine's registry metrics are local accumulators flushed at the
+    /// end of each `run_until`: after every chunk they equal the engine's
+    /// own counts, the queue-depth histogram holds one sample per fired
+    /// event, and the busy-time histogram one per [`BUSY_SAMPLE_EVERY`].
+    #[test]
+    fn observer_metrics_equal_engine_counts_after_each_run_until() {
+        let obs = SimObserver::enabled();
+        let mut eng: Engine<u64> = Engine::new();
+        eng.attach_observer(&obs);
+        let mut periodic_hits = 0u64;
+        let ids: Vec<_> = (0..300u64)
+            .map(|i| eng.schedule_at(SimTime::from_micros(i * 997 + 1), |_, _| {}))
+            .collect();
+        for id in &ids[..50] {
+            eng.cancel(*id);
+        }
+        eng.schedule_every(
+            SimTime::from_millis(1),
+            SimDuration::from_millis(1),
+            |hits: &mut u64, _| *hits += 1,
+        );
+        let reg = &obs.core().expect("enabled").registry;
+        let counter = |key| reg.find_counter(key).expect("registered").get();
+        let hist = |key| reg.find_hist(key).expect("registered");
+        assert_eq!(
+            counter(keys::engine_events_scheduled()),
+            0,
+            "not flushed yet"
+        );
+        for chunk in 1..=4u64 {
+            eng.run_until(&mut periodic_hits, SimTime::from_millis(chunk * 100));
+            let fired = eng.events_fired();
+            assert_eq!(counter(keys::engine_events_fired()), fired);
+            // Each periodic occurrence re-arms, i.e. schedules once more.
+            assert_eq!(
+                counter(keys::engine_events_scheduled()),
+                300 + 1 + periodic_hits
+            );
+            assert_eq!(counter(keys::engine_events_cancelled()), 50);
+            assert_eq!(hist(keys::engine_queue_depth()).count(), fired);
+            assert_eq!(
+                hist(keys::engine_handler_busy_ns()).count(),
+                fired.div_ceil(BUSY_SAMPLE_EVERY)
+            );
+        }
+        assert_eq!(eng.events_fired(), 250 + periodic_hits);
+        // What is pending when the engine goes away still lands.
+        eng.schedule_at(SimTime::from_secs(1), |_, _| {});
+        drop(eng);
+        assert_eq!(
+            counter(keys::engine_events_scheduled()),
+            300 + 1 + periodic_hits + 1
+        );
     }
 
     /// Far-future events and sentinels at `SimTime::MAX` fire in order.

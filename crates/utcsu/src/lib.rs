@@ -46,7 +46,9 @@ pub use snu::Snu;
 pub use stamp::{Apu, Gpu, Ssu, Stamp, StampLatch};
 pub use timer::{DutyTimer, NUM_TIMERS};
 
-use nti_obs::{Counter, Histogram, MetricKey, Payload, SimObserver, SpanId, Subsystem};
+use nti_obs::{
+    Counter, Histogram, LocalCounter, LocalHist, MetricKey, Payload, SimObserver, SpanId, Subsystem,
+};
 use nti_simcore::ntp::{NtpTime, FRAC_BITS, NTP_FRAC_BITS};
 use nti_simcore::Accuracy;
 use std::sync::Arc;
@@ -82,15 +84,16 @@ impl Default for UtcsuConfig {
 /// Pre-resolved observability handles, populated by
 /// [`Utcsu::attach_observer`]. The chip runs in the tick domain, so trace
 /// timestamps use *nominal* local time (tick / f_osc) rather than simulated
-/// real time.
+/// real time. The per-trigger metrics are local accumulators, flushed by
+/// [`Utcsu::flush_obs`] and on drop; a clone starts them empty.
 #[derive(Clone, Debug)]
 struct UtcsuObs {
     obs: SimObserver,
     node: u32,
     /// All external triggers (SSU/GPU/APU/HWSNAP) that latched a stamp.
-    triggers: Arc<Counter>,
+    triggers: LocalCounter,
     /// Synchronizer latency of each trigger sample (nanoseconds).
-    trigger_latency_ns: Arc<Histogram>,
+    trigger_latency_ns: LocalHist,
     /// Continuous amortization phases started.
     amort_starts: Arc<Counter>,
     /// Length of each amortization phase (ticks).
@@ -179,14 +182,25 @@ impl Utcsu {
             Some(UtcsuObs {
                 obs: obs.clone(),
                 node,
-                triggers: obs.counter(key("triggers")).expect("enabled"),
-                trigger_latency_ns: obs.hist(key("trigger_latency_ns")).expect("enabled"),
+                triggers: LocalCounter::new(obs.counter(key("triggers")).expect("enabled")),
+                trigger_latency_ns: LocalHist::new(
+                    obs.hist(key("trigger_latency_ns")).expect("enabled"),
+                ),
                 amort_starts: obs.counter(key("amort_starts")).expect("enabled"),
                 amort_ticks: obs.hist(key("amort_ticks")).expect("enabled"),
             })
         } else {
             None
         };
+    }
+
+    /// Flush the locally accumulated trigger metrics into the observer's
+    /// registry.
+    pub fn flush_obs(&mut self) {
+        if let Some(o) = &mut self.obs {
+            o.triggers.flush();
+            o.trigger_latency_ns.flush();
+        }
     }
 
     /// Nominal local time in femtoseconds (tick / f_osc) — the timestamp
@@ -204,27 +218,29 @@ impl Utcsu {
     /// surrounding hops.
     fn obs_trigger(&mut self, kind: &'static str) {
         let ctx = self.span_ctx.take();
-        if let Some(o) = &self.obs {
-            o.triggers.inc();
-            let latency_ns = self.stamp_delay_ticks() as u64 * 1_000_000_000 / self.cfg.fosc_hz;
-            o.trigger_latency_ns.record(latency_ns);
-            o.obs
-                .instant(self.nominal_fs(), o.node, Subsystem::Utcsu, kind);
-            if let Some((parent, real_fs)) = ctx {
-                let latency_fs =
-                    self.stamp_delay_ticks() * 1_000_000_000_000_000u128 / self.cfg.fosc_hz as u128;
-                let span = o.obs.new_span();
-                o.obs.span_link(
-                    real_fs + latency_fs,
-                    latency_fs,
-                    o.node,
-                    Subsystem::Utcsu,
-                    "latch",
-                    span,
-                    parent,
-                );
-                self.latch_span = span;
-            }
+        if self.obs.is_none() {
+            return;
+        }
+        let latency_ticks = self.stamp_delay_ticks();
+        let nominal_fs = self.nominal_fs();
+        let Some(o) = &mut self.obs else { return };
+        o.triggers.inc();
+        let latency_ns = latency_ticks as u64 * 1_000_000_000 / self.cfg.fosc_hz;
+        o.trigger_latency_ns.record(latency_ns);
+        o.obs.instant(nominal_fs, o.node, Subsystem::Utcsu, kind);
+        if let Some((parent, real_fs)) = ctx {
+            let latency_fs = latency_ticks * 1_000_000_000_000_000u128 / self.cfg.fosc_hz as u128;
+            let span = o.obs.new_span();
+            o.obs.span_link(
+                real_fs + latency_fs,
+                latency_fs,
+                o.node,
+                Subsystem::Utcsu,
+                "latch",
+                span,
+                parent,
+            );
+            self.latch_span = span;
         }
     }
 
@@ -773,6 +789,39 @@ mod tests {
         // An unstaged trigger emits no span and leaves no id behind.
         u.trigger_ssu_receive(0);
         assert!(u.take_latch_span().is_none());
+    }
+
+    /// Trigger metrics accumulate locally: nothing reaches the registry
+    /// before a flush, a clone starts empty, and a chip dropped unflushed
+    /// (a restart replaces a node's NTI) still lands its triggers.
+    #[test]
+    fn dropped_utcsu_lands_its_unflushed_triggers() {
+        let obs = SimObserver::enabled();
+        let mut u = Utcsu::new(UtcsuConfig::default());
+        u.attach_observer(&obs, 2);
+        let triggers = obs
+            .counter(MetricKey::node(2, "utcsu", "triggers"))
+            .unwrap();
+        let latency = obs
+            .hist(MetricKey::node(2, "utcsu", "trigger_latency_ns"))
+            .unwrap();
+        for _ in 0..3 {
+            u.trigger_ssu_receive(0);
+        }
+        assert_eq!(triggers.get(), 0);
+        u.flush_obs();
+        assert_eq!((triggers.get(), latency.count()), (3, 3));
+        u.trigger_ssu_transmit(1);
+        let mut copy = u.clone();
+        copy.trigger_ssu_receive(1);
+        drop(u);
+        assert_eq!(
+            triggers.get(),
+            4,
+            "the clone did not copy the pending trigger"
+        );
+        drop(copy);
+        assert_eq!((triggers.get(), latency.count()), (5, 5));
     }
 
     #[test]
