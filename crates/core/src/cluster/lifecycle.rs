@@ -113,7 +113,7 @@ impl World {
     /// interrupt unmasked; a fresh `SyncCore`; driver, SCB and rate state
     /// reset; the drift budget programmed; and the GPS, application-event
     /// and leap hardware enabled as configured, the leap only while its
-    /// boundary lies after `now`.
+    /// boundary lies after `now`; and the UTCSU attached to the observer.
     pub(super) fn power_up(
         &self,
         id: usize,
@@ -187,6 +187,10 @@ impl World {
                 );
             }
         }
+        // Every power-up builds a fresh chip, so this is the UTCSU's one
+        // attach site: a restarted or joined node keeps its metrics and
+        // latch spans.
+        node.nti.utcsu_mut().attach_observer(&cfg.obs, id as u32);
         node
     }
 }

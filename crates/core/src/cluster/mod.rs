@@ -653,8 +653,15 @@ impl Cluster {
                 receivers[receiver].inject(fault);
             }
         }
+        // Each layer is attached to the observer where it is built: one
+        // medium per LAN here, each node's kernel with its hardware and its
+        // UTCSU in `World::power_up`, the engine and cluster metrics below.
         let mediums = (0..cfg.topology.lan_count())
-            .map(|l| Medium::new(cfg.medium, root.split_idx("medium", l as u64)))
+            .map(|l| {
+                let mut m = Medium::new(cfg.medium, root.split_idx("medium", l as u64));
+                m.attach_observer(&cfg.obs, l as u32);
+                m
+            })
             .collect();
 
         let mut world = World {
@@ -695,10 +702,12 @@ impl Cluster {
                     )
                 })
                 .collect();
+            let mut kernel = Kernel::new(cfg.kernel, node_rng.split("kernel"));
+            kernel.attach_observer(&cfg.obs, id as u32);
             let hw = Hardware {
                 osc,
                 comcos,
-                kernel: Kernel::new(cfg.kernel, node_rng.split("kernel")),
+                kernel,
                 health: HealthTracker::new(HealthConfig::for_f(cfg.f)),
                 gps,
             };
@@ -712,20 +721,8 @@ impl Cluster {
                 arm_timer(node, 2, NtpTime::from_secs(sec));
             }
         }
-        // Thread the observer through every layer: engine, one medium per
-        // LAN, one kernel + UTCSU per node, plus the cluster-level metrics.
         let obs = world.cfg.obs.clone();
         if obs.is_enabled() {
-            for (l, m) in world.mediums.iter_mut().enumerate() {
-                m.attach_observer(&obs, l as u32);
-            }
-            for id in 0..n {
-                world.nodes[id].kernel.attach_observer(&obs, id as u32);
-                world.nodes[id]
-                    .nti
-                    .utcsu_mut()
-                    .attach_observer(&obs, id as u32);
-            }
             let key = |name| MetricKey::global("cluster", name);
             world.obs = Some(ClusterObs {
                 obs: obs.clone(),

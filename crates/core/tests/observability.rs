@@ -192,6 +192,30 @@ fn registry_matches_world_after_every_advance_chunk() {
     );
 }
 
+/// Every power-up attaches the node's fresh UTCSU to the observer, and
+/// the chip a restart replaces lands its unflushed counts when dropped:
+/// node 3's triggers survive its 4–5 s outage and keep counting after it.
+#[test]
+fn restarted_node_keeps_its_utcsu_metrics() {
+    let obs = SimObserver::enabled();
+    let mut cfg = ClusterConfig::default_lan(4, 0x601D);
+    cfg.fault_plan = FaultPlan::crash(3, SimTime::from_secs(4), Some(SimTime::from_secs(5)));
+    cfg.obs = obs.clone();
+    let mut cluster = Cluster::new(cfg);
+    let triggers = obs
+        .counter(MetricKey::node(3, "utcsu", "triggers"))
+        .expect("enabled");
+    cluster.advance_until(SimTime::from_millis(5_500));
+    let after_restart = triggers.get();
+    assert!(after_restart >= 20, "pre-crash triggers lost: {after_restart}");
+    cluster.advance_until(SimTime::from_secs(8));
+    assert!(
+        triggers.get() > after_restart,
+        "restarted node stopped counting: {} at 8 s, {after_restart} at 5.5 s",
+        triggers.get()
+    );
+}
+
 /// A disabled observer leaves no trace and registers no metrics — the
 /// default configuration stays observability-free.
 #[test]
