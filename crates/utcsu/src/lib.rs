@@ -218,16 +218,18 @@ impl Utcsu {
     /// surrounding hops.
     fn obs_trigger(&mut self, kind: &'static str) {
         let ctx = self.span_ctx.take();
-        if self.obs.is_none() {
+        let Some(traced) = self.obs.as_ref().map(|o| o.obs.tracing(Subsystem::Utcsu)) else {
             return;
-        }
+        };
+        let nominal_fs = traced.then(|| self.nominal_fs());
         let latency_ticks = self.stamp_delay_ticks();
-        let nominal_fs = self.nominal_fs();
         let Some(o) = &mut self.obs else { return };
         o.triggers.inc();
         let latency_ns = latency_ticks as u64 * 1_000_000_000 / self.cfg.fosc_hz;
         o.trigger_latency_ns.record(latency_ns);
-        o.obs.instant(nominal_fs, o.node, Subsystem::Utcsu, kind);
+        if let Some(fs) = nominal_fs {
+            o.obs.instant(fs, o.node, Subsystem::Utcsu, kind);
+        }
         if let Some((parent, real_fs)) = ctx {
             let latency_fs = latency_ticks * 1_000_000_000_000_000u128 / self.cfg.fosc_hz as u128;
             let span = o.obs.new_span();
