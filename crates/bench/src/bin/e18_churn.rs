@@ -18,9 +18,7 @@
 //! non-zero on any violation — the CI gate in `scripts/check.sh`.
 
 use nti_bench::obs_cli::ObsOpts;
-use nti_bench::{
-    append_bench, eng, fast_mode, header, parallel_sweep, record, secs, with_duration,
-};
+use nti_bench::{append_bench, eng, header, obs_mode, parallel_sweep, record, secs, with_duration};
 use nti_core::cluster::{BgLoad, Cluster, ClusterConfig, Report};
 use nti_core::CongestionPolicy;
 use nti_faults::ChurnPlan;
@@ -168,13 +166,13 @@ fn cell_json(rep: &Report) -> Json {
     ])
 }
 
-fn bench_line(label: &str, rep: &Report) {
+fn bench_line(label: &str, rep: &Report, obs: &SimObserver) {
     append_bench(
         "BENCH_churn.json",
+        obs_mode(obs),
         &Json::obj([
             ("experiment", Json::str("e18_churn")),
             ("label", Json::str(label)),
-            ("fast_mode", Json::Bool(fast_mode())),
             ("result", cell_json(rep)),
         ]),
     );
@@ -227,7 +225,7 @@ fn smoke(obs: &SimObserver) -> i32 {
         rep.rejoin_recoveries,
     );
     record("e18_churn", &format!("smoke/{label}"), &cell_json(&rep));
-    bench_line(&format!("smoke/{label}"), &rep);
+    bench_line(&format!("smoke/{label}"), &rep, obs);
     let ok_identity = empty_plan_identity();
     println!(
         "  empty churn plan bit-identical to churn-free run: {}",
@@ -287,7 +285,7 @@ fn full_matrix(obs: &SimObserver) {
             format!("{s}/{n}"),
         );
         record("e18_churn", &label, &cell_json(&rep));
-        bench_line(&label, &rep);
+        bench_line(&label, &rep, obs);
     }
     println!();
     println!("reading: under light churn every node that leaves rejoins and re-shrinks");

@@ -30,7 +30,8 @@
 
 use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{
-    append_bench, eng, fast_mode, header, prom_present, prom_sum, record, secs, with_duration,
+    append_bench, eng, fast_mode, header, obs_mode, prom_present, prom_sum, record, secs,
+    with_duration,
 };
 use nti_core::cluster::{Cluster, ClusterConfig};
 use nti_core::status::StatusCell;
@@ -261,7 +262,6 @@ fn bench_json(shape: &Shape, out: &RunOutcome) -> Json {
     let load = &out.load;
     Json::obj([
         ("experiment", Json::str("e19_serve")),
-        ("fast_mode", Json::Bool(fast_mode())),
         ("nodes", Json::num(shape.nodes as f64)),
         ("shards", Json::num(shape.shards as f64)),
         ("reuseport", Json::Bool(out.reuseport)),
@@ -359,7 +359,6 @@ fn telemetry_gate() -> ! {
 
         let line = Json::obj([
             ("experiment", Json::str("e19_telemetry")),
-            ("fast_mode", Json::Bool(fast_mode())),
             ("attempt", Json::num(attempt as f64)),
             ("qps_off", Json::num(off.load.qps())),
             ("qps_on", Json::num(on.load.qps())),
@@ -370,7 +369,7 @@ fn telemetry_gate() -> ! {
             ("scrape_status_age", Json::Bool(scrape.status_age_seen)),
             ("scrape_json_ok", Json::Bool(scrape.json_ok)),
         ]);
-        append_bench("BENCH_serve.json", &line);
+        append_bench("BENCH_serve.json", "alternate runs: off, metrics", &line);
         record("e19_telemetry", "gate", &line);
 
         let mut failures = Vec::new();
@@ -483,7 +482,7 @@ fn main() {
     );
 
     let line = bench_json(&sh, &out);
-    append_bench("BENCH_serve.json", &line);
+    append_bench("BENCH_serve.json", obs_mode(&obs), &line);
     record("e19_serve", if smoke { "smoke" } else { "full" }, &line);
     opts.finish(&obs);
 

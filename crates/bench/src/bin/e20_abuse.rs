@@ -37,7 +37,7 @@
 
 use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{
-    append_bench, fast_mode, header, prom_present, prom_sum, record, secs, with_duration,
+    append_bench, fast_mode, header, obs_mode, prom_present, prom_sum, record, secs, with_duration,
 };
 use nti_core::cluster::{Cluster, ClusterConfig};
 use nti_core::status::StatusCell;
@@ -312,7 +312,6 @@ fn bench_json(
     };
     Json::obj([
         ("experiment", Json::str("e20_abuse")),
-        ("fast_mode", Json::Bool(fast_mode())),
         ("shards", Json::num(sh.shards as f64)),
         ("legit_workers", Json::num(sh.workers as f64)),
         ("flood_sources", Json::num(sh.flood_sources as f64)),
@@ -599,7 +598,7 @@ fn main() {
         &times,
         scrape.as_ref(),
     );
-    append_bench("BENCH_serve.json", &line);
+    append_bench("BENCH_serve.json", obs_mode(&obs), &line);
     record("e20_abuse", if smoke { "smoke" } else { "full" }, &line);
     opts.finish(&obs);
 

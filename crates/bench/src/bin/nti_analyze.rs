@@ -242,13 +242,18 @@ fn analysis_json(source: &str, a: &Analysis) -> Json {
     ])
 }
 
+/// The observability mode stamped on an analysis row: it reads a trace
+/// exported by an earlier run, not a live observer.
+const OFFLINE: &str = "offline trace";
+
 /// Record the analysis in the machine-readable trajectories: the full
 /// report in `BENCH_obs.json`, the per-hop p99 line in
 /// `BENCH_precision.json`.
 fn record_analysis(source: &str, a: &Analysis) {
-    append_bench("BENCH_obs.json", &analysis_json(source, a));
+    append_bench("BENCH_obs.json", OFFLINE, &analysis_json(source, a));
     append_bench(
         "BENCH_precision.json",
+        OFFLINE,
         &Json::obj([
             ("tool", Json::str("nti_analyze")),
             ("source", Json::str(source)),

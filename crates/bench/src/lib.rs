@@ -32,10 +32,12 @@
 //! Simulator and server performance is measured by `perfbench/`, not here.
 
 use nti_core::cluster::{ClusterConfig, Report, HOP_HIST_NAMES, SPAN_HOPS};
-use nti_obs::{Json, MetricKey, SimObserver};
+use nti_obs::{Json, MetricKey, SimObserver, Subsystem};
 use nti_simcore::SimDuration;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::process::{Command, Stdio};
+use std::sync::{Mutex, OnceLock};
 
 pub mod obs_cli;
 
@@ -95,12 +97,18 @@ pub fn experiments_dir() -> PathBuf {
 
 /// Append one record to a `BENCH_*.json` trajectory file in
 /// [`experiments_dir`] (JSON Lines: each run accretes one line, so a file
-/// read top-to-bottom is the metric's history across runs).
-pub fn append_bench(file: &str, value: &Json) {
+/// read top-to-bottom is the metric's history across runs). The row holds
+/// the fields of `value` (an object; anything else is kept under `value`)
+/// and where it came from: `commit` (the checkout's
+/// `git rev-parse --short=12 HEAD`, `null` outside a git checkout),
+/// `available_parallelism`, `fast_mode`, and `obs`, the observability the
+/// measured runs had on (e.g. [`obs_mode`]).
+pub fn append_bench(file: &str, obs: &str, value: &Json) {
     let dir = experiments_dir();
     if std::fs::create_dir_all(&dir).is_err() {
         return; // best-effort, like `record`
     }
+    let row = bench_row(value, obs);
     use std::io::Write;
     let _guard = RECORD_LOCK.lock().expect("record lock poisoned");
     if let Ok(mut f) = std::fs::OpenOptions::new()
@@ -108,7 +116,46 @@ pub fn append_bench(file: &str, value: &Json) {
         .append(true)
         .open(dir.join(file))
     {
-        let _ = writeln!(f, "{value}");
+        let _ = writeln!(f, "{row}");
+    }
+}
+
+/// The row [`append_bench`] writes for `value`.
+fn bench_row(value: &Json, obs: &str) -> Json {
+    static COMMIT: OnceLock<Option<String>> = OnceLock::new();
+    let commit = COMMIT.get_or_init(|| {
+        Command::new("git")
+            .args(["rev-parse", "--short=12", "HEAD"])
+            .stderr(Stdio::null())
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    });
+    let mut row = match value {
+        Json::Obj(fields) => fields.clone(),
+        other => BTreeMap::from([("value".to_string(), other.clone())]),
+    };
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    row.insert(
+        "commit".into(),
+        commit.as_deref().map_or(Json::Null, Json::str),
+    );
+    row.insert("available_parallelism".into(), Json::num(cores as f64));
+    row.insert("fast_mode".into(), Json::Bool(fast_mode()));
+    row.insert("obs".into(), Json::str(obs));
+    Json::Obj(row)
+}
+
+/// The observability `obs` records: `off`, `metrics`, or `metrics+trace`
+/// when any subsystem is traced.
+pub fn obs_mode(obs: &SimObserver) -> &'static str {
+    if !obs.is_enabled() {
+        "off"
+    } else if Subsystem::ALL.iter().any(|&s| obs.tracing(s)) {
+        "metrics+trace"
+    } else {
+        "metrics"
     }
 }
 
@@ -133,10 +180,10 @@ pub fn hop_p99_json(obs: &SimObserver) -> Json {
 pub fn record_precision(experiment: &str, label: &str, rep: &Report, obs: &SimObserver) {
     append_bench(
         "BENCH_precision.json",
+        obs_mode(obs),
         &Json::obj([
             ("experiment", Json::str(experiment)),
             ("label", Json::str(label)),
-            ("fast_mode", Json::Bool(fast_mode())),
             ("precision_worst_s", Json::num(rep.worst_precision_s)),
             ("precision_mean_s", Json::num(rep.mean_precision_s)),
             ("alpha_worst_s", Json::num(rep.worst_accuracy_s)),
@@ -287,6 +334,43 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_rows_carry_provenance() {
+        let row = bench_row(&Json::obj([("qps", Json::num(5.0))]), "metrics");
+        let Json::Obj(m) = &row else {
+            panic!("row is an object: {row}");
+        };
+        assert_eq!(m["qps"], Json::num(5.0));
+        assert_eq!(m["obs"], Json::str("metrics"));
+        assert_eq!(m["fast_mode"], Json::Bool(fast_mode()));
+        let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+        assert_eq!(m["available_parallelism"], Json::num(cores as f64));
+        match &m["commit"] {
+            Json::Null => {}
+            Json::Str(c) => assert!(
+                c.len() == 12 && c.chars().all(|ch| ch.is_ascii_hexdigit()),
+                "commit {c:?}"
+            ),
+            other => panic!("commit {other}"),
+        }
+        // A non-object value is kept under `value`.
+        let Json::Obj(m) = bench_row(&Json::num(1.0), "off") else {
+            panic!("row is an object");
+        };
+        assert_eq!(
+            (&m["value"], &m["obs"]),
+            (&Json::num(1.0), &Json::str("off"))
+        );
+    }
+
+    #[test]
+    fn obs_mode_names_what_is_on() {
+        assert_eq!(obs_mode(&SimObserver::disabled()), "off");
+        assert_eq!(obs_mode(&SimObserver::enabled()), "metrics");
+        let traced = SimObserver::with_trace(8, Subsystem::Utcsu.bit());
+        assert_eq!(obs_mode(&traced), "metrics+trace");
+    }
 
     #[test]
     fn prom_helpers_match_base_names_only() {
