@@ -64,8 +64,8 @@ impl ObsOpts {
                     None => eprintln!("warning: --trace-subsystems needs a spec argument"),
                 },
                 // Experiment-owned mode flags (e16_chaos, nti_analyze,
-                // e19/e20 telemetry).
-                "--smoke" | "--no-telemetry" | "--telemetry-gate" => {}
+                // e19/e20 telemetry, the e9 obs gate).
+                "--smoke" | "--no-telemetry" | "--telemetry-gate" | "--obs-gate" => {}
                 "--metrics-addr" => {
                     if args.next().is_none() {
                         eprintln!("warning: --metrics-addr needs an ip:port argument");

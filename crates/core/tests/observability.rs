@@ -207,7 +207,10 @@ fn restarted_node_keeps_its_utcsu_metrics() {
         .expect("enabled");
     cluster.advance_until(SimTime::from_millis(5_500));
     let after_restart = triggers.get();
-    assert!(after_restart >= 20, "pre-crash triggers lost: {after_restart}");
+    assert!(
+        after_restart >= 20,
+        "pre-crash triggers lost: {after_restart}"
+    );
     cluster.advance_until(SimTime::from_secs(8));
     assert!(
         triggers.get() > after_restart,

@@ -93,11 +93,6 @@ impl LocalHist {
         self.counts = counts;
     }
 
-    /// Values recorded since the last flush.
-    pub fn pending(&self) -> u64 {
-        self.total
-    }
-
     /// Merge the pending values into the shared histogram and start over
     /// (the window stays allocated).
     pub fn flush(&mut self) {
@@ -151,11 +146,6 @@ impl LocalCounter {
     #[inline]
     pub fn inc(&mut self) {
         self.pending += 1;
-    }
-
-    /// The count since the last flush.
-    pub fn pending(&self) -> u64 {
-        self.pending
     }
 
     /// Add the pending count to the shared counter and reset it.

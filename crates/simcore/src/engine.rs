@@ -100,7 +100,7 @@ type QEntry = (SimTime, u64, u64);
 
 /// The engine times one fired handler in this many for
 /// `engine/handler_busy_ns`, instead of reading the clock twice per event.
-pub const BUSY_SAMPLE_EVERY: u64 = 64;
+const BUSY_SAMPLE_EVERY: u64 = 64;
 
 /// The engine's metrics, resolved once at [`Engine::attach_observer`] and
 /// kept in local accumulators: firing an event does plain adds, and the

@@ -30,6 +30,10 @@ echo "$out" | grep -q "== observability summary ==" \
 echo "$out" | grep -q "cluster/precision_ns" \
   || { echo "check.sh: missing cluster precision metric" >&2; exit 1; }
 
+echo "== simulator metrics-cost gate (e9_sixteen_nodes --obs-gate) =="
+cargo run --release -q -p nti-bench --bin e9_sixteen_nodes -- --obs-gate \
+  || { echo "check.sh: obs gate failed (metrics-on default_lan(16) median wall ratio > 1.25, or an observed run reported differently)" >&2; exit 1; }
+
 echo "== fault-matrix smoke run (e16_chaos --smoke) =="
 NTI_EXP_FAST=1 cargo run --release -q -p nti-bench --bin e16_chaos -- --smoke \
   || { echo "check.sh: chaos smoke failed (containment or reintegration)" >&2; exit 1; }
