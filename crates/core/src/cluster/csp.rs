@@ -55,14 +55,15 @@ pub(super) fn csp_send(
     // read it back through the COMCO view: the bytes that ride the wire
     // are whatever the DMA engine fetches from the shared memory, exactly
     // as in Figure 2's data path.
-    let payload_bytes: Vec<u8> = {
+    let mut payload_bytes = [0u8; CSP_PAYLOAD_LEN];
+    {
         let node = &mut world.nodes[id];
         let buf = nti_module::DATA_BUF_BASE + (node.tx_slot % 8) * 256;
-        let bytes = payload.encode();
-        node.nti.write_bytes(nti_module::CPU_BASE + buf, &bytes);
+        node.nti
+            .write_bytes(nti_module::CPU_BASE + buf, &payload.encode());
         node.driver.record_tx(Interface::Ci);
-        node.nti.read_bytes(buf, bytes.len())
-    };
+        node.nti.read_bytes(buf, &mut payload_bytes);
+    }
     // Control path: the CPU queues a TRANSMIT command block in the System
     // Structures section and strobes channel attention; the COMCO walks the
     // CBL (through its own view) and picks up the order. The real-time cost
@@ -82,7 +83,6 @@ pub(super) fn csp_send(
         );
         let _ = node.scb.ack_interrupt(&mut node.nti);
     }
-    let attachments: Vec<usize> = world.topology.attachments(id).to_vec();
     let bits = csp_frame_bits();
     // Root of the CSP's causal span chain: the assembly hop, from the
     // software stamp taken at round start to the COMCO hand-off.
@@ -96,7 +96,8 @@ pub(super) fn csp_send(
             SpanId::NONE,
         );
     }
-    for (a, &lan) in attachments.iter().enumerate() {
+    for a in 0..world.topology.attachments(id).len() {
+        let lan = world.topology.attachments(id)[a];
         let ready = world.nodes[id].comcos[a].tx_ready(now);
         let grant = world.mediums[lan].grant(ready, bits);
         let header_len = world.cfg.cpld.header_len;
@@ -117,7 +118,7 @@ pub(super) fn csp_send(
                 lan,
                 attachment: a,
                 payload,
-                payload_bytes: payload_bytes.clone(),
+                payload_bytes,
                 wire_end: grant.wire_end,
                 sw_stamp_real: sw_real,
                 xmit_trigger_real: None,
@@ -125,6 +126,7 @@ pub(super) fn csp_send(
                 byzantine,
                 marked: grant.marked,
                 receivers_pending: receivers.max(1),
+                late_records: false,
                 span,
                 span_t: now,
             },
@@ -148,17 +150,21 @@ pub(super) fn csp_send(
 /// One COMCO header read during transmission (step 4). The read of the
 /// trigger offset fires TRANSMIT; the mapped offsets return the stamp,
 /// which we capture into the in-flight frame (that is the "transparent
-/// insertion into the outgoing packet").
+/// insertion into the outgoing packet"). Every other offset is plain
+/// memory: its read changes nothing, and the UTCSU is not advanced for it.
 fn exec_tx_read(world: &mut World, eng: &mut Eng, id: usize, fid: u64, slot: u32, off: u32) {
     let now = eng.now();
     if world.nodes[id].is_down() {
         return; // DMA engine lost power mid-transmission
     }
+    let cpld = world.nodes[id].nti.cpld();
+    if off != cpld.xmt_trigger_off && off != cpld.xmt_map_ts_off && off != cpld.xmt_map_acc_off {
+        return;
+    }
     world.nodes[id].advance(now);
     let Some(flight) = world.flights.get_mut(&fid) else {
         return;
     };
-    let cpld = world.nodes[id].nti.cpld();
     let a = flight.attachment;
     let value = if a == 0 {
         // Full-fidelity path through the NTI memory map.
@@ -214,14 +220,7 @@ fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
         return;
     }
     let prop = world.mediums[lan].propagation();
-    let members: Vec<usize> = world
-        .topology
-        .members(lan)
-        .iter()
-        .copied()
-        .filter(|&m| m != src)
-        .collect();
-    if members.is_empty() {
+    if world.topology.members(lan).iter().all(|&m| m == src) {
         world.flights.remove(&fid);
         return;
     }
@@ -237,7 +236,13 @@ fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
         wire_span = world.mediums[lan].wire_span(wire_end.as_fs(), dur.as_fs(), chain.0);
     }
     let mut scheduled: usize = 0;
-    for q in members {
+    // Indexed, since scheduling borrows the world; nothing here changes
+    // the segment's membership.
+    for i in 0..world.topology.members(lan).len() {
+        let q = world.topology.members(lan)[i];
+        if q == src {
+            continue;
+        }
         if world.nodes[q].is_down() {
             continue; // powered-off NIC: the frame falls on deaf ears
         }
@@ -307,7 +312,9 @@ fn schedule_reception(
 }
 
 /// One COMCO header write during reception (step 5). The write of the
-/// receive-trigger offset fires RECEIVE and latches the header base.
+/// receive-trigger offset fires RECEIVE and latches the header base; any
+/// other offset is a plain memory write, for which the UTCSU is not
+/// advanced.
 fn exec_rx_write(
     world: &mut World,
     eng: &mut Eng,
@@ -321,7 +328,6 @@ fn exec_rx_write(
     if world.nodes[q].is_down() {
         return;
     }
-    world.nodes[q].advance(now);
     if off != world.nodes[q].nti.cpld().rcv_trigger_off {
         // A plain header word: only the primary attachment's headers live
         // in the NTI memory map.
@@ -331,6 +337,7 @@ fn exec_rx_write(
         }
         return;
     }
+    world.nodes[q].advance(now);
     // The inbound chain head (the wire span) of this frame, when the
     // sender's side was traced.
     let chain = world
@@ -379,7 +386,8 @@ fn exec_rx_write(
 /// gateway's further attachment `a` the SSU's trigger line directly. The
 /// trigger instant and the chain head, upgraded to the latch span (which
 /// ends one synchronizer delay later) when one was emitted, are recorded
-/// for `rx_complete`.
+/// for `rx_complete`, unless a late trigger finds its flight already gone:
+/// then nothing would ever consume the record.
 #[allow(clippy::too_many_arguments)]
 fn rcv_trigger(
     world: &mut World,
@@ -431,37 +439,49 @@ fn rcv_trigger(
         }
         head = Some((latch, t + SimDuration::from_fs(lat_fs)));
     }
+    if late.is_some() {
+        match world.flights.get_mut(&fid) {
+            Some(f) => f.late_records = true,
+            None => return,
+        }
+    }
     world.rx.insert((fid, q), Rx { trigger: t, head });
 }
 
 /// Step 6→7: the packet interrupt; ISR + dispatch; stamps resolved per the
-/// timestamping mode; the CSP enters the algorithm.
+/// timestamping mode; the CSP enters the algorithm. The UTCSU is not
+/// advanced for the interrupt itself: the hardware path only takes the
+/// latch, and the other modes' register reads advance it themselves.
 fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, slot: u32) {
     let now = eng.now();
     // Release this reception's claim on the flight, whether or not the
     // receiver is still up to process it; the last one reclaims the
-    // sender-side state.
+    // sender-side state, and any record a late trigger left behind after
+    // its own reception completed.
     let rx = world.rx.remove(&(fid, q));
     let flight = match world.flights.get_mut(&fid) {
         None => None,
         Some(f) => {
             f.receivers_pending -= 1;
+            let f = *f;
             if f.receivers_pending == 0 {
-                world.flights.remove(&fid)
-            } else {
-                Some(f.clone())
+                world.flights.remove(&fid);
+                if f.late_records {
+                    world.rx.retain(|&(g, _), _| g != fid);
+                }
             }
+            Some(f)
         }
     };
     if world.nodes[q].is_down() {
         return; // a powered-off receiver drops the frame on the floor
     }
-    world.nodes[q].advance(now);
     // The protocol software reads the CSP payload out of the receiver's
     // own NTI memory (CPU view) — the bytes the COMCO deposited.
-    let stored = world.nodes[q]
+    let mut stored = [0u8; CSP_PAYLOAD_LEN];
+    world.nodes[q]
         .nti
-        .read_bytes(nti_module::CPU_BASE + rx_data_buf(slot), CSP_PAYLOAD_LEN);
+        .read_bytes(nti_module::CPU_BASE + rx_data_buf(slot), &mut stored);
     // Let the driver consume the CI queue entry (KI/NI traffic is
     // untouched).
     let _ = world.nodes[q].driver.pop(Interface::Ci);
@@ -521,22 +541,13 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
         // Step 7: the stamp is taken when the protocol task processes
         // the packet.
         world.nodes[q].nti.utcsu_mut().ssu[a].receive.clear();
+        let (payload, sent, marked) = (flight.payload, flight.sw_stamp_real, flight.marked);
         eng.schedule_at(at, move |w, e| {
             let t = e.now();
-            w.nodes[q].advance(t);
             let recv_local = w.nodes[q].read_clock_regs(t);
-            record_eps(w, t, t, flight.sw_stamp_real);
-            let xmit = sw_xmit_stamp(&flight, recv_local);
-            process_csp(
-                w,
-                e,
-                q,
-                flight.payload,
-                xmit,
-                recv_local,
-                flight.marked,
-                chain,
-            );
+            record_eps(w, t, t, sent);
+            let xmit = sw_xmit_stamp(&payload, recv_local);
+            process_csp(w, e, q, payload, xmit, recv_local, marked, chain);
         });
         return;
     }
@@ -574,25 +585,18 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
             m.trigger_latency(now.as_fs(), q as u32, tr.saturating_since(tx).as_fs());
         }
     }
+    let (payload, marked) = (flight.payload, flight.marked);
     eng.schedule_at(at, move |w, e| {
-        process_csp(
-            w,
-            e,
-            q,
-            flight.payload,
-            flight_hw_stamp(&flight),
-            recv_local,
-            flight.marked,
-            chain,
-        )
+        let xmit = hw_xmit_stamp(&payload);
+        process_csp(w, e, q, payload, xmit, recv_local, marked, chain)
     });
 }
 
 /// The sender stamp as `(value, α)` for the hardware-stamped modes,
 /// reconstructed from the mapped timestamp + the assembly macrostamp.
-fn flight_hw_stamp(flight: &Flight) -> (NtpTime, Accuracy, Accuracy) {
-    let ts = nti_simcore::Timestamp(flight.payload.hw_timestamp);
-    let ms = nti_simcore::Macrostamp(flight.payload.macrostamp);
+fn hw_xmit_stamp(payload: &CspPayload) -> (NtpTime, Accuracy, Accuracy) {
+    let ts = nti_simcore::Timestamp(payload.hw_timestamp);
+    let ms = nti_simcore::Macrostamp(payload.macrostamp);
     // The macrostamp was pre-computed at assembly; if the 256 s epoch
     // rolled between assembly and the trigger the checksum fails and we
     // fall back to epoch-free reconstruction via the timestamp alone
@@ -603,7 +607,7 @@ fn flight_hw_stamp(flight: &Flight) -> (NtpTime, Accuracy, Accuracy) {
             (secs << FRAC_BITS) | ((ts.frac24() as u128) << (FRAC_BITS - NTP_FRAC_BITS)),
         )
     });
-    let acc = flight.payload.hw_acc;
+    let acc = payload.hw_acc;
     (
         t,
         Accuracy((acc & 0xFFFF) as u16),
@@ -614,14 +618,14 @@ fn flight_hw_stamp(flight: &Flight) -> (NtpTime, Accuracy, Accuracy) {
 /// The sender stamp for software mode: the 8.24 software timestamp
 /// re-anchored near the receiver's clock (valid because offsets are far
 /// below the 256 s wrap).
-fn sw_xmit_stamp(flight: &Flight, recv_local: NtpTime) -> (NtpTime, Accuracy, Accuracy) {
-    let ts = nti_simcore::Timestamp(flight.payload.sw_timestamp);
+fn sw_xmit_stamp(payload: &CspPayload, recv_local: NtpTime) -> (NtpTime, Accuracy, Accuracy) {
+    let ts = nti_simcore::Timestamp(payload.sw_timestamp);
     let d = ts.wrapping_diff(recv_local.timestamp()) as i128;
     let t = recv_local.wrapping_add_units(d << (FRAC_BITS - NTP_FRAC_BITS));
     (
         t,
-        Accuracy(flight.payload.alpha_minus),
-        Accuracy(flight.payload.alpha_plus),
+        Accuracy(payload.alpha_minus),
+        Accuracy(payload.alpha_plus),
     )
 }
 

@@ -316,8 +316,9 @@ const AMORTIZATION: SimDuration = SimDuration::from_millis(100);
 /// Per-node broadcast stagger within the round (collision avoidance).
 const STAGGER: SimDuration = SimDuration::from_millis(2);
 
-/// A frame in flight on some segment.
-#[derive(Clone, Debug)]
+/// A frame in flight on some segment. A plain record, copied (not cloned)
+/// by each receiver's packet interrupt.
+#[derive(Clone, Copy, Debug)]
 struct Flight {
     src: usize,
     lan: usize,
@@ -325,7 +326,7 @@ struct Flight {
     payload: CspPayload,
     /// The payload bytes as serialized into the sender's NTI data buffer —
     /// what actually rides the wire and lands in the receiver's memory.
-    payload_bytes: Vec<u8>,
+    payload_bytes: [u8; CSP_PAYLOAD_LEN],
     wire_end: SimTime,
     sw_stamp_real: SimTime,
     xmit_trigger_real: Option<SimTime>,
@@ -335,6 +336,10 @@ struct Flight {
     /// saw queue occupancy above the marking threshold.
     marked: bool,
     receivers_pending: usize,
+    /// A late RECEIVE trigger recorded into `World::rx`. Its reception's
+    /// packet interrupt may already have passed, so the last receiver's
+    /// drops whatever records of this flight remain.
+    late_records: bool,
     /// Head of this flight's causal span chain — the last hop emitted on
     /// the sender side — and that hop's real end instant. Null/meaningless
     /// when observability is off.
@@ -494,7 +499,8 @@ pub struct World {
     pub topology: Topology,
     /// Frames in flight.
     flights: HashMap<u64, Flight>,
-    /// RECEIVE-trigger records per (flight, receiver).
+    /// RECEIVE-trigger records per (flight, receiver). None outlives its
+    /// flight.
     rx: HashMap<(u64, usize), Rx>,
     next_flight: u64,
     /// The fault-plan applicator (owns all fault RNG streams).

@@ -230,3 +230,45 @@ fn rejects_underspecified_drift_budget() {
     cfg.rho_budget_ppm = 1.0; // population is ±10 ppm
     let _ = Cluster::new(cfg);
 }
+
+/// A RECEIVE trigger made late enough to outlast its packet interrupt
+/// leaves no record behind, whether it fires after its flight is gone or
+/// while a duplicate of the frame still keeps the flight in the air: at
+/// every checkpoint, each `World::rx` record belongs to a flight still in
+/// the air.
+#[test]
+fn no_rx_record_outlives_its_flight() {
+    let mut cfg = ClusterConfig::default_lan(0, 0x601D);
+    cfg.topology = Topology::chain_of_lans(2, 4);
+    cfg.f = 0;
+    cfg.duration = SimDuration::from_secs(8);
+    let episode = |kind| nti_faults::FaultEpisode {
+        from: SimTime::from_secs(3),
+        until: SimTime::from_secs(7),
+        target: nti_faults::FaultTarget::All,
+        kind,
+    };
+    cfg.fault_plan = FaultPlan::new()
+        .with(episode(nti_faults::FaultKind::LateTrigger {
+            rate: 0.2,
+            delay: SimDuration::from_micros(12),
+        }))
+        .with(episode(nti_faults::FaultKind::PacketDuplicate {
+            rate: 0.2,
+        }));
+    let mut c = Cluster::new(cfg);
+    let mut t = SimTime::ZERO;
+    while t < SimTime::from_millis(7_900) {
+        t = c.advance_until(t + SimDuration::from_millis(50));
+        let w = c.world();
+        for &(fid, q) in w.rx.keys() {
+            assert!(
+                w.flights.contains_key(&fid),
+                "node {q}'s record of flight {fid} outlived it at {t:?}"
+            );
+        }
+    }
+    // The triggers did outlast their interrupts: those receptions found no
+    // latch and were dropped as injected losses.
+    assert!(c.world().metrics.csps_dropped_injected > 0);
+}

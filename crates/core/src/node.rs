@@ -7,9 +7,15 @@
 //! 2) — attachment `i` uses SSU `i` and its own COMCO.
 //!
 //! The node is also where the **lazy clock evaluation** contract is
-//! enforced: every interaction first maps the current simulation time to an
-//! oscillator tick count and advances the UTCSU, so register reads and
-//! triggers always observe current hardware state.
+//! enforced: every interaction with the chip first maps the current
+//! simulation time to an oscillator tick count and advances the UTCSU, so
+//! register reads and triggers always observe current hardware state. The
+//! UTCSU is advanced at triggers, at the mapped transmit-header reads and
+//! at register reads, never at plain DMA words: a COMCO header access that
+//! the CPLD does not decode touches only memory. Skipping those advances is
+//! safe because advancing in several steps equals advancing once (time,
+//! α⁻/α⁺, raised interrupts, armed timers), which the UTCSU's
+//! `advance_is_linear` property test checks.
 
 use crate::algo::SyncCore;
 use crate::health::{HealthState, HealthTracker};

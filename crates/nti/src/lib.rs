@@ -244,13 +244,13 @@ impl Nti {
         }
     }
 
-    /// Read `len` bytes from `addr` on as little-endian longwords, each
-    /// through the same decode as [`Nti::read32`].
-    pub fn read_bytes(&mut self, addr: u32, len: usize) -> Vec<u8> {
-        (0..len.div_ceil(4) as u32)
-            .flat_map(|i| self.read32(addr + i * 4).to_le_bytes())
-            .take(len)
-            .collect()
+    /// Fill `buf` from `addr` on with little-endian longwords, each read
+    /// through the same decode as [`Nti::read32`] (the last one truncated).
+    pub fn read_bytes(&mut self, addr: u32, buf: &mut [u8]) {
+        for (i, chunk) in buf.chunks_mut(4).enumerate() {
+            let word = self.read32(addr + i as u32 * 4).to_le_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
     }
 
     /// The CPLD's transmit-header rule for a COMCO read at offset `within`
@@ -529,6 +529,18 @@ mod tests {
         assert!(!n.irq_asserted());
         n.io_write16(IO_INT_ENABLE, 1);
         assert!(n.irq_asserted(), "pending source still live");
+    }
+
+    #[test]
+    fn byte_runs_cross_views_and_truncate_the_last_word() {
+        let mut n = module();
+        let bytes = [1, 2, 3, 4, 5, 6, 7];
+        n.write_bytes(CPU_BASE + DATA_BUF_BASE, &bytes);
+        let mut back = [0u8; 7];
+        n.read_bytes(DATA_BUF_BASE, &mut back);
+        assert_eq!(back, bytes, "COMCO view reads what the CPU wrote");
+        // The zero-padded tail of the last longword landed in memory too.
+        assert_eq!(n.read32(CPU_BASE + DATA_BUF_BASE + 4), 0x0007_0605);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use nti_simcore::ntp::NtpTime;
 use nti_simcore::Accuracy;
 use nti_utcsu::ltu::Ltu;
-use nti_utcsu::{Acu, Utcsu, UtcsuConfig};
+use nti_utcsu::{Acu, Utcsu, UtcsuConfig, NUM_TIMERS};
 use proptest::prelude::*;
 
 fn running_chip(fosc: u64) -> Utcsu {
@@ -32,16 +32,67 @@ proptest! {
         }
     }
 
-    /// Advancing in one chunk equals advancing in many chunks (the adder is
-    /// linear between boundaries).
+    /// Advancing in one chunk equals advancing through any increasing
+    /// sequence of intermediate ticks: the adder is linear between
+    /// boundaries, and the boundaries (amortization end, timer expiry, the
+    /// ACU's clamps) land on the same tick however the advance is split.
+    /// Checked with an amortization in progress, duty timers armed and
+    /// DSTEPs programmed, on time, α⁻/α⁺, the raised interrupt sources and
+    /// each timer's armed state. A node relies on this to advance its chip
+    /// only where the chip is read or triggered.
     #[test]
-    fn advance_is_linear(fosc in 1_000_000u64..=20_000_000, a in 1u64..500_000, b in 1u64..500_000) {
-        let mut one = running_chip(fosc);
-        one.advance_to_tick(a as u128 + b as u128);
-        let mut two = running_chip(fosc);
-        two.advance_to_tick(a as u128);
-        two.advance_to_tick(a as u128 + b as u128);
-        prop_assert_eq!(one.time(), two.time());
+    fn advance_is_linear(
+        fosc in 1_000_000u64..=20_000_000,
+        gaps in proptest::collection::vec(0u64..500_000, 0..8),
+        last in 1u64..500_000,
+        amort in 0u64..2_000_000,
+        delta in -20_000i64..20_000,
+        timer_frac in proptest::collection::vec(1u32..0x00FF_FFFF, NUM_TIMERS),
+        dstep_minus in -(1i64 << 30)..(1i64 << 30),
+        dstep_plus in 0i64..(1i64 << 30),
+        init in 0u16..60_000,
+    ) {
+        let chip = || {
+            let mut u = running_chip(fosc);
+            u.itu.set_mask(u32::MAX);
+            u.acu.load(Accuracy(init), Accuracy(init));
+            u.acu.set_dstep_minus(dstep_minus);
+            u.acu.set_dstep_plus(dstep_plus);
+            if amort > 0 {
+                let base = Ltu::nominal_step_units(fosc);
+                u.ltu.set_astep_units((base as i64 + delta).max(1) as u64);
+                u.start_amortization(amort as u128);
+            }
+            // Timer i targets second i: some expire inside the advance,
+            // some stay armed.
+            for (i, &frac) in timer_frac.iter().enumerate() {
+                u.arm_timer_regs(i, i as u32, frac);
+            }
+            u
+        };
+        let splits: Vec<u128> = gaps
+            .iter()
+            .scan(0u128, |t, &g| {
+                *t += g as u128;
+                Some(*t)
+            })
+            .collect();
+        let end = splits.last().copied().unwrap_or(0) + last as u128;
+        let mut one = chip();
+        one.advance_to_tick(end);
+        let mut many = chip();
+        for &t in &splits {
+            many.advance_to_tick(t);
+        }
+        many.advance_to_tick(end);
+        prop_assert_eq!(one.tick(), many.tick());
+        prop_assert_eq!(one.time(), many.time());
+        prop_assert_eq!(one.alpha(), many.alpha());
+        prop_assert_eq!(one.ltu.amort_ticks_left(), many.ltu.amort_ticks_left());
+        prop_assert_eq!(one.itu.pending(), many.itu.pending());
+        for i in 0..NUM_TIMERS {
+            prop_assert_eq!(one.timers[i].armed, many.timers[i].armed, "timer {}", i);
+        }
     }
 
     /// After an amortization of `k` ticks with augend `astep`, the total

@@ -6,8 +6,10 @@
 //! Each entry is fingerprinted two ways — FNV-1a of `Report::to_json()` and
 //! FNV-1a of every `Subsystem::Cluster` trace event — and stored in
 //! `tests/golden/<entry>.txt` next to the report's top-level fields, so a
-//! mismatch names the fields that moved. A deliberate behaviour change is
-//! re-recorded with
+//! mismatch names the fields that moved. One entry, `all_subsystems`,
+//! hashes the trace of every subsystem instead, so a reordered UTCSU,
+//! kernel, netsim or engine record moves it too. A deliberate behaviour
+//! change is re-recorded with
 //!
 //! ```text
 //! NTI_BLESS=1 cargo test --test golden
@@ -63,11 +65,11 @@ fn trace_fingerprint(events: &[TraceEvent]) -> u64 {
     })
 }
 
-/// Run `cfg` with the cluster trace on and render its golden record: the
-/// two fingerprints, the trace length, then one `report.<field>` line per
-/// top-level `Report` field.
-fn record(mut cfg: ClusterConfig) -> String {
-    let obs = SimObserver::with_trace(TRACE_CAPACITY, Subsystem::Cluster.bit());
+/// Run `cfg` with the trace of the subsystems in `mask` on and render its
+/// golden record: the two fingerprints, the trace length, then one
+/// `report.<field>` line per top-level `Report` field.
+fn record(mut cfg: ClusterConfig, mask: u32) -> String {
+    let obs = SimObserver::with_trace(TRACE_CAPACITY, mask);
     cfg.obs = obs.clone();
     let report = Cluster::new(cfg).run().to_json();
     let dropped = obs.core().expect("enabled").tracer.dropped();
@@ -112,14 +114,19 @@ fn moved(old: &str, new: &str) -> Vec<String> {
     out
 }
 
-/// Compare `cfg`'s run against `tests/golden/<name>.txt`, or rewrite that
-/// file when `NTI_BLESS=1`.
+/// Compare `cfg`'s run, with the cluster trace, against
+/// `tests/golden/<name>.txt`, or rewrite that file when `NTI_BLESS=1`.
 fn check(name: &str, cfg: ClusterConfig) {
+    check_traced(name, cfg, Subsystem::Cluster.bit());
+}
+
+/// [`check`] with the trace of the subsystems in `mask`.
+fn check_traced(name: &str, cfg: ClusterConfig, mask: u32) {
     let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name]
         .iter()
         .collect::<PathBuf>()
         .with_extension("txt");
-    let new = record(cfg);
+    let new = record(cfg, mask);
     let old = std::fs::read_to_string(&path).unwrap_or_default();
     let diff = moved(&old, &new);
     if std::env::var("NTI_BLESS").is_ok_and(|v| v == "1") {
@@ -308,4 +315,17 @@ fn actuation_app_events_crash() {
     cfg.app_event_period = Some(SimDuration::from_millis(700));
     cfg.fault_plan = FaultPlan::crash(3, SimTime::from_secs(4), Some(SimTime::from_secs(5)));
     check("actuation_app_events_crash", cfg);
+}
+
+/// Every subsystem traced on a two-LAN chain: the engine's schedule/fire
+/// records, the media, the kernels, and the UTCSUs of both the segment
+/// members and the gateways (whose second SSU serves the other LAN), in
+/// the order they were emitted.
+#[test]
+fn all_subsystems() {
+    let mut cfg = base(0, 0x601D);
+    cfg.topology = Topology::chain_of_lans(2, 4);
+    cfg.f = 0;
+    let mask = Subsystem::ALL.iter().fold(0, |m, s| m | s.bit());
+    check_traced("all_subsystems", cfg, mask);
 }
