@@ -316,8 +316,8 @@ const AMORTIZATION: SimDuration = SimDuration::from_millis(100);
 /// Per-node broadcast stagger within the round (collision avoidance).
 const STAGGER: SimDuration = SimDuration::from_millis(2);
 
-/// A frame in flight on some segment. A plain record, copied (not cloned)
-/// by each receiver's packet interrupt.
+/// A frame in flight on some segment. Plain data with the payload inline,
+/// so each receiver's packet interrupt takes a copy without allocating.
 #[derive(Clone, Copy, Debug)]
 struct Flight {
     src: usize,
@@ -338,7 +338,7 @@ struct Flight {
     receivers_pending: usize,
     /// A late RECEIVE trigger recorded into `World::rx`. Its reception's
     /// packet interrupt may already have passed, so the last receiver's
-    /// drops whatever records of this flight remain.
+    /// interrupt drops whatever records of this flight remain.
     late_records: bool,
     /// Head of this flight's causal span chain — the last hop emitted on
     /// the sender side — and that hop's real end instant. Null/meaningless

@@ -11,10 +11,10 @@
 //! simulation time to an oscillator tick count and advances the UTCSU, so
 //! register reads and triggers always observe current hardware state. The
 //! UTCSU is advanced at triggers, at the mapped transmit-header reads and
-//! at register reads, never at plain DMA words: a COMCO header access that
-//! the CPLD does not decode touches only memory. Skipping those advances is
-//! safe because advancing in several steps equals advancing once (time,
-//! α⁻/α⁺, raised interrupts, armed timers), which the UTCSU's
+//! at register accesses, never at plain DMA words: a COMCO header access
+//! that the CPLD does not decode touches only memory. Skipping those
+//! advances is safe because advancing in several steps equals advancing
+//! once (time, α⁻/α⁺, raised interrupts, armed timers), which the UTCSU's
 //! `advance_is_linear` property test checks.
 
 use crate::algo::SyncCore;
