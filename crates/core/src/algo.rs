@@ -23,6 +23,7 @@ use crate::params::{AlgoKind, SyncParams};
 use crate::payload::CspPayload;
 use nti_simcore::ntp::NtpTime;
 use nti_simcore::Accuracy;
+use std::collections::HashSet;
 
 /// A CSP after stamp reconstruction, as handed to the algorithm.
 #[derive(Clone, Copy, Debug)]
@@ -97,6 +98,9 @@ pub struct SyncCore {
     /// Current round number.
     pub round: u32,
     inbox: Vec<Preprocessed>,
+    /// The senders in `inbox`, so the duplicate check is O(1) rather than
+    /// a scan of the inbox per reception.
+    inbox_from: HashSet<u32>,
     ext: Vec<Preprocessed>,
     /// Trust external intervals without validation (negative control for
     /// E5; Section 5 calls always-trusting a GPS receiver "questionable").
@@ -135,6 +139,7 @@ impl SyncCore {
             algo,
             round: 0,
             inbox: Vec::new(),
+            inbox_from: HashSet::new(),
             ext: Vec::new(),
             blind_external: false,
             reintegrating: false,
@@ -193,7 +198,7 @@ impl SyncCore {
     /// compensated stamp, the copy arrives late by a frame time. Returns
     /// whether the CSP entered the inbox.
     pub fn accept(&mut self, p: Preprocessed) -> bool {
-        if self.inbox.iter().any(|q| q.from == p.from) {
+        if !self.inbox_from.insert(p.from) {
             return false;
         }
         self.inbox.push(p);
@@ -283,6 +288,7 @@ impl SyncCore {
     pub fn skip_round(&mut self) {
         self.round += 1;
         self.inbox.clear();
+        self.inbox_from.clear();
         self.ext.clear();
     }
 
@@ -300,6 +306,7 @@ impl SyncCore {
     ) -> Option<Enforcement> {
         self.round += 1;
         let inbox = std::mem::take(&mut self.inbox);
+        self.inbox_from.clear();
         let ext = std::mem::take(&mut self.ext);
         // A reintegrating node below its quorum keeps free-running wide
         // (its deteriorating interval stays honest) and tries again next

@@ -661,8 +661,9 @@ fn record_eps(world: &mut World, now: SimTime, recv_real: SimTime, xmit_real: Si
 }
 
 /// Step 2: preprocessing (delay compensation) and inbox insertion; also
-/// feeds the rate estimator. `marked` carries the frame's ECN-style
-/// congestion mark into the node's [`CongestionPolicy`].
+/// feeds the rate estimator when rate sync is on (nothing else reads its
+/// estimates). `marked` carries the frame's ECN-style congestion mark into
+/// the node's [`CongestionPolicy`].
 #[allow(clippy::too_many_arguments)]
 fn process_csp(
     world: &mut World,
@@ -685,11 +686,14 @@ fn process_csp(
     if !node.core.accept_csp(p, marked) {
         return; // duplicated frame (first stamp stands) or discarded mark
     }
-    // Rate estimation uses the slew-compensated local clock: subtracting
-    // the cumulative state adjustment keeps enforcement slews out of the
-    // rate estimates (they would otherwise register as rate error).
-    let rate_local = recv_local.wrapping_add_units(-node.cum_adj_units);
-    node.rate.observe(payload.node, csp.xmit_stamp, rate_local);
+    if world.cfg.rate_sync {
+        // Rate estimation uses the slew-compensated local clock:
+        // subtracting the cumulative state adjustment keeps enforcement
+        // slews out of the rate estimates (they would otherwise register
+        // as rate error).
+        let rate_local = recv_local.wrapping_add_units(-node.cum_adj_units);
+        node.rate.observe(payload.node, csp.xmit_stamp, rate_local);
+    }
     world.metrics.csps_delivered += 1;
     if let Some(o) = &mut world.obs {
         o.csps_delivered.inc();

@@ -272,3 +272,34 @@ fn no_rx_record_outlives_its_flight() {
     // latch and were dropped as injected losses.
     assert!(c.world().metrics.csps_dropped_injected > 0);
 }
+
+/// With rate sync off nothing reads the rate estimator, so no CSP feeds
+/// it: its estimates used to pile up for the whole run (about three per
+/// node per round here), growing memory with run length.
+#[test]
+fn rate_estimates_are_not_collected_with_rate_sync_off() {
+    let mut c = Cluster::new(ClusterConfig::default_lan(4, 42));
+    c.advance_until(SimTime::from_secs(5));
+    assert!(c.world().metrics.csps_delivered > 0);
+    for (i, node) in c.world().nodes.iter().enumerate() {
+        assert_eq!(node.rate.pending(), 0, "node {i}");
+    }
+}
+
+/// With rate sync on every round consumes the estimates: at most one per
+/// peer is pending between rounds, and corrections were computed.
+#[test]
+fn rate_estimates_are_consumed_each_round_with_rate_sync_on() {
+    let mut cfg = ClusterConfig::default_lan(4, 42);
+    cfg.rate_sync = true;
+    let mut c = Cluster::new(cfg);
+    c.advance_until(SimTime::from_secs(5));
+    for (i, node) in c.world().nodes.iter().enumerate() {
+        assert!(
+            node.rate.pending() <= 3,
+            "node {i}: {}",
+            node.rate.pending()
+        );
+        assert!(node.rate.rounds_applied >= 2, "node {i}");
+    }
+}

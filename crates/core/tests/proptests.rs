@@ -3,8 +3,10 @@
 
 use nti_core::convergence::{ftm, marzullo, oa};
 use nti_core::interval::{units_ceil, AccInterval};
+use nti_core::{AlgoKind, Preprocessed, SyncCore, SyncParams};
 use nti_simcore::ntp::NtpTime;
 use nti_simcore::time::SimDuration;
+use nti_simcore::Accuracy;
 use proptest::prelude::*;
 
 const BASE_SECS: u32 = 1000;
@@ -28,7 +30,67 @@ fn arb_interval() -> impl Strategy<Value = AccInterval> {
         .prop_map(|(off, m, p)| iv(off, m, p))
 }
 
+/// A sync core with the default LAN's parameters, f = 1.
+fn sync_core() -> SyncCore {
+    let params = SyncParams {
+        round_period: SimDuration::from_secs(1),
+        cf_delta: SimDuration::from_millis(250),
+        f: 1,
+        delay_min: SimDuration::from_micros(100),
+        delay_max: SimDuration::from_micros(110),
+        rho_ppm: 10.0,
+        rate_adj_uncertainty: SimDuration::from_nanos(100),
+        granularity: SimDuration::from_nanos(60),
+        amortization: SimDuration::from_millis(100),
+    };
+    SyncCore::new(params, AlgoKind::IntervalOa)
+}
+
+/// A preprocessed CSP from `from`, `off` units away from the base.
+fn csp_from(from: u32, off: i64) -> Preprocessed {
+    Preprocessed {
+        from,
+        interval: iv(off, 1 << 40, 1 << 40),
+        recv_local: NtpTime::from_secs(BASE_SECS),
+        offset_units: off as i128,
+    }
+}
+
 proptest! {
+    /// The inbox's duplicate check matches the rule it replaces — a scan
+    /// of the round's inbox for the sender — over any sequence of
+    /// accepts, convergences and skipped rounds.
+    #[test]
+    fn inbox_dedup_matches_scan_reference(
+        ops in proptest::collection::vec((0u8..40, 0u32..200, -(1i64 << 30)..(1i64 << 30)), 1..400)
+    ) {
+        let mut core = sync_core();
+        let mut reference: Vec<u32> = Vec::new();
+        let now = NtpTime::from_secs(BASE_SECS);
+        let alpha = (Accuracy(100), Accuracy(100));
+        for (op, from, off) in ops {
+            // About 20 accepts per round, so repeated senders are common.
+            match op {
+                0..=37 => {
+                    let want = !reference.contains(&from);
+                    if want {
+                        reference.push(from);
+                    }
+                    prop_assert_eq!(core.accept(csp_from(from, off)), want);
+                }
+                38 => {
+                    core.converge(now, alpha);
+                    reference.clear();
+                }
+                _ => {
+                    core.skip_round();
+                    reference.clear();
+                }
+            }
+            prop_assert_eq!(core.inbox_len(), reference.len());
+        }
+    }
+
     /// Intersection is sound: a point in both inputs is in the output, and
     /// the output is within both inputs.
     #[test]

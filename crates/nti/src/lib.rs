@@ -63,6 +63,10 @@ use nti_utcsu::{Utcsu, UtcsuConfig};
 
 /// Size of the NTI's shared SRAM (2 × 64K×16).
 pub const MEM_SIZE: usize = 256 * 1024;
+/// Longwords per page of the simulated SRAM (4 KB pages).
+const PAGE_WORDS: usize = 1024;
+/// Pages in the simulated SRAM.
+const PAGES: usize = MEM_SIZE / (4 * PAGE_WORDS);
 /// Base of the COMCO-view region.
 pub const COMCO_BASE: u32 = 0x00000;
 /// Base of the System Structures section.
@@ -130,7 +134,10 @@ impl Default for CpldConfig {
 /// The NTI MA-Module: UTCSU + shared memory + CPLD + S-PROM.
 #[derive(Clone)]
 pub struct Nti {
-    mem: Box<[u8]>,
+    /// The shared SRAM as 4 KB pages of longwords, allocated on the first
+    /// non-zero write: an absent page reads as zeros, so a module costs
+    /// nothing for the memory it never stores into.
+    mem: [Option<Box<[u32; PAGE_WORDS]>>; PAGES],
     utcsu: Utcsu,
     cpld: CpldConfig,
     rcv_header_base: u32,
@@ -147,7 +154,7 @@ impl Nti {
             "header length must be a power of two"
         );
         Nti {
-            mem: vec![0u8; MEM_SIZE].into_boxed_slice(),
+            mem: [const { None }; PAGES],
             utcsu: Utcsu::new(utcsu_cfg),
             cpld,
             rcv_header_base: 0,
@@ -224,14 +231,28 @@ impl Nti {
         (v >> (8 * (addr & 3))) as u8
     }
 
+    /// The page and the longword within it of the aligned RAM offset `off`.
+    fn ram_index(off: u32) -> (usize, usize) {
+        let w = off as usize / 4;
+        (w / PAGE_WORDS, w % PAGE_WORDS)
+    }
+
     fn ram_read32(&self, off: u32) -> u32 {
-        let i = off as usize;
-        u32::from_le_bytes(self.mem[i..i + 4].try_into().expect("4-byte slice"))
+        let (page, w) = Self::ram_index(off);
+        self.mem[page].as_ref().map_or(0, |p| p[w])
     }
 
     fn ram_write32(&mut self, off: u32, v: u32) {
-        let i = off as usize;
-        self.mem[i..i + 4].copy_from_slice(&v.to_le_bytes());
+        let (page, w) = Self::ram_index(off);
+        match &mut self.mem[page] {
+            Some(p) => p[w] = v,
+            None if v == 0 => {} // an absent page already reads 0
+            slot @ None => {
+                let mut p = Box::new([0u32; PAGE_WORDS]);
+                p[w] = v;
+                *slot = Some(p);
+            }
+        }
     }
 
     /// Write `bytes` from `addr` on as little-endian longwords (the last
@@ -541,6 +562,51 @@ mod tests {
         assert_eq!(back, bytes, "COMCO view reads what the CPU wrote");
         // The zero-padded tail of the last longword landed in memory too.
         assert_eq!(n.read32(CPU_BASE + DATA_BUF_BASE + 4), 0x0007_0605);
+    }
+
+    /// Pages of the simulated SRAM that have been allocated.
+    fn pages_allocated(n: &Nti) -> usize {
+        n.mem.iter().filter(|p| p.is_some()).count()
+    }
+
+    #[test]
+    fn unwritten_ram_reads_zero_through_both_views() {
+        let mut n = module();
+        for off in [0, 0x1000, DATA_BUF_BASE, RX_HDR_BASE + 0x40, 0x3FFFC] {
+            assert_eq!(n.read32(CPU_BASE + off), 0, "CPU view at {off:#x}");
+            assert_eq!(n.read32(off), 0, "COMCO view at {off:#x}");
+        }
+        assert_eq!(pages_allocated(&n), 0, "reads allocate nothing");
+    }
+
+    #[test]
+    fn zero_writes_allocate_no_page() {
+        let mut n = module();
+        n.write32(CPU_BASE + 0x2000, 0);
+        n.write_bytes(DATA_BUF_BASE, &[0; 64]);
+        assert_eq!(pages_allocated(&n), 0);
+        n.write32(CPU_BASE + 0x2004, 0xDEAD_BEEF);
+        assert_eq!(pages_allocated(&n), 1);
+        // A zero over stored data clears it (the page stays).
+        n.write32(0x2004, 0);
+        assert_eq!(n.read32(CPU_BASE + 0x2004), 0);
+        assert_eq!(pages_allocated(&n), 1);
+    }
+
+    #[test]
+    fn byte_runs_cross_a_page_boundary() {
+        let mut n = module();
+        // 16 bytes straddling the 4 KB boundary at DATA_BUF_BASE + 0x1000.
+        let at = DATA_BUF_BASE + 0x1000 - 8;
+        let bytes: Vec<u8> = (1..=16).collect();
+        n.write_bytes(CPU_BASE + at, &bytes);
+        assert_eq!(pages_allocated(&n), 2);
+        let mut back = [0u8; 16];
+        n.read_bytes(at, &mut back);
+        assert_eq!(back[..], bytes[..], "COMCO view reads the CPU's run");
+        n.read_bytes(CPU_BASE + at, &mut back);
+        assert_eq!(back[..], bytes[..], "CPU view reads it back");
+        assert_eq!(n.read32(at + 8), 0x0C0B_0A09, "first word of the next page");
     }
 
     #[test]

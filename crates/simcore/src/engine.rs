@@ -1,7 +1,7 @@
 //! A deterministic discrete-event engine.
 //!
 //! The engine is generic over the simulated world state `S` so that the
-//! hardware crates stay decoupled: events are boxed closures receiving
+//! hardware crates stay decoupled: events are closures receiving
 //! `(&mut S, &mut Engine<S>)`. Ties at the same instant fire in scheduling
 //! order (a monotone sequence number), which makes every run bit-for-bit
 //! reproducible for a given seed.
@@ -22,8 +22,14 @@
 //!
 //! The queue is one binary heap of `(time, seq, packed ref)` entries,
 //! ordered by `(time, seq)`. Stale references are dropped lazily when they
-//! reach the head. A periodic event keeps its slab slot and closure across
-//! occurrences and is re-armed in place with a fresh sequence number.
+//! reach the head. A periodic event keeps its slab slot and boxed closure
+//! across occurrences and is re-armed in place with a fresh sequence number.
+//!
+//! A one-shot closure is stored **inline** in its slab slot: a
+//! [`INLINE_BYTES`]-byte, 16-aligned buffer plus the closure type's call
+//! and drop functions. A closure that is bigger or more aligned than the
+//! buffer is boxed and the box is stored inline instead, so firing has one
+//! path and most events allocate nothing.
 //!
 //! | operation                             | cost                         |
 //! |---------------------------------------|------------------------------|
@@ -43,6 +49,9 @@ use crate::time::{SimDuration, SimTime};
 use nti_obs::{keys, LocalCounter, LocalHist, Payload, SimObserver, Subsystem, GLOBAL_NODE};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
+use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
+use std::ptr;
 
 /// Handle to a scheduled event, usable for cancellation.
 ///
@@ -55,10 +64,121 @@ pub struct EventId {
     gen: u32,
 }
 
-/// The closure type fired when a one-shot event comes due.
+/// A boxed one-shot event closure. The engine stores one-shot closures
+/// inline and boxes only those that do not fit, but it owns them exactly as
+/// this type would.
 pub type EventFn<S> = Box<dyn FnOnce(&mut S, &mut Engine<S>)>;
 /// The closure type fired on every occurrence of a periodic event.
 pub type PeriodicFn<S> = Box<dyn FnMut(&mut S, &mut Engine<S>)>;
+
+/// Size in bytes of a slab slot's inline closure buffer. One-shot closures
+/// up to this size (and 16-byte alignment) are stored without an
+/// allocation; larger ones are boxed.
+pub const INLINE_BYTES: usize = 48;
+
+/// The inline closure buffer: raw bytes, never read as anything but the
+/// one closure type its [`OnceFn`]'s `call` and `drop` were instantiated
+/// for.
+#[repr(C, align(16))]
+struct InlineBuf([MaybeUninit<u8>; INLINE_BYTES]);
+
+/// Whether a value of type `T` can live in an [`InlineBuf`].
+const fn fits<T>() -> bool {
+    size_of::<T>() <= INLINE_BYTES && align_of::<T>() <= align_of::<InlineBuf>()
+}
+
+/// A pending one-shot closure stored in its slab slot: the closure's bytes
+/// plus its type's two operations. The two function pointers fill what
+/// would otherwise be alignment padding after the buffer, so the value is
+/// 64 bytes, the same as a buffer plus one pointer to a `'static` table
+/// (which would also need `S: 'static`).
+///
+/// Invariant: `buf` holds an initialized value of exactly the closure type
+/// `call` and `drop` were instantiated for, and owns it; [`OnceFn::call`]
+/// or `Drop` consumes it exactly once.
+struct OnceFn<S> {
+    buf: InlineBuf,
+    /// Move the closure out of the buffer and call it.
+    call: unsafe fn(*mut InlineBuf, &mut S, &mut Engine<S>),
+    /// Drop the closure in place without calling it.
+    drop: unsafe fn(*mut InlineBuf),
+    /// The buffer may hold captures of any type (`Rc`s included), so the
+    /// engine must stay `!Send`/`!Sync` exactly as with a boxed closure.
+    _owns: PhantomData<EventFn<S>>,
+}
+
+/// [`OnceFn::call`]'s operation for a buffer holding an `F`.
+///
+/// # Safety
+/// `buf` must hold an initialized `F` that nothing reads or drops again.
+unsafe fn call_inline<S, F: FnOnce(&mut S, &mut Engine<S>)>(
+    buf: *mut InlineBuf,
+    state: &mut S,
+    eng: &mut Engine<S>,
+) {
+    // SAFETY: the caller guarantees `buf` holds an initialized `F` and
+    // gives up ownership of it; `fits::<F>()` was checked when it was
+    // written, so the cast pointer is in bounds and aligned.
+    let f = unsafe { ptr::read(buf.cast::<F>()) };
+    f(state, eng);
+}
+
+/// [`OnceFn`]'s drop operation for a buffer holding an `F`.
+///
+/// # Safety
+/// `buf` must hold an initialized `F` that nothing reads or drops again.
+unsafe fn drop_inline<F>(buf: *mut InlineBuf) {
+    // SAFETY: as for `call_inline`: an initialized, owned, aligned `F`.
+    unsafe { ptr::drop_in_place(buf.cast::<F>()) }
+}
+
+impl<S> OnceFn<S> {
+    /// Store `f` inline, or a box of it when it does not fit.
+    fn new<F: FnOnce(&mut S, &mut Engine<S>) + 'static>(f: F) -> Self {
+        if fits::<F>() {
+            Self::inline(f)
+        } else {
+            Self::inline(Box::new(f))
+        }
+    }
+
+    fn inline<F: FnOnce(&mut S, &mut Engine<S>) + 'static>(f: F) -> Self {
+        // Compile-time constant: `new` boxes whatever does not fit.
+        assert!(fits::<F>(), "closure does not fit the inline buffer");
+        let mut buf = InlineBuf([MaybeUninit::uninit(); INLINE_BYTES]);
+        // SAFETY: `F` fits the buffer's size and alignment (asserted
+        // above), and the buffer is uninitialized, so nothing is
+        // overwritten without a drop.
+        unsafe { ptr::write(buf.0.as_mut_ptr().cast::<F>(), f) };
+        OnceFn {
+            buf,
+            call: call_inline::<S, F>,
+            drop: drop_inline::<F>,
+            _owns: PhantomData,
+        }
+    }
+
+    /// Call the closure, consuming it.
+    fn call(self, state: &mut S, eng: &mut Engine<S>) {
+        // `call_inline` takes the closure over; `Drop` must not run too.
+        let mut this = ManuallyDrop::new(self);
+        // SAFETY: by the type's invariant `buf` holds the initialized
+        // closure `call` was instantiated for; `this` is never dropped, so
+        // the closure is read out exactly once. The buffer lives on this
+        // stack frame, so slab reallocation inside the handler cannot move
+        // it.
+        unsafe { (this.call)(&mut this.buf, state, eng) }
+    }
+}
+
+impl<S> Drop for OnceFn<S> {
+    fn drop(&mut self) {
+        // SAFETY: by the type's invariant `buf` holds the initialized
+        // closure `drop` was instantiated for, and `call` (the only other
+        // consumer) never lets this run.
+        unsafe { (self.drop)(&mut self.buf) }
+    }
+}
 
 /// Slab slot payload. Timing lives in the queue entries, not here — the
 /// slab holds only what firing needs, keeping slots small (the slab is the
@@ -67,7 +187,7 @@ enum Body<S> {
     /// Free slot (member of the free list).
     Vacant,
     /// A pending one-shot event.
-    Once(EventFn<S>),
+    Once(OnceFn<S>),
     /// A pending periodic event; re-armed at `fired + period` after each
     /// occurrence.
     Every {
@@ -131,6 +251,19 @@ impl EngineObs {
 }
 
 /// The event queue plus the simulation clock.
+///
+/// Event closures may capture anything `'static`, `Rc`s included, so an
+/// engine never crosses threads:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<nti_simcore::Engine<()>>();
+/// ```
+///
+/// ```compile_fail
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<nti_simcore::Engine<()>>();
+/// ```
 pub struct Engine<S> {
     now: SimTime,
     seq: u64,
@@ -254,7 +387,7 @@ impl<S> Engine<S> {
             "scheduling into the past: {at:?} < {:?}",
             self.now
         );
-        let (idx, gen) = self.alloc(Body::Once(Box::new(f)));
+        let (idx, gen) = self.alloc(Body::Once(OnceFn::new(f)));
         self.live += 1;
         self.enqueue(at, pack(idx, gen));
         EventId { idx, gen }
@@ -341,7 +474,7 @@ impl<S> Engine<S> {
                 s.gen = s.gen.wrapping_add(1);
                 self.free.push(idx);
                 self.live -= 1;
-                f(state, self);
+                f.call(state, self);
             }
             Body::Every { period, mut f } => {
                 self.slots[idx as usize].body = Body::InFlight;
@@ -714,6 +847,187 @@ mod tests {
         eng.run_until(&mut log, gap_end + SimDuration::from_millis(1));
         assert_eq!(log[1..], (10..20).collect::<Vec<_>>()[..]);
         assert_eq!(eng.events_fired(), 11);
+    }
+
+    /// Counts its drops in a shared cell.
+    struct Tracked(std::rc::Rc<std::cell::Cell<u32>>);
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    /// A capture more aligned than the inline buffer.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    #[repr(align(32))]
+    struct Aligned32([u8; 32]);
+
+    /// One closure shape per storage path: inline (8 bytes), boxed because
+    /// too big (80 bytes), boxed because over-aligned (align 32).
+    fn storage_paths() -> [(&'static str, u64); 3] {
+        [("inline", 0), ("big", 1), ("aligned", 2)]
+    }
+
+    /// Schedule a one-shot of storage path `path` at `at` that captures a
+    /// [`Tracked`] on `drops` and, when it fires, logs `tag` after checking
+    /// its captured payload.
+    fn schedule_tracked(
+        eng: &mut Engine<Vec<u64>>,
+        path: u64,
+        at: SimTime,
+        drops: &std::rc::Rc<std::cell::Cell<u32>>,
+        tag: u64,
+    ) -> EventId {
+        let t = Tracked(drops.clone());
+        match path {
+            0 => eng.schedule_at(at, move |log: &mut Vec<u64>, _| {
+                let _t = &t;
+                log.push(tag);
+            }),
+            1 => {
+                let big = [tag; 9];
+                assert!(size_of::<([u64; 9], Tracked)>() > INLINE_BYTES);
+                eng.schedule_at(at, move |log: &mut Vec<u64>, _| {
+                    let _t = &t;
+                    assert_eq!(big, [tag; 9]);
+                    log.push(tag);
+                })
+            }
+            _ => {
+                let al = Aligned32([tag as u8; 32]);
+                eng.schedule_at(at, move |log: &mut Vec<u64>, _| {
+                    let _t = &t;
+                    assert_eq!(al, Aligned32([tag as u8; 32]));
+                    log.push(tag);
+                })
+            }
+        }
+    }
+
+    #[test]
+    fn inline_closure_fits_one_cache_line() {
+        assert_eq!(size_of::<OnceFn<()>>(), 64);
+        assert!(fits::<(u64, u64, u64, u64, u64, u64)>());
+        assert!(!fits::<[u8; INLINE_BYTES + 1]>());
+        assert!(!fits::<Aligned32>());
+    }
+
+    /// Every storage path drops its captures exactly once whether the
+    /// event fires, is cancelled, is still pending when the engine is
+    /// dropped, or is a periodic event that gets cancelled.
+    #[test]
+    fn captures_drop_exactly_once_on_every_path() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        for (name, path) in storage_paths() {
+            // Fired.
+            let drops = Rc::new(Cell::new(0));
+            let mut eng: Engine<Vec<u64>> = Engine::new();
+            let mut log = Vec::new();
+            schedule_tracked(&mut eng, path, SimTime::from_nanos(1), &drops, 7);
+            assert_eq!(drops.get(), 0, "{name}: dropped before firing");
+            eng.run_until(&mut log, SimTime::from_nanos(2));
+            assert_eq!(
+                (log.as_slice(), drops.get()),
+                (&[7][..], 1),
+                "{name}: fired"
+            );
+
+            // Cancelled (and never fired).
+            let id = schedule_tracked(&mut eng, path, SimTime::from_nanos(3), &drops, 8);
+            eng.cancel(id);
+            assert_eq!(drops.get(), 2, "{name}: cancel drops at once");
+            eng.run_until(&mut log, SimTime::from_nanos(4));
+            assert_eq!((log.len(), drops.get()), (1, 2), "{name}: cancelled");
+
+            // Pending when the engine is dropped.
+            schedule_tracked(&mut eng, path, SimTime::from_nanos(5), &drops, 9);
+            drop(eng);
+            assert_eq!(drops.get(), 3, "{name}: engine drop");
+        }
+
+        // A cancelled periodic (its closure stays boxed).
+        let drops = Rc::new(Cell::new(0));
+        let mut eng: Engine<u32> = Engine::new();
+        let t = Tracked(drops.clone());
+        let id = eng.schedule_every(
+            SimTime::from_millis(1),
+            SimDuration::from_millis(1),
+            move |hits: &mut u32, _| {
+                let _t = &t;
+                *hits += 1;
+            },
+        );
+        let mut hits = 0;
+        eng.run_until(&mut hits, SimTime::from_millis(3));
+        assert_eq!((hits, drops.get()), (3, 0));
+        eng.cancel(id);
+        assert_eq!(drops.get(), 1, "periodic: cancel drops at once");
+        drop(eng);
+        assert_eq!(drops.get(), 1, "periodic: no second drop");
+    }
+
+    /// A handler that panics drops its captures exactly once, during the
+    /// unwind, and the engine dropped afterwards does not drop them again.
+    #[test]
+    fn panicking_handler_drops_captures_once() {
+        use std::cell::Cell;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::rc::Rc;
+        for (name, path) in storage_paths() {
+            let drops = Rc::new(Cell::new(0));
+            let mut eng: Engine<()> = Engine::new();
+            let t = Tracked(drops.clone());
+            let at = SimTime::from_nanos(1);
+            match path {
+                0 => eng.schedule_at(at, move |_, _| {
+                    let _t = &t;
+                    panic!("handler panics");
+                }),
+                1 => {
+                    let big = [0u64; 9];
+                    eng.schedule_at(at, move |_, _| {
+                        let _t = (&t, big);
+                        panic!("handler panics");
+                    })
+                }
+                _ => {
+                    let al = Aligned32([0; 32]);
+                    eng.schedule_at(at, move |_, _| {
+                        let _t = (&t, al);
+                        panic!("handler panics");
+                    })
+                }
+            };
+            let r = catch_unwind(AssertUnwindSafe(|| eng.run_until(&mut (), at)));
+            assert!(r.is_err(), "{name}: the handler's panic propagates");
+            assert_eq!(drops.get(), 1, "{name}: dropped during the unwind");
+            drop(eng);
+            assert_eq!(drops.get(), 1, "{name}: no second drop");
+        }
+    }
+
+    /// A handler may grow the slab (reallocating it) while it runs: its
+    /// closure was moved out of the slot first, so its captures stay
+    /// intact.
+    #[test]
+    fn handler_survives_slab_reallocation() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        let mut log = Vec::new();
+        let payload = [0xA5A5_5A5A_u64; 5];
+        eng.schedule_at(SimTime::from_nanos(1), move |log: &mut Vec<u64>, e| {
+            for i in 0..1_000u64 {
+                e.schedule_after(
+                    SimDuration::from_nanos(i + 1),
+                    move |log: &mut Vec<u64>, _| log.push(i),
+                );
+            }
+            log.push(payload.iter().sum());
+        });
+        eng.run_until(&mut log, SimTime::from_micros(5));
+        assert_eq!(log[0], payload.iter().sum::<u64>());
+        assert_eq!(log[1..], (0..1_000).collect::<Vec<_>>()[..]);
     }
 
     /// Burst-schedule → cancel-all → long quiet → sparse trickle: no

@@ -6,8 +6,12 @@
 //! after its handler runs, and cancel is by id. Random programs of
 //! schedules, cancels and time advances run on both, and the firing logs
 //! and `(now, pending, fired)` trajectories must match bit for bit.
+//! One-shot closures capture payloads of 0, 8, 32 and more than
+//! [`INLINE_BYTES`] bytes, so both of the engine's closure storage paths
+//! (inline and boxed) run in every program.
 
-use nti_simcore::{Engine, SimDuration, SimTime};
+use nti_simcore::engine::INLINE_BYTES;
+use nti_simcore::{Engine, EventId, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Firing log: (label, fire time in fs). The label encodes which schedule
@@ -120,6 +124,16 @@ fn delay_from(a: u64) -> u128 {
     }
 }
 
+/// Schedule a one-shot that captures `[label; N]` and, when it fires,
+/// checks the payload and logs `label`.
+fn schedule_once<const N: usize>(eng: &mut Engine<Log>, at: SimTime, label: u64) -> EventId {
+    let payload = [label; N];
+    eng.schedule_at(at, move |log: &mut Log, e| {
+        assert_eq!(payload, [label; N], "captured payload corrupted");
+        log.push((label, e.now().as_fs()));
+    })
+}
+
 /// Engine and model side by side, driven by one program.
 struct Pair {
     eng: Engine<Log>,
@@ -127,16 +141,18 @@ struct Pair {
     log: Log,
     model_log: Log,
     /// `(engine id, model id)` of every schedule op so far.
-    ids: Vec<(nti_simcore::EventId, usize)>,
+    ids: Vec<(EventId, usize)>,
 }
 
 impl Pair {
     fn once(&mut self, at: u128, label: u64) {
-        let id = self
-            .eng
-            .schedule_at(SimTime::from_fs(at), move |log: &mut Log, e| {
-                log.push((label, e.now().as_fs()));
-            });
+        let (eng, t) = (&mut self.eng, SimTime::from_fs(at));
+        let id = match label % 4 {
+            0 => schedule_once::<0>(eng, t, label),
+            1 => schedule_once::<1>(eng, t, label),
+            2 => schedule_once::<4>(eng, t, label),
+            _ => schedule_once::<{ INLINE_BYTES / 8 + 1 }>(eng, t, label),
+        };
         let mid = self.model.schedule(at, Action::Once(label));
         self.ids.push((id, mid));
     }
