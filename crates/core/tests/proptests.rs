@@ -30,7 +30,7 @@ fn arb_interval() -> impl Strategy<Value = AccInterval> {
         .prop_map(|(off, m, p)| iv(off, m, p))
 }
 
-/// A sync core with the default LAN's parameters, f = 1.
+/// A sync core with LAN-like parameters and f = 1.
 fn sync_core() -> SyncCore {
     let params = SyncParams {
         round_period: SimDuration::from_secs(1),
