@@ -348,6 +348,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn frame(k: u64, n: usize) -> ClusterStatus {
         // Every field is a deterministic function of k, so a reader can
@@ -461,6 +462,30 @@ mod tests {
         assert_eq!(empty.read().age_fs(7), 7);
     }
 
+    /// Frames the readers of a seqlock torture test check before it stops.
+    const CHECKS: u64 = 1_000;
+
+    /// Raise `stop` once the readers have checked at least [`CHECKS`]
+    /// frames (counted in `checked`) and the writer has published more
+    /// than 100. A fixed sleep could stop a reader racing an unpaced
+    /// writer on a loaded host after almost no checks; this waits for the
+    /// progress instead, and fails the test if it takes over 10 s.
+    fn stop_after_progress(cell: &StatusCell, checked: &AtomicU64, stop: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while checked.load(Ordering::Relaxed) < CHECKS || cell.generation() <= 100 {
+            if Instant::now() > deadline {
+                stop.store(true, Ordering::Relaxed);
+                panic!(
+                    "no progress within 10 s: {} checks, {} frames",
+                    checked.load(Ordering::Relaxed),
+                    cell.generation()
+                );
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stop.store(true, Ordering::Relaxed);
+    }
+
     /// Age computation across seqlock retries: a writer publishes frames
     /// whose sim-time stamp advances monotonically while readers compute
     /// ages against a "now" at least as late as any published stamp. Any
@@ -487,9 +512,11 @@ mod tests {
                 k - 1
             })
         };
+        let progress = Arc::new(AtomicU64::new(0));
         let reader = {
             let cell = Arc::clone(&cell);
             let stop = Arc::clone(&stop);
+            let progress = Arc::clone(&progress);
             std::thread::spawn(move || {
                 let mut checked = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -515,12 +542,12 @@ mod tests {
                     let now = frame(g_after + 1, n).sim_time_fs;
                     assert_eq!(f.age_fs(now), now - expect_stamp);
                     checked += 1;
+                    progress.fetch_add(1, Ordering::Relaxed);
                 }
                 checked
             })
         };
-        std::thread::sleep(std::time::Duration::from_millis(80));
-        stop.store(true, Ordering::Relaxed);
+        stop_after_progress(&cell, &progress, &stop);
         let frames = writer.join().expect("writer");
         let checked = reader.join().expect("reader");
         assert!(frames > 100, "writer made progress ({frames})");
@@ -548,10 +575,12 @@ mod tests {
                 k
             })
         };
+        let progress = Arc::new(AtomicU64::new(0));
         let readers: Vec<_> = (0..3)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
+                let progress = Arc::clone(&progress);
                 std::thread::spawn(move || {
                     let mut seen = 0u64;
                     let mut last = 0u64;
@@ -566,13 +595,13 @@ mod tests {
                         let nc = cell.read_node(1).expect("in range");
                         assert_eq!(nc.node, frame(nc.publishes, n).nodes[1]);
                         seen += 1;
+                        progress.fetch_add(1, Ordering::Relaxed);
                     }
                     seen
                 })
             })
             .collect();
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        stop.store(true, Ordering::Relaxed);
+        stop_after_progress(&cell, &progress, &stop);
         let frames = writer.join().expect("writer");
         let mut total = 0;
         for r in readers {

@@ -4,14 +4,31 @@
 //! `2^sub_bucket_bits` values get exact unit buckets; beyond that, each
 //! power-of-two range is split into `2^sub_bucket_bits` equal sub-buckets,
 //! so the relative quantization error is bounded by `2^-sub_bucket_bits`
-//! everywhere. Counts are `AtomicU64`s updated with relaxed ordering —
-//! recording is lock-free and allocation-free, and histograms merge
-//! exactly (bucket-wise addition), which makes per-node / per-shard
-//! instances combinable into cluster-wide distributions. The same merge
-//! lands a single owner's plain-`u64` [`crate::LocalHist`] window.
+//! everywhere. Counts are `AtomicU64`s updated with relaxed ordering, and
+//! histograms merge exactly (bucket-wise addition), which makes per-node /
+//! per-shard instances combinable into cluster-wide distributions. The same
+//! merge lands a single owner's plain-`u64` [`crate::LocalHist`] window.
+//!
+//! Buckets are stored per octave group: bucket `i` lives in group
+//! `i >> sub_bucket_bits`, a block of `2^sub_bucket_bits` counters (group 0
+//! is the exact region, each later group one octave), allocated on the
+//! first non-zero add into it. A latency histogram touches a few of its 59
+//! groups at the default resolution, so it holds ~1.4 KB of group slots
+//! plus 512 B per touched octave instead of 30 KB of mostly-zero buckets.
+//! Each group sits behind a [`OnceLock`]:
+//!
+//! - a record into an untouched octave allocates that octave's group, once;
+//! - a record racing it into the same untouched octave waits for that
+//!   initializer and then adds into the same group, so no count is lost;
+//! - every later record into the group is lock-free and allocation-free.
+//!
+//! Reads ([`Histogram::quantile`], [`Histogram::nonzero_buckets`],
+//! [`Histogram::merge`], [`Histogram::snapshot`]) walk only the allocated
+//! groups and never allocate one.
 
 use crate::quantile::rank_for;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::OnceLock;
 
 /// Default sub-bucket resolution: 2⁶ = 64 sub-buckets per octave, i.e. a
 /// relative quantization error ≤ 1/64 ≈ 1.6 %.
@@ -21,7 +38,10 @@ pub const DEFAULT_SUB_BUCKET_BITS: u32 = 6;
 #[derive(Debug)]
 pub struct Histogram {
     sub_bucket_bits: u32,
-    counts: Box<[AtomicU64]>,
+    /// Group `g` holds buckets `g << sub_bucket_bits` up to
+    /// `(g + 1) << sub_bucket_bits`; it is allocated on its first
+    /// non-zero add.
+    groups: Box<[OnceLock<Box<[AtomicU64]>>]>,
     total: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -37,22 +57,17 @@ impl Histogram {
     /// A histogram with `2^bits` sub-buckets per octave (`1 ≤ bits ≤ 16`).
     pub fn with_sub_bucket_bits(bits: u32) -> Histogram {
         assert!((1..=16).contains(&bits), "sub_bucket_bits out of range");
-        let buckets = Self::bucket_count(bits);
-        let counts = (0..buckets).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        // Linear region: group 0; log region: one group per exponent
+        // bits..=63.
+        let groups = (0..=64 - bits).map(|_| OnceLock::new()).collect();
         Histogram {
             sub_bucket_bits: bits,
-            counts: counts.into_boxed_slice(),
+            groups,
             total: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }
-    }
-
-    fn bucket_count(bits: u32) -> usize {
-        // Linear region: 2^bits buckets; log region: one group of 2^bits
-        // sub-buckets per exponent bits..=63.
-        ((64 - bits) as usize + 1) << bits
     }
 
     /// The relative quantization error bound of this histogram.
@@ -62,7 +77,7 @@ impl Histogram {
 
     /// Number of buckets.
     pub(crate) fn len(&self) -> usize {
-        self.counts.len()
+        self.groups.len() << self.sub_bucket_bits
     }
 
     /// Bucket index for a value.
@@ -74,8 +89,7 @@ impl Histogram {
         }
         let msb = 63 - v.leading_zeros();
         let shift = msb - n;
-        ((((shift + 1) as usize) << n) + ((v >> shift) as usize - (1 << n)))
-            .min(self.counts.len() - 1)
+        ((((shift + 1) as usize) << n) + ((v >> shift) as usize - (1 << n))).min(self.len() - 1)
     }
 
     /// Inclusive upper edge of bucket `i` (the value reported for
@@ -92,7 +106,38 @@ impl Histogram {
         lower + ((1u64 << shift) - 1)
     }
 
-    /// Record one value. Lock-free and allocation-free.
+    /// The counter of bucket `i`, allocating its group if untouched.
+    #[inline]
+    fn bucket(&self, i: usize) -> &AtomicU64 {
+        let n = self.sub_bucket_bits;
+        let group = self.groups[i >> n]
+            .get_or_init(|| (0..1usize << n).map(|_| AtomicU64::new(0)).collect());
+        &group[i & ((1 << n) - 1)]
+    }
+
+    /// `(index, count)` for every non-empty bucket, in index order,
+    /// skipping the groups that were never allocated.
+    fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let n = self.sub_bucket_bits;
+        self.groups
+            .iter()
+            .enumerate()
+            .filter_map(move |(g, group)| Some((g << n, group.get()?)))
+            .flat_map(|(lo, group)| {
+                group
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(j, c)| match c.load(Relaxed) {
+                        0 => None,
+                        c => Some((lo + j, c)),
+                    })
+            })
+    }
+
+    /// Record one value. The first record into an untouched octave
+    /// allocates that octave's group of buckets (a racing record into the
+    /// same octave waits for it); every later record into it is lock-free
+    /// and allocation-free.
     #[inline]
     pub fn record(&self, v: u64) {
         self.record_n(v, 1);
@@ -104,7 +149,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.counts[self.index(v)].fetch_add(n, Relaxed);
+        self.bucket(self.index(v)).fetch_add(n, Relaxed);
         self.total.fetch_add(n, Relaxed);
         self.sum.fetch_add(v.wrapping_mul(n), Relaxed);
         self.min.fetch_min(v, Relaxed);
@@ -157,15 +202,20 @@ impl Histogram {
         let Some(rank) = rank_for(q, total as usize) else {
             return 0;
         };
+        let n = self.sub_bucket_bits;
         let mut cum: u64 = 0;
-        for (i, c) in self.counts.iter().enumerate() {
-            let c = c.load(Relaxed);
-            if c == 0 {
+        for (g, group) in self.groups.iter().enumerate() {
+            let Some(group) = group.get() else {
                 continue;
-            }
-            cum += c;
-            if cum > rank as u64 {
-                return self.bucket_upper(i).clamp(self.min(), self.max());
+            };
+            for (j, c) in group.iter().enumerate() {
+                // Only a non-zero count can carry `cum` past `rank`.
+                cum += c.load(Relaxed);
+                if cum > rank as u64 {
+                    return self
+                        .bucket_upper((g << n) + j)
+                        .clamp(self.min(), self.max());
+                }
             }
         }
         self.max()
@@ -173,14 +223,14 @@ impl Histogram {
 
     /// Merge another histogram into this one (exact bucket-wise addition;
     /// both must share the same resolution). Associative and commutative.
+    /// Walks `other`'s allocated groups only.
     pub fn merge(&self, other: &Histogram) {
         assert_eq!(
             self.sub_bucket_bits, other.sub_bucket_bits,
             "cannot merge histograms of different resolution"
         );
-        self.add_parts(
-            0,
-            other.counts.iter().map(|c| c.load(Relaxed)),
+        self.add_buckets(
+            other.nonzero(),
             other.total.load(Relaxed),
             other.sum.load(Relaxed),
             other.min.load(Relaxed),
@@ -188,9 +238,9 @@ impl Histogram {
         );
     }
 
-    /// The bucket-wise addition behind [`Histogram::merge`]: add `counts`
-    /// to the buckets from index `lo` on, and fold in the aggregates of
-    /// the values they count.
+    /// The bucket-wise addition behind [`crate::LocalHist`]'s flush: add
+    /// `counts` to the buckets from index `lo` on, and fold in the
+    /// aggregates of the values they count.
     pub(crate) fn add_parts(
         &self,
         lo: usize,
@@ -200,9 +250,23 @@ impl Histogram {
         min: u64,
         max: u64,
     ) {
-        for (a, v) in self.counts[lo..].iter().zip(counts) {
-            if v != 0 {
-                a.fetch_add(v, Relaxed);
+        self.add_buckets((lo..).zip(counts), total, sum, min, max);
+    }
+
+    /// Add each `(index, count)` pair to its bucket, allocating a group on
+    /// its first non-zero add, and fold in the aggregates of the values
+    /// they count.
+    fn add_buckets(
+        &self,
+        buckets: impl IntoIterator<Item = (usize, u64)>,
+        total: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+    ) {
+        for (i, c) in buckets {
+            if c != 0 {
+                self.bucket(i).fetch_add(c, Relaxed);
             }
         }
         self.total.fetch_add(total, Relaxed);
@@ -211,7 +275,8 @@ impl Histogram {
         self.max.fetch_max(max, Relaxed);
     }
 
-    /// A deep copy (snapshot) of the current state.
+    /// A deep copy (snapshot) of the current state. It allocates only the
+    /// groups that hold counts.
     pub fn snapshot(&self) -> Histogram {
         let out = Histogram::with_sub_bucket_bits(self.sub_bucket_bits);
         out.merge(self);
@@ -220,13 +285,7 @@ impl Histogram {
 
     /// Iterate `(bucket_upper_edge, count)` for non-empty buckets.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| match c.load(Relaxed) {
-                0 => None,
-                n => Some((self.bucket_upper(i), n)),
-            })
+        self.nonzero().map(|(i, c)| (self.bucket_upper(i), c))
     }
 
     /// Sparse snapshot: `(bucket_upper_edge, count)` pairs for every
@@ -270,6 +329,8 @@ impl Clone for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LocalHist;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn linear_region_is_exact() {
@@ -293,7 +354,7 @@ mod tests {
         while v < u64::MAX / 2 {
             let i = h.index(v);
             assert!(i >= last, "index not monotone at {v}");
-            assert!(i < h.counts.len());
+            assert!(i < h.len());
             last = i;
             v = v.saturating_mul(3) / 2 + 1;
         }
@@ -360,5 +421,216 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
+    }
+
+    /// Every bucket's count, read straight from the group storage (an
+    /// absent group reads as zeros).
+    fn bucket_counts(h: &Histogram) -> Vec<u64> {
+        h.groups
+            .iter()
+            .flat_map(|g| match g.get() {
+                Some(g) => g.iter().map(|c| c.load(Relaxed)).collect(),
+                None => vec![0; 1 << h.sub_bucket_bits],
+            })
+            .collect()
+    }
+
+    fn allocated_groups(h: &Histogram) -> usize {
+        h.groups.iter().filter(|g| g.get().is_some()).count()
+    }
+
+    /// The dense layout the grouped storage replaces: one plain count per
+    /// bucket, indexed by [`Histogram::index`], plus exact aggregates.
+    struct Dense {
+        counts: Vec<u64>,
+        total: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+    }
+
+    impl Dense {
+        fn new(h: &Histogram) -> Dense {
+            Dense {
+                counts: vec![0; h.len()],
+                total: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+            }
+        }
+
+        fn record_n(&mut self, h: &Histogram, v: u64, n: u64) {
+            if n == 0 {
+                return;
+            }
+            self.counts[h.index(v)] += n;
+            self.total += n;
+            self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+
+        fn quantile(&self, h: &Histogram, q: f64) -> u64 {
+            let Some(rank) = rank_for(q, self.total as usize) else {
+                return 0;
+            };
+            let mut cum = 0;
+            for (i, &c) in self.counts.iter().enumerate() {
+                cum += c;
+                if cum > rank as u64 {
+                    return h.bucket_upper(i).clamp(self.min, self.max);
+                }
+            }
+            self.max
+        }
+    }
+
+    /// `h` holds exactly what the dense reference holds, through every
+    /// read: each bucket, the aggregates, the non-empty buckets and the
+    /// quantiles.
+    fn assert_matches(h: &Histogram, d: &Dense, path: &str) {
+        assert_eq!(bucket_counts(h), d.counts, "{path}: buckets");
+        assert_eq!(h.count(), d.total, "{path}: count");
+        assert_eq!(h.sum(), d.sum, "{path}: sum");
+        let min = if d.total == 0 { 0 } else { d.min };
+        assert_eq!((h.min(), h.max()), (min, d.max), "{path}: min/max");
+        let want: Vec<(u64, u64)> = d
+            .counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0)
+            .map(|(i, &c)| (h.bucket_upper(i), c))
+            .collect();
+        assert_eq!(h.sparse(), want, "{path}: nonzero buckets");
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), d.quantile(h, q), "{path}: quantile {q}");
+        }
+        // Only groups holding a count were allocated.
+        let touched = d
+            .counts
+            .chunks(1 << h.sub_bucket_bits)
+            .filter(|g| g.iter().any(|&c| c != 0))
+            .count();
+        assert_eq!(allocated_groups(h), touched, "{path}: allocated groups");
+    }
+
+    /// A value for selector `sel`: the edges of the exact region and of
+    /// the range first, then a random word cut to a random octave.
+    fn pick(bits: u32, sel: u8, word: u64, shift: u32) -> u64 {
+        match sel {
+            0 => 0,
+            1 => (1 << bits) - 1,
+            2 => 1 << bits,
+            3 => u64::MAX,
+            _ => word >> shift,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Grouped storage is the dense layout, bucket for bucket, at every
+        /// resolution and on every way of filling a histogram: `record`,
+        /// `record_n`, `merge` (into an empty and into a filled
+        /// histogram), `snapshot`, `clone`, and `LocalHist` flushes (whose
+        /// 64-bucket window starts mid-group once a group is wider).
+        #[test]
+        fn grouped_storage_equals_dense_reference(
+            bits in 1u32..=10,
+            picks in proptest::collection::vec(
+                (0u8..12, proptest::prelude::any::<u64>(), 0u32..64, 0u64..4),
+                0..160,
+            ),
+            split in 0usize..160,
+            cuts in proptest::collection::vec(0usize..160, 0..4),
+        ) {
+            let values: Vec<(u64, u64)> = picks
+                .iter()
+                .map(|&(sel, word, shift, n)| (pick(bits, sel, word, shift), n))
+                .collect();
+            let split = split.min(values.len());
+            let fresh = || Histogram::with_sub_bucket_bits(bits);
+
+            let records = fresh();
+            let records_n = fresh();
+            let (head, tail) = (fresh(), fresh());
+            let shared = Arc::new(fresh());
+            let mut local = LocalHist::new(Arc::clone(&shared));
+            let mut dense = Dense::new(&records);
+            for (k, &(v, n)) in values.iter().enumerate() {
+                dense.record_n(&records, v, n);
+                records_n.record_n(v, n);
+                if cuts.contains(&k) {
+                    local.flush();
+                }
+                for _ in 0..n {
+                    records.record(v);
+                    local.record(v);
+                }
+                if k < split { &head } else { &tail }.record_n(v, n);
+            }
+            local.flush();
+            assert_matches(&records, &dense, "record");
+            assert_matches(&records_n, &dense, "record_n");
+            assert_matches(&shared, &dense, "LocalHist flushes");
+
+            let merged = fresh();
+            merged.merge(&head);
+            merged.merge(&tail);
+            assert_matches(&merged, &dense, "merge into empty");
+            head.merge(&tail);
+            assert_matches(&head, &dense, "merge into filled");
+            assert_matches(&records_n.snapshot(), &dense, "snapshot");
+            assert_matches(&records_n.clone(), &dense, "clone");
+        }
+    }
+
+    /// Four threads race first touches of the same untouched octaves of
+    /// one fresh histogram: each group is allocated once, and no count is
+    /// lost to a record that lands while another thread initializes it.
+    #[test]
+    fn racing_first_touches_lose_no_count() {
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 50;
+        // One value per group: 0 in the exact region, then 2^s for every
+        // octave s ≥ 6 (59 groups in all).
+        let values: Vec<u64> = std::iter::once(0)
+            .chain((DEFAULT_SUB_BUCKET_BITS..64).map(|s| 1 << s))
+            .collect();
+        for _ in 0..20 {
+            let h = Histogram::new();
+            let start = Barrier::new(THREADS as usize);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..ROUNDS {
+                            for &v in &values {
+                                h.record(v);
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(allocated_groups(&h), h.groups.len());
+            assert_eq!(h.count(), THREADS * ROUNDS * values.len() as u64);
+            let per_bucket: Vec<u64> = h.nonzero_buckets().map(|(_, c)| c).collect();
+            assert_eq!(per_bucket, vec![THREADS * ROUNDS; values.len()]);
+        }
+    }
+
+    #[test]
+    fn reads_allocate_no_group() {
+        let h = Histogram::new();
+        h.record(1_000);
+        let (q, snap) = (h.quantile(0.99), h.snapshot());
+        assert_eq!(q, 1_000);
+        assert_eq!(h.nonzero_buckets().count(), 1);
+        assert_eq!((allocated_groups(&h), allocated_groups(&snap)), (1, 1));
+        let empty = Histogram::new();
+        assert_eq!(empty.quantile(0.5), 0);
+        h.merge(&empty);
+        assert_eq!((allocated_groups(&h), allocated_groups(&empty)), (1, 0));
     }
 }

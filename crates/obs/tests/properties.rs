@@ -1,7 +1,8 @@
 //! Property tests for the observability primitives: histogram merge
 //! algebra, quantile error bounds, the exactness of the single-owner
-//! accumulators, and the cost contracts of a disabled observer and a warm
-//! accumulator (neither allocates).
+//! accumulators, and the cost contracts of a disabled observer, a warm
+//! accumulator and a warm histogram (none allocates) and of a fresh
+//! histogram (its buckets are allocated per touched octave).
 
 use nti_obs::quantile::rank_for;
 use nti_obs::{
@@ -12,7 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// Counting allocator: lets the disabled-path test assert zero allocation.
+/// Counting allocator: lets the cost-contract tests assert how often,
+/// and how much, a path allocates.
 struct CountingAlloc;
 
 thread_local! {
@@ -20,15 +22,22 @@ thread_local! {
     /// runs tests concurrently, and the other tests' allocations must not
     /// count against the zero-allocation checks.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for.
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = ALLOC_BYTES.try_with(|b| b.set(b.get() + layout.size() as u64));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -197,6 +206,64 @@ fn warm_local_hist_records_without_allocating() {
     let after = allocs();
     assert_eq!(after - before, 0, "a warm accumulator must not allocate");
     assert_eq!(shared.count(), 4 * values.len() as u64);
+}
+
+/// A fresh histogram allocates only its table of octave groups: under
+/// 2 KB, where the dense layout allocated and zero-filled all 3,776
+/// buckets (30,208 B) up front.
+#[test]
+fn new_histogram_allocates_under_2_kb() {
+    let before = alloc_bytes();
+    let h = Histogram::new();
+    let bytes = alloc_bytes() - before;
+    assert!(bytes < 2048, "Histogram::new allocated {bytes} B");
+    assert_eq!(h.quantile(0.5), 0);
+}
+
+/// Recording into k distinct octaves allocates exactly k groups of 64
+/// counters, and a further record into one of them allocates nothing:
+/// neither does a warm histogram's `record`, `record_n`, `merge`, a
+/// `LocalHist` flush into touched octaves, nor any read.
+#[test]
+fn records_allocate_one_group_per_touched_octave() {
+    const GROUP_BYTES: u64 = 64 * 8;
+    let h = Histogram::new();
+    // 2^5 is in the exact region (group 0); each 2^s for s ≥ 6 opens the
+    // octave of group s − 5.
+    let octaves: Vec<u64> = (5..64).map(|s| 1u64 << s).collect();
+    for (k, &v) in octaves.iter().enumerate() {
+        let (n0, b0) = (allocs(), alloc_bytes());
+        h.record(v);
+        h.record_n(v + v / 3, 2); // same octave
+        let (n, b) = (allocs() - n0, alloc_bytes() - b0);
+        assert_eq!((n, b), (1, GROUP_BYTES), "octave {k} ({v})");
+    }
+
+    let other = Histogram::new();
+    let shared = Arc::new(Histogram::new());
+    let mut local = LocalHist::new(Arc::clone(&shared));
+    for &v in &octaves {
+        other.record(v + 1);
+        shared.record(v);
+        local.record(v);
+    }
+    local.flush();
+    let before = allocs();
+    for _ in 0..100 {
+        for &v in &octaves {
+            h.record(v + 7);
+            h.record_n(v / 2 + v, 3);
+            local.record(v + 1);
+        }
+        h.merge(&other);
+        local.flush();
+        let _ = (h.quantile(0.99), h.nonzero_buckets().count(), h.mean());
+    }
+    assert_eq!(allocs() - before, 0, "a warm histogram must not allocate");
+    assert_eq!(
+        shared.count(),
+        101 * octaves.len() as u64 + octaves.len() as u64
+    );
 }
 
 /// An accumulator dropped unflushed lands its values, and a clone starts

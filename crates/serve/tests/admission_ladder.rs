@@ -234,6 +234,15 @@ fn asymmetric_flood_does_not_starve_the_sibling_shard() {
         })
     };
 
+    // Let the flood get going first: 25 loopback queries can finish
+    // before the flooder thread is first scheduled, and then the flooded
+    // shard never sees a runt.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while floods_sent.load(Relaxed) < 1_000 {
+        assert!(Instant::now() < deadline, "the flooder never got going");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
     // Meanwhile the sibling shard must keep answering, promptly.
     let client = UdpSocket::bind("[::1]:0").expect("client bind");
     client.connect(quiet).expect("connect");
