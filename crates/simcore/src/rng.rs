@@ -73,20 +73,21 @@ impl SimRng {
     }
 
     /// Uniform integer in `[0, n)`. Panics if `n == 0`.
+    ///
+    /// Lemire's nearly divisionless rejection: the high word of `r · n` is
+    /// unbiased once draws whose low word falls below `2^64 mod n` are
+    /// rejected. That threshold is below `n`, so its division runs only
+    /// when the low word is below `n` (probability `n / 2^64`).
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0)");
-        // Lemire-style rejection to avoid modulo bias.
-        let threshold = n.wrapping_neg() % n;
-        loop {
-            let r = self.next_u64_raw();
-            let (hi, lo) = {
-                let wide = (r as u128) * (n as u128);
-                ((wide >> 64) as u64, wide as u64)
-            };
-            if lo >= threshold {
-                return hi;
+        let mut wide = self.next_u64_raw() as u128 * n as u128;
+        if (wide as u64) < n {
+            let threshold = n.wrapping_neg() % n;
+            while (wide as u64) < threshold {
+                wide = self.next_u64_raw() as u128 * n as u128;
             }
         }
+        (wide >> 64) as u64
     }
 
     /// Uniform integer in `[lo, hi]` inclusive.

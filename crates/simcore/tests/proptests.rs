@@ -7,6 +7,32 @@ use nti_simcore::time::{SimDuration, SimTime, FS_PER_SEC};
 use nti_simcore::NtpTime;
 use proptest::prelude::*;
 
+/// `SimRng::below` with the rejection threshold divided out on every call
+/// (the formula the nearly divisionless form must reproduce).
+fn below_reference(rng: &mut SimRng, n: u64) -> u64 {
+    let threshold = n.wrapping_neg() % n;
+    loop {
+        let wide = rng.next_u64_raw() as u128 * n as u128;
+        if wide as u64 >= threshold {
+            return (wide >> 64) as u64;
+        }
+    }
+}
+
+/// A `below` bound: 1, 2, a power of two, 2^63 + 1 (rejects almost half
+/// of all draws), `u64::MAX`, a small value, or any non-zero value.
+fn below_bound(kind: u8, raw: u64) -> u64 {
+    match kind {
+        0 => 1,
+        1 => 2,
+        2 => 1 << (raw % 64),
+        3 => (1 << 63) + 1,
+        4 => u64::MAX,
+        5 => raw % 1_000 + 1,
+        _ => raw.max(1),
+    }
+}
+
 proptest! {
     /// SimTime -> NtpTime -> fs roundtrip loses at most 2 fs to truncation.
     #[test]
@@ -88,6 +114,26 @@ proptest! {
         prop_assert_eq!(o.ticks_at(t), n + 1);
         if n > 0 {
             prop_assert!(o.time_of_tick(n - 1) < t);
+        }
+    }
+
+    /// The nearly divisionless `below` returns what the per-call-division
+    /// formula returns and consumes the same draws: after every call the
+    /// next raw draws agree, and since SplitMix64's output mix is a
+    /// bijection of the state, so do the states.
+    #[test]
+    fn below_matches_per_call_division(
+        seed in any::<u64>(),
+        calls in proptest::collection::vec((0u8..7, any::<u64>()), 1..64),
+    ) {
+        let mut fast = SimRng::new(seed);
+        let mut reference = SimRng::new(seed);
+        for (kind, raw) in calls {
+            let n = below_bound(kind, raw);
+            let got = fast.below(n);
+            prop_assert_eq!(got, below_reference(&mut reference, n), "n = {}", n);
+            prop_assert!(got < n, "below({}) = {}", n, got);
+            prop_assert_eq!(fast.clone().next_u64_raw(), reference.clone().next_u64_raw());
         }
     }
 
