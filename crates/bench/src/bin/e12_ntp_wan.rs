@@ -18,13 +18,15 @@ use nti_core::ntp_sync::NtpClient;
 use nti_core::CongestionPolicy;
 use nti_netsim::wan::{Direction, WanConfig, WanPath};
 use nti_netsim::Topology;
+use nti_obs::quantile::percentile_sorted;
 use nti_obs::{MetricKey, SimObserver};
 use nti_simcore::ntp::NtpTime;
-use nti_simcore::{SimDuration, SimRng, SimTime, Summary};
+use nti_simcore::{SimDuration, SimRng, SimTime};
 
 /// Simulate `hours` of a client polling across `cfg`; returns the UTC
-/// deviation summary (seconds, absolute values sampled at every poll).
-fn run(cfg: WanConfig, seed: u64, sim: SimDuration) -> (Summary, f64) {
+/// deviations (seconds, absolute values sampled at every poll, in poll
+/// order) and their maximum.
+fn run(cfg: WanConfig, seed: u64, sim: SimDuration) -> (Vec<f64>, f64) {
     let mut path = WanPath::new(cfg, SimRng::new(seed));
     let mut client = NtpClient::new();
     let mut rng = SimRng::new(seed ^ 0xD15C);
@@ -33,7 +35,7 @@ fn run(cfg: WanConfig, seed: u64, sim: SimDuration) -> (Summary, f64) {
     let drift = rng.uniform(-50e-6, 50e-6); // a typical PC crystal
     let poll_every = SimDuration::from_secs(64);
     let mut now = SimTime::ZERO;
-    let mut dev = Summary::new();
+    let mut dev = Vec::new();
     let mut worst: f64 = 0.0;
     let end = SimTime::ZERO + sim;
     while now < end {
@@ -55,7 +57,7 @@ fn run(cfg: WanConfig, seed: u64, sim: SimDuration) -> (Summary, f64) {
             // client clock, i.e. increases offset = client − UTC.
             offset += corr as f64 / (1u128 << 59) as f64;
         }
-        dev.add(offset.abs());
+        dev.push(offset.abs());
         worst = worst.max(offset.abs());
     }
     (dev, worst)
@@ -80,13 +82,16 @@ fn main() {
     let mut reasonable_max = 0.0;
     for (case, (name, cfg)) in cases.into_iter().enumerate() {
         let (mut dev, worst) = run(cfg, 0xE12, sim);
+        let mean = dev.iter().sum::<f64>() / dev.len() as f64;
+        dev.sort_by(f64::total_cmp);
+        let p99 = percentile_sorted(&dev, 99.0);
         // Headline deviation per path condition, keyed by the case index
         // as the metric "node" so --obs-summary lists one row per path.
         if let Some(g) = obs.gauge(MetricKey::node(case as u32, "app", "ntp_dev_max_ns")) {
             g.set((worst * 1e9) as i64);
         }
         if let Some(g) = obs.gauge(MetricKey::node(case as u32, "app", "ntp_dev_p99_ns")) {
-            g.set((dev.percentile(99.0) * 1e9) as i64);
+            g.set((p99 * 1e9) as i64);
         }
         if name.starts_with("reasonable") {
             reasonable_max = worst;
@@ -101,8 +106,8 @@ fn main() {
         println!(
             "{:<26} {:>12} {:>12} {:>12} {:>12}",
             name,
-            eng(dev.mean()),
-            eng(dev.percentile(99.0)),
+            eng(mean),
+            eng(p99),
             eng(worst),
             decade
         );

@@ -5,21 +5,22 @@
 //! Measures the stamp-pair delay distribution for the three timestamping
 //! placements of §3.1, on an idle and on a loaded segment, two-node
 //! MVME-162-like setup. Also includes the CAN-style on-chip-storage COMCO
-//! the paper calls "definitely inappropriate".
+//! the paper calls "definitely inappropriate". The closing figure is the
+//! NTI idle case's `cluster/eps_delay_ns` registry histogram.
 
 use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{eng, header, record, record_precision, secs, with_duration};
 use nti_core::cluster::{BgLoad, Cluster, ClusterConfig};
 use nti_core::params::TimestampMode;
 use nti_netsim::ComcoTiming;
-use nti_obs::SimObserver;
+use nti_obs::{MetricKey, SimObserver};
 
 fn run(
     mode: TimestampMode,
     loaded: bool,
     comco: ComcoTiming,
     obs: &SimObserver,
-) -> (nti_core::cluster::Report, nti_core::cluster::Metrics) {
+) -> nti_core::cluster::Report {
     let mut cfg = with_duration(ClusterConfig::default_lan(2, 0xE1), secs(60, 10));
     cfg.mode = mode;
     cfg.f = 0;
@@ -32,7 +33,7 @@ fn run(
             frame_bytes: 600,
         });
     }
-    Cluster::new(cfg).finish()
+    Cluster::new(cfg).run()
 }
 
 fn main() {
@@ -90,9 +91,8 @@ fn main() {
         ),
     ];
     let mut hw_idle = f64::NAN;
-    let mut hw_hist: Option<nti_simcore::Histogram> = None;
     for (name, mode, loaded, comco) in cases {
-        let (r, metrics) = run(mode, loaded, comco, &obs);
+        let r = run(mode, loaded, comco, &obs);
         record(
             "e1_epsilon",
             &format!("{name}/{}", if loaded { "busy" } else { "idle" }),
@@ -104,14 +104,6 @@ fn main() {
             // BENCH_precision.json trajectory (with per-hop p99s when
             // observability was requested).
             record_precision("e1_epsilon", "NTI triggers/idle", &r, &obs);
-            // Figure: the ε distribution around its minimum (the variable
-            // part of the stamp-pair delay).
-            let min = metrics.eps_delay.min();
-            let mut h = nti_simcore::Histogram::log(10e-9, 10e-6, 18);
-            for &d in metrics.eps_delay.samples() {
-                h.add(d - min + 10e-9);
-            }
-            hw_hist = Some(h);
         }
         println!(
             "{:<26} {:>6} {:>14} {:>14} {:>10}",
@@ -122,10 +114,22 @@ fn main() {
             r.eps_samples
         );
     }
-    if let Some(h) = hw_hist {
-        println!();
-        println!("NTI idle: distribution of the stamp-pair delay above its minimum:");
-        print!("{}", h.render("s", 1e-6).replace('s', "us"));
+    // Figure: the NTI idle case once more, metrics on, so that its
+    // registry histogram holds this case's stamp-pair delays alone.
+    let fig = SimObserver::enabled();
+    run(TimestampMode::Hardware, false, ComcoTiming::i82596(), &fig);
+    let eps = fig
+        .hist(MetricKey::global("cluster", "eps_delay_ns"))
+        .expect("metrics on");
+    println!();
+    println!(
+        "NTI idle: stamp-pair delay histogram (buckets up to {:.1} % of the delay wide):",
+        eps.relative_error() * 100.0
+    );
+    let peak = eps.nonzero_buckets().map(|(_, c)| c).max().unwrap_or(1);
+    for (upper, c) in eps.nonzero_buckets() {
+        let bar = "#".repeat((c * 50 / peak) as usize);
+        println!("  <= {:>9.3}us {c:>8} {bar}", upper as f64 / 1e3);
     }
     println!();
     println!(

@@ -132,9 +132,6 @@ pub(super) fn csp_send(
             },
         );
         world.metrics.csps_sent += 1;
-        if let Some(o) = &world.obs {
-            o.csps_sent.inc();
-        }
         let slot = world.nodes[id].tx_slot % world.nodes[id].nti.tx_header_count();
         world.nodes[id].tx_slot = world.nodes[id].tx_slot.wrapping_add(1);
         for acc in &plan.header_reads {
@@ -639,12 +636,6 @@ fn count_drop(world: &mut World, now: SimTime, q: usize, cause: DropCause) {
         DropCause::Injected => world.metrics.csps_dropped_injected += 1,
     }
     if let Some(o) = &world.obs {
-        o.csps_dropped.inc();
-        match cause {
-            DropCause::Crc => o.csps_dropped_crc.inc(),
-            DropCause::Overrun => o.csps_dropped_overrun.inc(),
-            DropCause::Injected => o.csps_dropped_injected.inc(),
-        }
         o.obs
             .instant(now.as_fs(), q as u32, Subsystem::Cluster, "csp_dropped");
     }
@@ -696,7 +687,6 @@ fn process_csp(
     }
     world.metrics.csps_delivered += 1;
     if let Some(o) = &mut world.obs {
-        o.csps_delivered.inc();
         if span.is_some() {
             // Terminal hop: the CSP entered the algorithm's inbox.
             o.hop(HOP_ACCEPT, eng.now().as_fs(), 0, q as u32, span);

@@ -42,8 +42,8 @@ use nti_kernel::{ComcoDriver, Interface, Kernel, KernelConfig};
 use nti_module::{CpldConfig, Nti, UTCSU_BASE};
 use nti_netsim::{Comco, ComcoTiming, Frame, Medium, MediumConfig, Topology};
 use nti_obs::{
-    fs_to_ns, Counter, Gauge, Histogram, LocalCounter, LocalHist, MetricKey, MonitorConfig,
-    Monitors, SimObserver, SpanId, Subsystem, GLOBAL_NODE,
+    fs_to_ns, Counter, Gauge, Histogram, LocalHist, MetricKey, MonitorConfig, Monitors,
+    SimObserver, SpanId, Subsystem, GLOBAL_NODE,
 };
 use nti_simcore::ntp::{NtpTime, FRAC_BITS, NTP_FRAC_BITS};
 use nti_simcore::time::{SimDuration, SimTime};
@@ -66,7 +66,7 @@ use lifecycle::{
     apply_lan_faults, boot_offset, churn_event, crash_node, fault_boundary, note_health_edge,
     restart_node,
 };
-use report::finalize;
+use report::{finalize, CSP_COUNT_NAMES};
 pub use report::{Metrics, RejoinTrajectory, Report, REJOIN_TRACK_ROUNDS};
 use round::{arm_round_timers, arm_timer, gps_second, schedule_utcsu_service};
 use snapshot::{actuation_fired, app_event, ref_time, snapshot};
@@ -395,10 +395,11 @@ const HOP_ISR_DISPATCH: usize = 6;
 const HOP_ACCEPT: usize = 7;
 
 /// Pre-resolved cluster-level observability handles (metrics under the
-/// `cluster` subsystem, global scope unless noted). The metrics recorded
-/// per CSP reception (`eps_delay_ns`, `csps_delivered`, the hop
-/// histograms) are local accumulators, flushed by [`World::flush_obs`]
-/// and on drop; the rest are written directly.
+/// `cluster` subsystem, global scope unless noted). The histograms
+/// recorded per CSP reception (`eps_delay_ns`, the hop histograms) are
+/// local accumulators, flushed by [`World::flush_obs`] and on drop. The
+/// CSP counts are kept in [`Metrics`] alone; `flush_obs` publishes what
+/// they gained since the last flush. The rest are written directly.
 struct ClusterObs {
     obs: SimObserver,
     /// Per-snapshot worst pairwise clock difference (ns).
@@ -411,12 +412,10 @@ struct ClusterObs {
     eps_delay_ns: LocalHist,
     /// Per-round convergence-input offset spread (ns).
     cf_input_spread_ns: Arc<Histogram>,
-    csps_sent: Arc<Counter>,
-    csps_delivered: LocalCounter,
-    csps_dropped: Arc<Counter>,
-    csps_dropped_crc: Arc<Counter>,
-    csps_dropped_overrun: Arc<Counter>,
-    csps_dropped_injected: Arc<Counter>,
+    /// `cluster/<name>` for each of [`CSP_COUNT_NAMES`], index-aligned.
+    csp_counters: [Arc<Counter>; CSP_COUNT_NAMES.len()],
+    /// The [`Metrics::csp_counts`] the last flush published.
+    csp_published: [u64; CSP_COUNT_NAMES.len()],
     /// Per-hop latency decomposition of the CSP causal chain, one
     /// histogram per [`SPAN_HOPS`] entry.
     hop_ns: [LocalHist; SPAN_HOPS.len()],
@@ -458,11 +457,20 @@ impl ClusterObs {
         self.hop_ns[idx].record(fs_to_ns(dur_fs));
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self, metrics: &Metrics) {
         self.eps_delay_ns.flush();
-        self.csps_delivered.flush();
         for h in &mut self.hop_ns {
             h.flush();
+        }
+        let counts = metrics.csp_counts();
+        for ((counter, published), now) in self
+            .csp_counters
+            .iter()
+            .zip(&mut self.csp_published)
+            .zip(counts)
+        {
+            counter.add(now - *published);
+            *published = now;
         }
     }
 }
@@ -547,10 +555,11 @@ impl World {
     }
 
     /// Flush every per-reception local accumulator (the cluster's, and
-    /// each node's kernel and UTCSU) into the observer's registry.
+    /// each node's kernel and UTCSU) into the observer's registry, and
+    /// publish the CSP counts gained since the last flush.
     fn flush_obs(&mut self) {
         if let Some(o) = &mut self.obs {
-            o.flush();
+            o.flush(&self.metrics);
         }
         for node in &mut self.nodes {
             node.kernel.flush_obs();
@@ -737,14 +746,8 @@ impl Cluster {
                 alpha_ns: obs.hist(key("alpha_ns")).expect("enabled"),
                 eps_delay_ns: LocalHist::new(obs.hist(key("eps_delay_ns")).expect("enabled")),
                 cf_input_spread_ns: obs.hist(key("cf_input_spread_ns")).expect("enabled"),
-                csps_sent: obs.counter(key("csps_sent")).expect("enabled"),
-                csps_delivered: LocalCounter::new(
-                    obs.counter(key("csps_delivered")).expect("enabled"),
-                ),
-                csps_dropped: obs.counter(key("csps_dropped")).expect("enabled"),
-                csps_dropped_crc: obs.counter(key("csps_dropped_crc")).expect("enabled"),
-                csps_dropped_overrun: obs.counter(key("csps_dropped_overrun")).expect("enabled"),
-                csps_dropped_injected: obs.counter(key("csps_dropped_injected")).expect("enabled"),
+                csp_counters: CSP_COUNT_NAMES.map(|nm| obs.counter(key(nm)).expect("enabled")),
+                csp_published: [0; CSP_COUNT_NAMES.len()],
                 hop_ns: HOP_HIST_NAMES.map(|nm| {
                     LocalHist::new(obs.hist(MetricKey::global("span", nm)).expect("enabled"))
                 }),

@@ -2,7 +2,10 @@
 
 use super::*;
 
-/// Run-wide measurement accumulators.
+/// Run-wide measurement accumulators. The summaries keep no samples, so
+/// these hold the same memory however long the run. The CSP counts are
+/// their only store: `World::flush_obs` publishes them into the
+/// observer's `cluster/csps_*` counters.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Per-snapshot maximum pairwise clock difference (s).
@@ -58,6 +61,31 @@ pub struct Metrics {
     pub gps_accepted: u64,
     /// Rejected external intervals.
     pub gps_rejected: u64,
+}
+
+/// Registry names of [`Metrics::csp_counts`], index-aligned: each is
+/// published as the `cluster/<name>` counter.
+pub(super) const CSP_COUNT_NAMES: [&str; 6] = [
+    "csps_sent",
+    "csps_delivered",
+    "csps_dropped",
+    "csps_dropped_crc",
+    "csps_dropped_overrun",
+    "csps_dropped_injected",
+];
+
+impl Metrics {
+    /// The CSP counts, index-aligned with [`CSP_COUNT_NAMES`].
+    pub(super) fn csp_counts(&self) -> [u64; CSP_COUNT_NAMES.len()] {
+        [
+            self.csps_sent,
+            self.csps_delivered,
+            self.csps_dropped,
+            self.csps_dropped_crc,
+            self.csps_dropped_overrun,
+            self.csps_dropped_injected,
+        ]
+    }
 }
 
 /// One restarted node's post-rejoin α recovery trajectory.

@@ -1,7 +1,7 @@
 //! The workspace's single quantile implementation.
 //!
-//! Every consumer of percentiles — `nti_simcore::stats::Summary` over raw
-//! `f64` samples, [`crate::hist::Histogram`] over bucketed counts, and the
+//! Every consumer of percentiles — an experiment's own sorted `f64`
+//! samples, [`crate::hist::Histogram`] over bucketed counts, and the
 //! experiment harness tables — resolves ranks through [`rank_for`], so the
 //! convention (nearest-rank over `n` ordered observations) is defined in
 //! exactly one place.
@@ -21,7 +21,7 @@ pub fn rank_for(q: f64, n: usize) -> Option<usize> {
 }
 
 /// The `p`-th percentile (`0 ≤ p ≤ 100`) of an ascending-sorted slice;
-/// `0.0` for an empty slice (matching the pre-existing `Summary` contract).
+/// `0.0` for an empty slice.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     match rank_for(p / 100.0, sorted.len()) {
         Some(i) => sorted[i],

@@ -18,8 +18,8 @@
 //!   distributions the hardware models need (uniform, normal, exponential).
 //! * [`osc`] — quartz oscillator models (constant drift, bounded random walk,
 //!   temperature-induced sinusoidal drift) with exact tick ↔ time mapping.
-//! * [`stats`] — summary statistics and histograms for the experiment
-//!   harness.
+//! * [`stats`] — constant-memory running statistics (count, mean,
+//!   standard deviation, min, max) for the experiment harness.
 
 pub mod engine;
 pub mod ntp;
@@ -32,5 +32,5 @@ pub use engine::{Engine, EventId};
 pub use ntp::{Accuracy, Macrostamp, NtpTime, Timestamp};
 pub use osc::{DriftExcursion, DriftModel, Oscillator};
 pub use rng::SimRng;
-pub use stats::{Histogram, Summary};
+pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
