@@ -228,7 +228,7 @@ mod tests {
 
     /// A first sample 1e3 spreads away from the rest: summing squares of
     /// the shifted samples and subtracting the squared mean would cancel
-    /// all but ~6 of the digits (1e-11 relative at 1e5 samples).
+    /// digits (~1e-11 relative at 1e4 samples).
     #[test]
     fn std_dev_survives_a_far_first_sample() {
         const SPREAD: f64 = 1e-8;
