@@ -9,48 +9,91 @@
 //! landing in the 1 µs range.
 //!
 //! `--obs-gate` instead runs the CI gate on the simulator's metrics cost:
-//! [`OBS_GATE_PAIRS`] pairs of `default_lan(16)` runs over 300 sim-s,
-//! unobserved then with `SimObserver::enabled()`, failing when the median
-//! observed/unobserved wall ratio exceeds [`OBS_GATE_MAX_RATIO`] or an
-//! observed run reports differently.
+//! [`OBS_GATE_PAIRS`] pairs of `default_lan(16)` clusters over 300 sim-s,
+//! one unobserved and one with `SimObserver::enabled()`, advanced in
+//! lockstep chunks, failing when the median observed/unobserved wall
+//! ratio exceeds [`OBS_GATE_MAX_RATIO`] or an observed cluster reports
+//! differently.
 
 use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{append_bench, eng, header, record, record_precision, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig, DriftSpec, GpsNodeCfg};
 use nti_gps::GpsConfig;
 use nti_obs::{Json, SimObserver};
-use nti_simcore::SimDuration;
+use nti_simcore::{SimDuration, SimTime};
 use std::time::Instant;
 
-/// Unobserved/observed run pairs the obs gate times.
+/// Unobserved/observed cluster pairs the obs gate times.
 const OBS_GATE_PAIRS: usize = 7;
 
 /// The largest median observed/unobserved wall ratio the obs gate passes.
 const OBS_GATE_MAX_RATIO: f64 = 1.25;
 
-/// `--obs-gate`: time [`OBS_GATE_PAIRS`] alternating unobserved and
-/// metrics-on runs of `default_lan(16)` (300 sim-s, 100 s warm-up), print
-/// each pair, append the median ratio to `BENCH_obs.json`, and exit
-/// non-zero when it exceeds [`OBS_GATE_MAX_RATIO`] or the observed run's
-/// report differs from the unobserved one's.
+/// Simulated seconds each gate cluster runs.
+const OBS_GATE_SIM_S: u64 = 300;
+
+/// Simulated seconds of one lockstep chunk (~10 ms of wall time here).
+const OBS_GATE_CHUNK_S: u64 = 10;
+
+/// A gate cluster: `default_lan(16)` over [`OBS_GATE_SIM_S`] (100 s
+/// warm-up), unobserved or with metrics on.
+fn gate_config(metrics: bool) -> ClusterConfig {
+    let mut cfg = ClusterConfig::default_lan(16, 0xE9);
+    cfg.duration = SimDuration::from_secs(OBS_GATE_SIM_S);
+    cfg.warmup = SimDuration::from_secs(100);
+    if metrics {
+        cfg.obs = SimObserver::enabled();
+    }
+    cfg
+}
+
+/// Run `step`, adding its wall seconds to `acc`.
+fn timed<T>(acc: &mut f64, step: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = step();
+    *acc += t0.elapsed().as_secs_f64();
+    out
+}
+
+/// One lockstep pair of gate clusters, `[unobserved, metrics on]`: both
+/// are built in this process and advanced by the same
+/// [`OBS_GATE_CHUNK_S`] chunk in turn, the first side alternating from
+/// chunk to chunk, so host drift lands on both sides alike. Returns each
+/// side's summed wall seconds (build, chunks and finish) and report.
+fn lockstep_pair() -> ([f64; 2], [String; 2]) {
+    let mut wall = [0.0f64; 2];
+    let mut clusters =
+        [0, 1].map(|side| timed(&mut wall[side], || Cluster::new(gate_config(side == 1))));
+    for chunk in 0..OBS_GATE_SIM_S / OBS_GATE_CHUNK_S {
+        let until = SimTime::from_secs((chunk + 1) * OBS_GATE_CHUNK_S);
+        let order = if chunk % 2 == 0 { [0, 1] } else { [1, 0] };
+        for side in order {
+            timed(&mut wall[side], || clusters[side].advance_until(until));
+        }
+    }
+    let [off, on] = clusters;
+    let reports = [
+        timed(&mut wall[0], || off.run()),
+        timed(&mut wall[1], || on.run()),
+    ];
+    (wall, reports.map(|rep| rep.to_json().to_string()))
+}
+
+/// `--obs-gate`: time [`OBS_GATE_PAIRS`] lockstep pairs (see
+/// [`lockstep_pair`]) of `default_lan(16)` (300 sim-s, 100 s warm-up),
+/// print each pair, append the ratios and their median to
+/// `BENCH_obs.json`, and exit non-zero when the median exceeds
+/// [`OBS_GATE_MAX_RATIO`] or an observed cluster's report differs from
+/// its unobserved twin's.
 fn obs_gate() -> ! {
-    let run = |obs: SimObserver| {
-        let mut cfg = ClusterConfig::default_lan(16, 0xE9);
-        cfg.duration = SimDuration::from_secs(300);
-        cfg.warmup = SimDuration::from_secs(100);
-        cfg.obs = obs;
-        let t0 = Instant::now();
-        let rep = Cluster::new(cfg).run();
-        (t0.elapsed().as_secs_f64(), rep.to_json().to_string())
-    };
-    println!("E9 obs gate: default_lan(16), 300 sim-s, unobserved vs metrics on");
+    println!(
+        "E9 obs gate: default_lan(16), {OBS_GATE_SIM_S} sim-s, unobserved and metrics-on \
+         clusters in lockstep {OBS_GATE_CHUNK_S}-sim-s chunks"
+    );
     let mut ratios = Vec::with_capacity(OBS_GATE_PAIRS);
     let mut same_reports = true;
     for pair in 1..=OBS_GATE_PAIRS {
-        // Unobserved first: any cross-run warm-up favours the observed
-        // run, so the ordering cannot manufacture a pass.
-        let (off_s, off_rep) = run(SimObserver::disabled());
-        let (on_s, on_rep) = run(SimObserver::enabled());
+        let ([off_s, on_s], [off_rep, on_rep]) = lockstep_pair();
         same_reports &= off_rep == on_rep;
         let ratio = on_s / off_s;
         println!(
@@ -66,11 +109,12 @@ fn obs_gate() -> ! {
     let pass = median <= OBS_GATE_MAX_RATIO && same_reports;
     append_bench(
         "BENCH_obs.json",
-        "alternate runs: off, metrics",
+        "lockstep chunks: off, metrics",
         &Json::obj([
             ("experiment", Json::str("e9_obs_gate")),
             ("nodes", Json::num(16.0)),
-            ("sim_s", Json::num(300.0)),
+            ("sim_s", Json::num(OBS_GATE_SIM_S as f64)),
+            ("chunk_sim_s", Json::num(OBS_GATE_CHUNK_S as f64)),
             (
                 "ratios",
                 Json::Arr(ratios.iter().map(|&r| Json::num(r)).collect()),

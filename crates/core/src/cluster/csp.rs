@@ -510,14 +510,21 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
         count_drop(world, now, q, DropCause::Crc);
         return;
     }
-    let isr = world.nodes[q].kernel.isr_entry() + world.nodes[q].kernel.isr_body();
-    let dispatch = world.nodes[q].kernel.task_dispatch();
-    let at = now + isr + dispatch;
-    // Packet-interrupt hop (latch end → interrupt assertion), then the
-    // ISR + dispatch hop the kernel emits; `chain` is what the sync
-    // task's accept span parents on.
+    let kernel = &mut world.nodes[q].kernel;
+    let (entry, body, dispatch) = (
+        kernel.isr_entry(),
+        kernel.isr_body(),
+        kernel.task_dispatch(),
+    );
+    let at = now + entry + body + dispatch;
+    // The kernel's draws, then the packet-interrupt hop (latch end →
+    // interrupt assertion) and the ISR + dispatch hop the kernel emits;
+    // `chain` is what the sync task's accept span parents on.
     let mut chain = SpanId::NONE;
     if let Some(o) = &mut world.obs {
+        o.isr_entry_ns.record(fs_to_ns(entry.as_fs()));
+        o.isr_body_ns.record(fs_to_ns(body.as_fs()));
+        o.dispatch_ns.record(fs_to_ns(dispatch.as_fs()));
         if let Some((ls, lt)) = rx.and_then(|r| r.head) {
             let ispan = o.hop(
                 HOP_INTERRUPT,
@@ -641,12 +648,17 @@ fn count_drop(world: &mut World, now: SimTime, q: usize, cause: DropCause) {
     }
 }
 
+/// One ε sample after warm-up: the stamp-pair delay into the run
+/// statistics, and its excess over the static bound `delay_min` into the
+/// registry, where the sub-µs excess falls into buckets a few ns wide (the
+/// whole ~68 µs delay would land in 1,024-ns buckets).
 fn record_eps(world: &mut World, now: SimTime, recv_real: SimTime, xmit_real: SimTime) {
     if now.as_fs() >= world.cfg.warmup.as_fs() {
-        let d = recv_real.saturating_since(xmit_real).as_secs_f64();
-        world.metrics.eps_delay.add(d);
+        let delay = recv_real.saturating_since(xmit_real);
+        world.metrics.eps_delay.add(delay.as_secs_f64());
         if let Some(o) = &mut world.obs {
-            o.eps_delay_ns.record((d * 1e9) as u64);
+            let excess = delay.saturating_sub(world.params.delay_min);
+            o.eps_excess_ns.record(fs_to_ns(excess.as_fs()));
         }
     }
 }

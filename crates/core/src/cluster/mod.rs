@@ -396,10 +396,11 @@ const HOP_ACCEPT: usize = 7;
 
 /// Pre-resolved cluster-level observability handles (metrics under the
 /// `cluster` subsystem, global scope unless noted). The histograms
-/// recorded per CSP reception (`eps_delay_ns`, the hop histograms) are
-/// local accumulators, flushed by [`World::flush_obs`] and on drop. The
-/// CSP counts are kept in [`Metrics`] alone; `flush_obs` publishes what
-/// they gained since the last flush. The rest are written directly.
+/// recorded per CSP reception (`eps_excess_ns`, the hop histograms, the
+/// kernel's reception latencies) are local accumulators, flushed by
+/// [`World::flush_obs`] and on drop. The CSP counts are kept in
+/// [`Metrics`] alone; `flush_obs` publishes what they gained since the
+/// last flush. The rest are written directly.
 struct ClusterObs {
     obs: SimObserver,
     /// Per-snapshot worst pairwise clock difference (ns).
@@ -408,8 +409,8 @@ struct ClusterObs {
     true_error_ns: Arc<Histogram>,
     /// Per-snapshot per-node max(α⁻, α⁺) (ns).
     alpha_ns: Arc<Histogram>,
-    /// Stamp-pair delays (ns).
-    eps_delay_ns: LocalHist,
+    /// Stamp-pair delays above the static bound `delay_min` (ns).
+    eps_excess_ns: LocalHist,
     /// Per-round convergence-input offset spread (ns).
     cf_input_spread_ns: Arc<Histogram>,
     /// `cluster/<name>` for each of [`CSP_COUNT_NAMES`], index-aligned.
@@ -419,6 +420,14 @@ struct ClusterObs {
     /// Per-hop latency decomposition of the CSP causal chain, one
     /// histogram per [`SPAN_HOPS`] entry.
     hop_ns: [LocalHist; SPAN_HOPS.len()],
+    /// `kernel/isr_entry_ns`, `kernel/isr_body_ns`, `kernel/dispatch_ns`:
+    /// the latencies every node's kernel draws per reception. All nodes
+    /// draw from the one `cfg.kernel`, so one histogram each holds them.
+    isr_entry_ns: LocalHist,
+    isr_body_ns: LocalHist,
+    dispatch_ns: LocalHist,
+    /// `kernel/csp_assembly_ns`: the assembly latency drawn per CSP sent.
+    csp_assembly_ns: Arc<Histogram>,
     /// `membership/enter_<state>` — transitions into each health state,
     /// index-aligned with [`HEALTH_STATES`].
     enter_state: [Arc<Counter>; HEALTH_STATES.len()],
@@ -458,10 +467,13 @@ impl ClusterObs {
     }
 
     fn flush(&mut self, metrics: &Metrics) {
-        self.eps_delay_ns.flush();
+        self.eps_excess_ns.flush();
         for h in &mut self.hop_ns {
             h.flush();
         }
+        self.isr_entry_ns.flush();
+        self.isr_body_ns.flush();
+        self.dispatch_ns.flush();
         let counts = metrics.csp_counts();
         for ((counter, published), now) in self
             .csp_counters
@@ -555,14 +567,13 @@ impl World {
     }
 
     /// Flush every per-reception local accumulator (the cluster's, and
-    /// each node's kernel and UTCSU) into the observer's registry, and
-    /// publish the CSP counts gained since the last flush.
+    /// each node's UTCSU) into the observer's registry, and publish the
+    /// CSP counts gained since the last flush.
     fn flush_obs(&mut self) {
         if let Some(o) = &mut self.obs {
             o.flush(&self.metrics);
         }
         for node in &mut self.nodes {
-            node.kernel.flush_obs();
             node.nti.utcsu_mut().flush_obs();
         }
     }
@@ -669,8 +680,10 @@ impl Cluster {
             }
         }
         // Each layer is attached to the observer where it is built: one
-        // medium per LAN here, each node's kernel with its hardware and its
-        // UTCSU in `World::power_up`, the engine and cluster metrics below.
+        // medium per LAN here, each node's kernel (for its spans) with its
+        // hardware and its UTCSU in `World::power_up`, the engine and the
+        // cluster metrics (the kernels' latency histograms among them)
+        // below.
         let mediums = (0..cfg.topology.lan_count())
             .map(|l| {
                 let mut m = Medium::new(cfg.medium, root.split_idx("medium", l as u64));
@@ -739,18 +752,26 @@ impl Cluster {
         let obs = world.cfg.obs.clone();
         if obs.is_enabled() {
             let key = |name| MetricKey::global("cluster", name);
+            let kernel = |name| {
+                obs.hist(MetricKey::global("kernel", name))
+                    .expect("enabled")
+            };
             world.obs = Some(ClusterObs {
                 obs: obs.clone(),
                 precision_ns: obs.hist(key("precision_ns")).expect("enabled"),
                 true_error_ns: obs.hist(key("true_error_ns")).expect("enabled"),
                 alpha_ns: obs.hist(key("alpha_ns")).expect("enabled"),
-                eps_delay_ns: LocalHist::new(obs.hist(key("eps_delay_ns")).expect("enabled")),
+                eps_excess_ns: LocalHist::new(obs.hist(key("eps_excess_ns")).expect("enabled")),
                 cf_input_spread_ns: obs.hist(key("cf_input_spread_ns")).expect("enabled"),
                 csp_counters: CSP_COUNT_NAMES.map(|nm| obs.counter(key(nm)).expect("enabled")),
                 csp_published: [0; CSP_COUNT_NAMES.len()],
                 hop_ns: HOP_HIST_NAMES.map(|nm| {
                     LocalHist::new(obs.hist(MetricKey::global("span", nm)).expect("enabled"))
                 }),
+                isr_entry_ns: LocalHist::new(kernel("isr_entry_ns")),
+                isr_body_ns: LocalHist::new(kernel("isr_body_ns")),
+                dispatch_ns: LocalHist::new(kernel("dispatch_ns")),
+                csp_assembly_ns: kernel("csp_assembly_ns"),
                 enter_state: ENTER_STATE_NAMES.map(|nm| {
                     obs.counter(MetricKey::global("membership", nm))
                         .expect("enabled")

@@ -86,6 +86,9 @@ fn round_start(world: &mut World, eng: &mut Eng, id: usize) {
     // Software transmit stamp is taken during assembly (step 1).
     let sw_stamp = world.nodes[id].read_clock_regs(now);
     let assembly = world.nodes[id].kernel.csp_assembly();
+    if let Some(o) = &world.obs {
+        o.csp_assembly_ns.record(fs_to_ns(assembly.as_fs()));
+    }
     eng.schedule_at(now + assembly, move |w, e| {
         csp_send(w, e, id, sw_stamp, now)
     });

@@ -168,12 +168,7 @@ pub(super) fn snapshot(world: &mut World, eng: &mut Eng) {
         }
     }
     if in_window {
-        let mut worst = 0.0f64;
-        for i in 0..times.len() {
-            for j in i + 1..times.len() {
-                worst = worst.max(times[i].diff_secs_f64(times[j]).abs());
-            }
-        }
+        let worst = NtpTime::spread_secs(&times);
         world.metrics.precision.add(worst);
         if let Some(m) = world.monitors.as_mut() {
             m.precision(now.as_fs(), (worst * 1e15) as u128);
@@ -249,13 +244,7 @@ pub(super) fn app_event(world: &mut World, eng: &mut Eng, ev: u64) {
                         if v.len() == w.nodes.len() {
                             let v = w.app_pending.remove(&ev).expect("just present");
                             if e.now().as_fs() >= w.cfg.warmup.as_fs() {
-                                let mut worst = 0.0f64;
-                                for i in 0..v.len() {
-                                    for j in i + 1..v.len() {
-                                        worst = worst.max(v[i].diff_secs_f64(v[j]).abs());
-                                    }
-                                }
-                                w.metrics.app_event_spread.add(worst);
+                                w.metrics.app_event_spread.add(NtpTime::spread_secs(&v));
                             }
                         }
                     }

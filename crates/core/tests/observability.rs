@@ -125,7 +125,7 @@ fn traced_cluster_exports_match_report() {
         (rep.worst_precision_s * 1e9) as u64,
         "histogram max is the report's worst precision"
     );
-    let eps = reg.find_hist(key("eps_delay_ns")).expect("eps_delay_ns");
+    let eps = reg.find_hist(key("eps_excess_ns")).expect("eps_excess_ns");
     assert_eq!(
         eps.count() as usize,
         rep.eps_samples,
@@ -133,10 +133,17 @@ fn traced_cluster_exports_match_report() {
     );
 }
 
+/// The kernel latencies every reception draws, in draw order.
+const KERNEL_RX_HISTS: [&str; 3] = ["isr_entry_ns", "isr_body_ns", "dispatch_ns"];
+
 /// The per-reception metrics are local accumulators flushed at the end of
 /// each `advance_until`, so what a live reader of the registry sees
 /// between chunks (the serve plane's telemetry) equals the running
-/// `World` counts — drops included.
+/// `World` counts — drops included. The kernels' reception latencies are
+/// cluster-scoped: one `kernel/<name>_ns` histogram each, holding one draw
+/// per reception that reached the ISR, as many as the ISR + dispatch hop
+/// of the span decomposition counts (no fault here misses a trigger, so
+/// every such reception carries a span chain).
 #[test]
 fn registry_matches_world_after_every_advance_chunk() {
     let obs = SimObserver::enabled();
@@ -181,15 +188,45 @@ fn registry_matches_world_after_every_advance_chunk() {
             "at {t:?}"
         );
         let eps = reg
-            .find_hist(MetricKey::global("cluster", "eps_delay_ns"))
-            .expect("eps_delay_ns");
+            .find_hist(MetricKey::global("cluster", "eps_excess_ns"))
+            .expect("eps_excess_ns");
         assert_eq!(eps.count() as usize, m.eps_delay.count(), "at {t:?}");
+        let kernel_keys: Vec<MetricKey> = reg
+            .entries()
+            .into_iter()
+            .map(|(k, _)| k)
+            .filter(|k| k.subsystem == "kernel" && k.name.ends_with("_ns"))
+            .collect();
+        let isr_counts = KERNEL_RX_HISTS.map(|name| {
+            assert_eq!(
+                kernel_keys.iter().filter(|k| k.name == name).count(),
+                1,
+                "one kernel/{name} at {t:?}"
+            );
+            reg.find_hist(MetricKey::global("kernel", name))
+                .expect(name)
+                .count()
+        });
+        assert!(
+            kernel_keys.iter().all(|k| k.node.is_none()),
+            "per-node kernel histogram at {t:?}: {kernel_keys:?}"
+        );
+        let isr_hops = reg
+            .find_hist(MetricKey::global("span", "hop_isr_dispatch_ns"))
+            .expect("hop_isr_dispatch_ns")
+            .count();
+        assert_eq!(isr_counts, [isr_hops; 3], "at {t:?}");
     }
     let m = &cluster.world().metrics;
     assert!(
         m.csps_delivered > 100 && m.csps_dropped_injected > 0,
         "{m:?}"
     );
+    let isrs = reg
+        .find_hist(MetricKey::global("kernel", "isr_entry_ns"))
+        .expect("isr_entry_ns")
+        .count();
+    assert!(isrs >= m.csps_delivered, "{isrs} ISRs, {m:?}");
 }
 
 /// Every power-up attaches the node's fresh UTCSU to the observer, and

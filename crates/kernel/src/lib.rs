@@ -32,11 +32,10 @@ pub mod exec;
 
 pub use exec::{Executive, Msg, Step, TaskBody, TaskId, TraceEvent};
 
-use nti_obs::{fs_to_ns, Histogram, LocalHist, MetricKey, SimObserver, SpanId, Subsystem};
+use nti_obs::{SimObserver, SpanId, Subsystem};
 use nti_simcore::rng::SimRng;
 use nti_simcore::time::SimDuration;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// A latency distribution: `base + U[0, spread)`, plus — with probability
 /// `tail_prob` — an additional `U[0, tail)` term modelling long
@@ -171,20 +170,15 @@ impl KernelConfig {
     }
 }
 
-/// Pre-resolved per-node latency histograms (see
-/// [`Kernel::attach_observer`]): every drawn latency is recorded in
-/// nanoseconds, so the summary table shows the realized ISR/dispatch
-/// distributions, not just the configured envelopes. The three drawn per
-/// CSP reception are local accumulators, flushed by [`Kernel::flush_obs`]
-/// and on drop; a clone starts them empty.
+/// The observer a kernel emits its `isr_dispatch` span through (see
+/// [`Kernel::isr_dispatch_span`]), and the node that span is labelled
+/// with. The kernel records none of the latencies it draws: every node's
+/// kernel draws from the one [`KernelConfig`] of its cluster, so the
+/// cluster records them into one `kernel/<name>_ns` histogram per latency.
 #[derive(Clone, Debug)]
 struct KernelObs {
     obs: SimObserver,
     node: u32,
-    isr_entry_ns: LocalHist,
-    isr_body_ns: LocalHist,
-    dispatch_ns: LocalHist,
-    csp_assembly_ns: Arc<Histogram>,
 }
 
 /// The executive: draws latencies from its configured distributions.
@@ -205,35 +199,13 @@ impl Kernel {
         }
     }
 
-    /// Attach an observer; `node` labels this kernel's metrics. Disabled
+    /// Attach an observer; `node` labels this kernel's spans. Disabled
     /// observers detach instrumentation entirely.
     pub fn attach_observer(&mut self, obs: &SimObserver, node: u32) {
-        self.obs = if obs.is_enabled() {
-            let hist = |name| {
-                obs.hist(MetricKey::node(node, "kernel", name))
-                    .expect("enabled")
-            };
-            Some(KernelObs {
-                obs: obs.clone(),
-                node,
-                isr_entry_ns: LocalHist::new(hist("isr_entry_ns")),
-                isr_body_ns: LocalHist::new(hist("isr_body_ns")),
-                dispatch_ns: LocalHist::new(hist("dispatch_ns")),
-                csp_assembly_ns: hist("csp_assembly_ns"),
-            })
-        } else {
-            None
-        };
-    }
-
-    /// Flush the locally accumulated latency histograms into the
-    /// observer's registry.
-    pub fn flush_obs(&mut self) {
-        if let Some(o) = &mut self.obs {
-            o.isr_entry_ns.flush();
-            o.isr_body_ns.flush();
-            o.dispatch_ns.flush();
-        }
+        self.obs = obs.is_enabled().then(|| KernelObs {
+            obs: obs.clone(),
+            node,
+        });
     }
 
     /// The configuration.
@@ -243,29 +215,17 @@ impl Kernel {
 
     /// Draw an ISR entry latency (step 6 → 7).
     pub fn isr_entry(&mut self) -> SimDuration {
-        let d = self.cfg.isr_entry.draw(&mut self.rng);
-        if let Some(o) = &mut self.obs {
-            o.isr_entry_ns.record(fs_to_ns(d.as_fs()));
-        }
-        d
+        self.cfg.isr_entry.draw(&mut self.rng)
     }
 
     /// Draw an ISR body duration.
     pub fn isr_body(&mut self) -> SimDuration {
-        let d = self.cfg.isr_body.draw(&mut self.rng);
-        if let Some(o) = &mut self.obs {
-            o.isr_body_ns.record(fs_to_ns(d.as_fs()));
-        }
-        d
+        self.cfg.isr_body.draw(&mut self.rng)
     }
 
     /// Draw a task dispatch latency.
     pub fn task_dispatch(&mut self) -> SimDuration {
-        let d = self.cfg.task_dispatch.draw(&mut self.rng);
-        if let Some(o) = &mut self.obs {
-            o.dispatch_ns.record(fs_to_ns(d.as_fs()));
-        }
-        d
+        self.cfg.task_dispatch.draw(&mut self.rng)
     }
 
     /// Record the causal ISR + task-dispatch hop of a received CSP: a span
@@ -295,11 +255,7 @@ impl Kernel {
 
     /// Draw a CSP assembly duration (step 1).
     pub fn csp_assembly(&mut self) -> SimDuration {
-        let d = self.cfg.csp_assembly.draw(&mut self.rng);
-        if let Some(o) = &self.obs {
-            o.csp_assembly_ns.record(fs_to_ns(d.as_fs()));
-        }
-        d
+        self.cfg.csp_assembly.draw(&mut self.rng)
     }
 }
 
@@ -474,36 +430,6 @@ mod tests {
         let mut k = Kernel::new(KernelConfig::ideal(), SimRng::new(3));
         assert_eq!(k.isr_entry(), SimDuration::ZERO);
         assert_eq!(k.csp_assembly(), SimDuration::ZERO);
-    }
-
-    /// The reception latencies accumulate locally: nothing reaches the
-    /// registry before a flush, a clone starts empty, and a kernel dropped
-    /// unflushed still lands its draws.
-    #[test]
-    fn dropped_kernel_lands_its_unflushed_draws() {
-        let obs = SimObserver::enabled();
-        let mut k = Kernel::new(KernelConfig::psos_mvme162(), SimRng::new(4));
-        k.attach_observer(&obs, 7);
-        let isr = obs
-            .hist(MetricKey::node(7, "kernel", "isr_entry_ns"))
-            .unwrap();
-        let dispatch = obs
-            .hist(MetricKey::node(7, "kernel", "dispatch_ns"))
-            .unwrap();
-        for _ in 0..5 {
-            k.isr_entry();
-            k.task_dispatch();
-        }
-        assert_eq!(isr.count(), 0);
-        k.flush_obs();
-        assert_eq!((isr.count(), dispatch.count()), (5, 5));
-        k.isr_entry();
-        let mut copy = k.clone();
-        copy.isr_entry();
-        drop(k);
-        assert_eq!(isr.count(), 6, "the clone did not copy the pending draw");
-        drop(copy);
-        assert_eq!(isr.count(), 7);
     }
 
     #[test]

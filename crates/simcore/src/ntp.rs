@@ -115,6 +115,24 @@ impl NtpTime {
         self.wrapping_diff_units(other) as f64 / UNITS_PER_SEC as f64
     }
 
+    /// The worst pairwise difference `max |a.diff_secs_f64(b)|` over
+    /// `clocks`, in one pass: each clock's shortest-wrap offset from the
+    /// first, max minus min. Bit-identical to the pairwise maximum while
+    /// the clocks lie on an arc shorter than 2⁹⁰ units (68 years): every
+    /// pairwise wrapping difference is then the exact difference of two
+    /// offsets, and i128 → f64 rounding is monotone. 0 for fewer than two
+    /// clocks.
+    pub fn spread_secs(clocks: &[NtpTime]) -> f64 {
+        let Some(&first) = clocks.first() else {
+            return 0.0;
+        };
+        let (lo, hi) = clocks.iter().fold((0i128, 0i128), |(lo, hi), c| {
+            let d = c.wrapping_diff_units(first);
+            (lo.min(d), hi.max(d))
+        });
+        (hi - lo) as f64 / UNITS_PER_SEC as f64
+    }
+
     /// The externally visible 56-bit NTP value (32.24), truncated.
     pub fn ntp56(self) -> u64 {
         (self.raw >> (FRAC_BITS - NTP_FRAC_BITS)) as u64

@@ -19,6 +19,26 @@ fn below_reference(rng: &mut SimRng, n: u64) -> u64 {
     }
 }
 
+/// The worst pairwise clock difference, pair by pair (the formula
+/// `NtpTime::spread_secs` must reproduce).
+fn pairwise_spread(clocks: &[NtpTime]) -> f64 {
+    let mut worst = 0.0f64;
+    for i in 0..clocks.len() {
+        for j in i + 1..clocks.len() {
+            worst = worst.max(clocks[i].diff_secs_f64(clocks[j]).abs());
+        }
+    }
+    worst
+}
+
+/// Clocks at `base` plus each offset (wrapping past 2⁹¹).
+fn clocks_at(base: u128, offsets: &[u128]) -> Vec<NtpTime> {
+    offsets
+        .iter()
+        .map(|&o| NtpTime::from_raw(base).wrapping_add_units(o as i128))
+        .collect()
+}
+
 /// A `below` bound: 1, 2, a power of two, 2^63 + 1 (rejects almost half
 /// of all draws), `u64::MAX`, a small value, or any non-zero value.
 fn below_bound(kind: u8, raw: u64) -> u64 {
@@ -135,6 +155,38 @@ proptest! {
             prop_assert!(got < n, "below({}) = {}", n, got);
             prop_assert_eq!(fast.clone().next_u64_raw(), reference.clone().next_u64_raw());
         }
+    }
+
+    /// The one-pass spread equals the pairwise maximum bit for bit for
+    /// clocks anywhere on the 2⁹¹ circle, on arcs up to just under 2⁹⁰
+    /// units, in any order (the first clock need not be an extreme).
+    #[test]
+    fn spread_matches_the_pairwise_maximum(
+        base in 0u128..(1u128 << 91),
+        arc_bits in 0u32..91,
+        raw in proptest::collection::vec(any::<u128>(), 0..24),
+    ) {
+        let arc = (1u128 << arc_bits.min(90)) - 1;
+        let offsets: Vec<u128> = raw.iter().map(|&r| r % (arc + 1)).collect();
+        let clocks = clocks_at(base, &offsets);
+        prop_assert_eq!(
+            NtpTime::spread_secs(&clocks).to_bits(),
+            pairwise_spread(&clocks).to_bits()
+        );
+    }
+
+    /// The same across the wrap: clocks that straddle 2⁹¹ (some just
+    /// below it, some just past zero).
+    #[test]
+    fn spread_matches_the_pairwise_maximum_across_the_wrap(
+        below in 1u128..(1u128 << 40),
+        offsets in proptest::collection::vec(0u128..(1u128 << 41), 2..24),
+    ) {
+        let clocks = clocks_at((1u128 << 91) - below, &offsets);
+        prop_assert_eq!(
+            NtpTime::spread_secs(&clocks).to_bits(),
+            pairwise_spread(&clocks).to_bits()
+        );
     }
 
     /// ticks_at is monotone in time.
