@@ -38,15 +38,6 @@ fn config(
     cfg
 }
 
-fn run(
-    mode: TimestampMode,
-    loaded: bool,
-    comco: ComcoTiming,
-    obs: &SimObserver,
-) -> nti_core::cluster::Report {
-    Cluster::new(config(mode, loaded, comco, obs)).run()
-}
-
 fn main() {
     let opts = ObsOpts::from_env();
     let obs = opts.observer();
@@ -103,7 +94,7 @@ fn main() {
     ];
     let mut hw_idle = f64::NAN;
     for (name, mode, loaded, comco) in cases {
-        let r = run(mode, loaded, comco, &obs);
+        let r = Cluster::new(config(mode, loaded, comco, &obs)).run();
         record(
             "e1_epsilon",
             &format!("{name}/{}", if loaded { "busy" } else { "idle" }),
