@@ -18,12 +18,12 @@
 //! accuracy maintenance.
 
 use crate::convergence::{ftm, marzullo, oa};
+use crate::fxhash::FxHashSet;
 use crate::interval::{units_ceil, AccInterval};
 use crate::params::{AlgoKind, SyncParams};
 use crate::payload::CspPayload;
 use nti_simcore::ntp::NtpTime;
 use nti_simcore::Accuracy;
-use std::collections::HashSet;
 
 /// A CSP after stamp reconstruction, as handed to the algorithm.
 #[derive(Clone, Copy, Debug)]
@@ -100,7 +100,7 @@ pub struct SyncCore {
     inbox: Vec<Preprocessed>,
     /// The senders in `inbox`, so the duplicate check is O(1) rather than
     /// a scan of the inbox per reception.
-    inbox_from: HashSet<u32>,
+    inbox_from: FxHashSet<u32>,
     ext: Vec<Preprocessed>,
     /// Trust external intervals without validation (negative control for
     /// E5; Section 5 calls always-trusting a GPS receiver "questionable").
@@ -139,7 +139,7 @@ impl SyncCore {
             algo,
             round: 0,
             inbox: Vec::new(),
-            inbox_from: HashSet::new(),
+            inbox_from: FxHashSet::default(),
             ext: Vec::new(),
             blind_external: false,
             reintegrating: false,

@@ -25,6 +25,7 @@
 //! `snapshot` (HWSNAP sweeps, status, barriers) and `report`.
 
 use crate::algo::{CongestionPolicy, ReceivedCsp, SyncCore};
+use crate::fxhash::FxHashMap;
 use crate::health::{HealthConfig, HealthState, HealthTracker, RoundAction, HEALTH_STATES};
 use crate::interval::AccInterval;
 use crate::node::{quant_units_for, Node, UTCSU_QUANT_UNITS};
@@ -518,10 +519,10 @@ pub struct World {
     /// Segment membership.
     pub topology: Topology,
     /// Frames in flight.
-    flights: HashMap<u64, Flight>,
+    flights: FxHashMap<u64, Flight>,
     /// RECEIVE-trigger records per (flight, receiver). None outlives its
     /// flight.
-    rx: HashMap<(u64, usize), Rx>,
+    rx: FxHashMap<(u64, usize), Rx>,
     next_flight: u64,
     /// The fault-plan applicator (owns all fault RNG streams).
     injector: FaultInjector,
@@ -696,8 +697,8 @@ impl Cluster {
             nodes: Vec::with_capacity(n),
             mediums,
             topology: cfg.topology.clone(),
-            flights: HashMap::new(),
-            rx: HashMap::new(),
+            flights: FxHashMap::default(),
+            rx: FxHashMap::default(),
             next_flight: 0,
             injector,
             rejoin_track: HashMap::new(),

@@ -48,6 +48,7 @@ pub mod algo;
 pub mod aposteriori;
 pub mod cluster;
 pub mod convergence;
+mod fxhash;
 pub mod health;
 pub mod interval;
 pub mod node;

@@ -18,14 +18,14 @@
 //! Experiment E4 measures the resulting drift reduction and the precision
 //! improvement it buys.
 
+use crate::fxhash::FxHashMap;
 use nti_simcore::ntp::NtpTime;
-use std::collections::HashMap;
 
 /// Per-node rate synchronization state.
 #[derive(Clone, Debug, Default)]
 pub struct RateSync {
     /// Last (peer stamp, local stamp) per peer.
-    history: HashMap<u32, (NtpTime, NtpTime)>,
+    history: FxHashMap<u32, (NtpTime, NtpTime)>,
     /// Relative rate estimates collected this round: (peer − self)/self.
     estimates: Vec<f64>,
     /// Corrections applied so far.

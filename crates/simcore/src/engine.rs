@@ -20,10 +20,18 @@
 //! therefore counts *live* events only, and nothing accumulates for
 //! cancelled ids.
 //!
-//! The queue is one binary heap of `(time, seq, packed ref)` entries,
-//! ordered by `(time, seq)`. Stale references are dropped lazily when they
-//! reach the head. A periodic event keeps its slab slot and boxed closure
-//! across occurrences and is re-armed in place with a fresh sequence number.
+//! The queue is one binary heap of 32-byte `{ key: u128, packed ref }`
+//! entries. The key holds the instant's femtoseconds in its high bits and
+//! a monotone sequence number in its low 40 bits, so one integer compare
+//! orders two entries by `(time, seq)`. Instants at or past 2^88 fs
+//! (~9,800 years; in practice only `SimTime::MAX`-style sentinels) do not
+//! fit a key: they wait in a side list kept in `(time, schedule order)`
+//! order. Every heap entry precedes every side-list entry, so the list is
+//! read only when the heap holds no live entry. Before the sequence number
+//! would pass 2^40, the queued entries are renumbered `0, 1, …` in order.
+//! Stale references are dropped lazily when they reach the head. A
+//! periodic event keeps its slab slot and boxed closure across occurrences
+//! and is re-armed in place with a fresh sequence number.
 //!
 //! A one-shot closure is stored **inline** in its slab slot: a
 //! [`INLINE_BYTES`]-byte, 16-aligned buffer plus the closure type's call
@@ -38,17 +46,19 @@
 //! | fire one event (incl. periodic re-arm)| O(log n) amortized           |
 //! | `next_event_time`                     | O(1) amortized               |
 //! | `pending` / `events_fired` / `now`    | O(1)                         |
+//! | schedule at or past 2^88 fs           | O(far) (side-list insert)    |
+//! | renumbering, once per ~2^40 schedules | O(n log n)                   |
 //!
 //! `n` counts queued entries, live and stale; each stale entry is popped at
-//! most once. A hierarchical timer wheel and a heap↔wheel adaptive queue
-//! were measured against this heap on the repository benchmark and bought
-//! nothing end to end (DESIGN.md §4 has the numbers and the rule for when a
-//! wheel may come back).
+//! most once, and `far` counts side-list entries. A hierarchical timer
+//! wheel and a heap↔wheel adaptive queue were measured against this heap
+//! on the repository benchmark and bought nothing end to end (DESIGN.md §4
+//! has the numbers and the rule for when a wheel may come back).
 
 use crate::time::{SimDuration, SimTime};
 use nti_obs::{keys, LocalCounter, LocalHist, Payload, SimObserver, Subsystem, GLOBAL_NODE};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::ptr;
@@ -214,9 +224,52 @@ fn unpack(packed: u64) -> (u32, u32) {
     (packed as u32, (packed >> 32) as u32)
 }
 
-/// Queue entries are ordered by `(time, seq)`; the packed slab reference
-/// rides along (it never decides an ordering: `(time, seq)` is unique).
-type QEntry = (SimTime, u64, u64);
+/// Low bits of a queue key that hold the sequence number.
+const SEQ_BITS: u32 = 40;
+
+/// Sequence numbers stay below this: the queue is renumbered before `seq`
+/// would reach it.
+const SEQ_LIMIT: u64 = 1 << SEQ_BITS;
+
+/// Instants at or past this many femtoseconds (2^88 fs, ~9,800 years) do
+/// not fit a key's high bits; their events wait in the side list.
+const FAR_FS: u128 = 1 << (u128::BITS - SEQ_BITS);
+
+/// A heap entry. `key` is `at_fs << SEQ_BITS | seq` for an instant below
+/// [`FAR_FS`], so comparing keys is comparing `(time, seq)`; the packed
+/// slab reference rides along (it never decides an ordering: keys are
+/// unique).
+#[derive(Clone, Copy)]
+struct QEntry {
+    key: u128,
+    packed: u64,
+}
+
+impl QEntry {
+    fn at(&self) -> SimTime {
+        SimTime(self.key >> SEQ_BITS)
+    }
+}
+
+impl PartialEq for QEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for QEntry {}
+
+impl PartialOrd for QEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for QEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
 
 /// The engine times one fired handler in this many for
 /// `engine/handler_busy_ns`, instead of reading the clock twice per event.
@@ -273,6 +326,10 @@ pub struct Engine<S> {
     live: usize,
     fired: u64,
     queue: BinaryHeap<Reverse<QEntry>>,
+    /// Events at or past [`FAR_FS`] as `(at, packed ref)`, in `(time,
+    /// schedule order)` order. Every heap entry is earlier, so this list
+    /// is read only when the heap holds no live entry.
+    far: VecDeque<(SimTime, u64)>,
     obs: Option<EngineObs>,
 }
 
@@ -293,6 +350,7 @@ impl<S> Engine<S> {
             live: 0,
             fired: 0,
             queue: BinaryHeap::new(),
+            far: VecDeque::new(),
             obs: None,
         }
     }
@@ -355,11 +413,21 @@ impl<S> Engine<S> {
         })
     }
 
-    /// Queue the event `packed` for `at` under the next sequence number.
+    /// Queue the event `packed` for `at`: on the heap under the next
+    /// sequence number, or at or past [`FAR_FS`] behind every side-list
+    /// entry not later than `at`.
     fn enqueue(&mut self, at: SimTime, packed: u64) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse((at, seq, packed)));
+        if at.0 < FAR_FS {
+            if self.seq == SEQ_LIMIT {
+                self.renumber();
+            }
+            let key = (at.0 << SEQ_BITS) | self.seq as u128;
+            self.seq += 1;
+            self.queue.push(Reverse(QEntry { key, packed }));
+        } else {
+            let i = self.far.partition_point(|&(t, _)| t <= at);
+            self.far.insert(i, (at, packed));
+        }
         if let Some(o) = &mut self.obs {
             o.scheduled.inc();
             if o.obs.tracing(Subsystem::Engine) {
@@ -531,8 +599,30 @@ impl<S> Engine<S> {
         if self.next_event_time()? > until {
             return None;
         }
-        let Reverse((at, _seq, packed)) = self.queue.pop()?;
-        Some((at, packed))
+        // `next_event_time` left the earliest live event at the head of
+        // the heap or, with the heap empty, of the side list.
+        match self.queue.pop() {
+            Some(Reverse(e)) => Some((e.at(), e.packed)),
+            None => self.far.pop_front(),
+        }
+    }
+
+    /// Give the live heap entries the sequence numbers `0, 1, …` in their
+    /// `(time, seq)` order and drop the stale ones, so `seq` restarts far
+    /// below [`SEQ_LIMIT`] and every order between queued events holds.
+    #[cold]
+    fn renumber(&mut self) {
+        let mut entries: Vec<QEntry> = std::mem::take(&mut self.queue)
+            .into_iter()
+            .map(|Reverse(e)| e)
+            .filter(|e| self.is_live(e.packed))
+            .collect();
+        entries.sort_unstable();
+        for (seq, e) in entries.iter_mut().enumerate() {
+            e.key = (e.key >> SEQ_BITS << SEQ_BITS) | seq as u128;
+        }
+        self.seq = entries.len() as u64;
+        self.queue = entries.into_iter().map(Reverse).collect();
     }
 
     /// Fire all remaining events (use only for workloads that are known to
@@ -546,13 +636,27 @@ impl<S> Engine<S> {
     /// The instant of the next live (non-cancelled) pending event, if any.
     /// Stale entries met at the head of the queue are dropped here.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((at, _seq, packed))) = self.queue.peek() {
-            if self.is_live(packed) {
-                return Some(at);
+        while let Some(&Reverse(e)) = self.queue.peek() {
+            if self.is_live(e.packed) {
+                return Some(e.at());
             }
             self.queue.pop();
         }
+        while let Some(&(at, packed)) = self.far.front() {
+            if self.is_live(packed) {
+                return Some(at);
+            }
+            self.far.pop_front();
+        }
         None
+    }
+
+    /// Move the sequence counter forward to `seq`, so a test reaches the
+    /// renumbering without 2^40 schedules.
+    #[cfg(test)]
+    fn jump_seq(&mut self, seq: u64) {
+        assert!((self.seq..=SEQ_LIMIT).contains(&seq));
+        self.seq = seq;
     }
 }
 
@@ -1076,5 +1180,66 @@ mod tests {
         assert_eq!(log, want);
         assert_eq!(eng.pending(), 0);
         assert_eq!(eng.events_fired(), 200);
+    }
+
+    /// A queue entry is one `u128` key plus the packed reference, 32
+    /// bytes, and the last instant below 2^88 fs goes on the heap while
+    /// 2^88 fs itself goes on the side list.
+    #[test]
+    fn key_layout_and_far_boundary() {
+        assert_eq!(size_of::<Reverse<QEntry>>(), 32);
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        eng.schedule_at(SimTime(FAR_FS), |s: &mut Vec<u32>, _| s.push(1));
+        eng.schedule_at(SimTime(FAR_FS - 1), |s: &mut Vec<u32>, _| s.push(0));
+        assert_eq!((eng.queue.len(), eng.far.len()), (1, 1));
+        assert_eq!(eng.next_event_time(), Some(SimTime(FAR_FS - 1)));
+        let mut log = Vec::new();
+        eng.run_to_completion(&mut log);
+        assert_eq!(log, vec![0, 1]);
+    }
+
+    /// Renumbering before the sequence number passes 2^40 keeps
+    /// same-instant FIFO order (also when it happens while that instant
+    /// is being dispatched), drops cancelled entries without firing them,
+    /// and leaves pending side-list events in place.
+    #[test]
+    fn renumbering_keeps_fifo_cancels_and_far_events() {
+        type Eng = Engine<Vec<u32>>;
+        let mut eng: Eng = Engine::new();
+        let mut log = Vec::new();
+        let t = SimTime::from_micros(5);
+        eng.schedule_at(SimTime::MAX, |s: &mut Vec<u32>, _| s.push(101));
+        eng.schedule_at(SimTime(FAR_FS), |s: &mut Vec<u32>, _| s.push(100));
+        eng.schedule_at(SimTime::MAX, |s: &mut Vec<u32>, _| s.push(102));
+        eng.schedule_at(t, move |s: &mut Vec<u32>, e: &mut Eng| {
+            s.push(1);
+            // Scheduled during dispatch of `t`: behind 2, 3 and 4.
+            e.schedule_at(t, |s: &mut Vec<u32>, _| s.push(5));
+        });
+        let cancelled = eng.schedule_at(t, |s: &mut Vec<u32>, _| s.push(999));
+        eng.schedule_at(SimTime::from_micros(4), |s: &mut Vec<u32>, _| s.push(0));
+        eng.jump_seq(SEQ_LIMIT - 2);
+        eng.schedule_at(t, move |s: &mut Vec<u32>, e: &mut Eng| {
+            s.push(2);
+            // A second renumbering, inside the dispatch of `t`.
+            e.jump_seq(SEQ_LIMIT);
+            e.schedule_at(t, |s: &mut Vec<u32>, _| s.push(6));
+        });
+        eng.schedule_at(t, |s: &mut Vec<u32>, _| s.push(3));
+        eng.cancel(cancelled);
+        assert_eq!(eng.seq, SEQ_LIMIT);
+        // The first renumbering: 0, 1, 2 and 3 are live, `cancelled` is
+        // dropped, and 4 takes the next number.
+        eng.schedule_at(t, |s: &mut Vec<u32>, _| s.push(4));
+        assert_eq!((eng.seq, eng.queue.len(), eng.far.len()), (5, 5, 3));
+        assert_eq!(eng.pending(), 8);
+
+        eng.run_until(&mut log, t);
+        assert_eq!(log, vec![0, 1, 2, 3, 4, 5, 6]);
+        assert!(eng.seq < 8, "renumbered inside dispatch: {}", eng.seq);
+        assert_eq!(eng.pending(), 3);
+        eng.run_to_completion(&mut log);
+        assert_eq!(log[7..], [100, 101, 102]);
+        assert_eq!(eng.events_fired(), 10);
     }
 }

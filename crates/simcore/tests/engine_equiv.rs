@@ -6,6 +6,9 @@
 //! after its handler runs, and cancel is by id. Random programs of
 //! schedules, cancels and time advances run on both, and the firing logs
 //! and `(now, pending, fired)` trajectories must match bit for bit.
+//! Instants range from sub-microsecond delays to a scale straddling
+//! 2^88 fs, up to `SimTime::MAX`, so the engine's side list for instants
+//! at or past 2^88 fs is checked against the same model.
 //! One-shot closures capture payloads of 0, 8, 32 and more than
 //! [`INLINE_BYTES`] bytes, so both of the engine's closure storage paths
 //! (inline and boxed) run in every program.
@@ -112,17 +115,33 @@ impl Model {
     }
 }
 
-/// Map raw randomness onto a delay at one of four scales: below one
-/// microsecond, up to ~18 ms, up to ~77 min, and beyond ~20 h.
-fn delay_from(a: u64) -> u128 {
-    let v = (a >> 2) as u128;
-    match a & 3 {
-        0 => v % (1 << 30),
-        1 => v % (1 << 44),
-        2 => v % (1 << 62),
-        _ => (1 << 66) + v % (1 << 62),
-    }
+/// 2^88 fs: the engine keeps events at or past this instant in a side
+/// list, apart from its heap.
+const FAR: u128 = 1 << 88;
+
+/// Map raw randomness onto an instant not before `now`, at one of five
+/// scales: a delay below one microsecond, up to ~18 ms, up to ~77 min or
+/// beyond ~20 h, or an absolute instant straddling [`FAR`] (within ~1 µs
+/// of it, exactly it, or `SimTime::MAX`).
+fn instant(now: u128, a: u64) -> u128 {
+    let v = (a / 5) as u128;
+    let at = match a % 5 {
+        0 => now.saturating_add(v % (1 << 30)),
+        1 => now.saturating_add(v % (1 << 44)),
+        2 => now.saturating_add(v % (1 << 62)),
+        3 => now.saturating_add((1 << 66) + v % (1 << 62)),
+        _ => match v % 4 {
+            0 => u128::MAX,
+            1 => FAR,
+            _ => FAR - (1 << 30) + (v >> 2) % (1 << 31),
+        },
+    };
+    at.max(now)
 }
+
+/// Latest first instant of a periodic: its 50 occurrences and their
+/// echoes (periods below 2^50 fs) stay below `SimTime::MAX`.
+const LAST_PERIODIC_START: u128 = u128::MAX - (1 << 56);
 
 /// Schedule a one-shot that captures `[label; N]` and, when it fires,
 /// checks the payload and logs `label`.
@@ -227,12 +246,12 @@ fn run_program(ops: &[(u8, u64, u64)]) -> ((Log, Trajectory), (Log, Trajectory))
         let label = i as u64;
         let now = p.eng.now().as_fs();
         match op % 8 {
-            // One-shot at any delay scale.
-            0 => p.once(now + delay_from(a), label),
+            // One-shot at any scale.
+            0 => p.once(instant(now, a), label),
             // Same-instant burst: three events at one timestamp fire in
             // schedule (FIFO) order.
             1 => {
-                let at = now + delay_from(a);
+                let at = instant(now, a);
                 for k in 0..3 {
                     p.once(at, label * 10 + k);
                 }
@@ -242,8 +261,11 @@ fn run_program(ops: &[(u8, u64, u64)]) -> ((Log, Trajectory), (Log, Trajectory))
             // An echoing one ties each re-arm with a one-shot its handler
             // scheduled, which pins when the re-arm takes its seq.
             2 => {
-                let period = SimDuration::from_millis(250 + b % 750);
-                p.every(now + delay_from(a), period, label, b >> 63 == 1);
+                let first = instant(now, a);
+                if first <= LAST_PERIODIC_START {
+                    let period = SimDuration::from_millis(250 + b % 750);
+                    p.every(first, period, label, b >> 63 == 1);
+                }
             }
             // Cancel an earlier id — possibly one that already fired or
             // was already cancelled, which must be a no-op.
@@ -252,13 +274,21 @@ fn run_program(ops: &[(u8, u64, u64)]) -> ((Log, Trajectory), (Log, Trajectory))
                     p.cancel(a as usize % p.ids.len());
                 }
             }
-            // Advance time, sometimes by hours.
-            4 => p.run_until(now + delay_from(a) / 2 + 1),
+            // Advance time, sometimes by hours; to an instant straddling
+            // FAR, all the way there.
+            4 => {
+                let at = instant(now, a);
+                p.run_until(if at >= FAR {
+                    at
+                } else {
+                    now + (at - now) / 2 + 1
+                });
+            }
             // Same-granule burst: four distinct instants inside one
             // 2³⁰ fs (~1 µs) window.
             5 => {
-                let at0 = now + delay_from(a);
-                let room = (((at0 >> 30) + 1) << 30) - at0;
+                let at0 = instant(now, a);
+                let room = (1 << 30) - (at0 & ((1 << 30) - 1));
                 for k in 0..4u64 {
                     let off = (b.wrapping_mul(k + 1) as u128) % room;
                     p.once(at0 + off, label * 10 + k);
@@ -270,15 +300,20 @@ fn run_program(ops: &[(u8, u64, u64)]) -> ((Log, Trajectory), (Log, Trajectory))
                     p.cancel(k);
                 }
             }
-            // One-shot far beyond every other scale.
-            _ => p.once(now + (1 << 67) + a as u128, label),
+            // One-shot far beyond every relative scale.
+            _ => p.once(now.saturating_add((1 << 67) + a as u128), label),
         }
         let (e, m) = p.step();
         traj.push(e);
         model_traj.push(m);
     }
     // Final bounded drain so late one-shots get a chance to fire.
-    p.run_until(p.eng.now().as_fs() + SimDuration::from_millis(200).as_fs());
+    p.run_until(
+        p.eng
+            .now()
+            .as_fs()
+            .saturating_add(SimDuration::from_millis(200).as_fs()),
+    );
     let (e, m) = p.step();
     traj.push(e);
     model_traj.push(m);

@@ -22,6 +22,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== goldens in release mode, benchmark shapes included (cargo test --release --test golden) =="
+cargo test --release -q --test golden \
+  || { echo "check.sh: release goldens failed (a fingerprint moved, bench_lan128 and bench_mesh included)" >&2; exit 1; }
+
 echo "== observability smoke run (e1_epsilon --obs-summary) =="
 out=$(NTI_EXP_FAST=1 cargo run --release -q -p nti-bench --bin e1_epsilon -- --obs-summary)
 echo "$out" | tail -25

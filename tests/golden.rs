@@ -329,3 +329,36 @@ fn all_subsystems() {
     let mask = Subsystem::ALL.iter().fold(0, |m, s| m | s.bit());
     check_traced("all_subsystems", cfg, mask);
 }
+
+/// `cfg` run for `secs` sim-s with a third of it as warm-up, the split
+/// the benchmark's shapes use.
+fn bench_shape(mut cfg: ClusterConfig, secs: u64) -> ClusterConfig {
+    cfg.duration = SimDuration::from_secs(secs);
+    cfg.warmup = SimDuration::from_fs(cfg.duration.as_fs() / 3);
+    cfg
+}
+
+/// The `sim-lan128` benchmark shape at seed 1: `default_lan(128)` for
+/// 20 sim-s. Its `report_fnv1a` is the benchmark's seed-1 fingerprint.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: scripts/check.sh")]
+fn bench_lan128() {
+    check_traced(
+        "bench_lan128",
+        bench_shape(ClusterConfig::default_lan(128, 1), 20),
+        0,
+    );
+}
+
+/// The `sim-mesh` benchmark shape at seed 1: `mesh_tree(5, 2, 2)`, f = 0,
+/// no rate sync, 600 sim-s. Its `report_fnv1a` is the benchmark's seed-1
+/// fingerprint.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: scripts/check.sh")]
+fn bench_mesh() {
+    let mut cfg = ClusterConfig::default_lan(0, 1);
+    cfg.topology = Topology::mesh_tree(5, 2, 2);
+    cfg.f = 0;
+    cfg.rate_sync = false;
+    check_traced("bench_mesh", bench_shape(cfg, 600), 0);
+}
