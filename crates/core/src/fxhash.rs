@@ -8,7 +8,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The Fx word step: `(h.rotate_left(5) ^ word) · K`.
-#[derive(Clone, Copy, Default)]
+#[derive(Default)]
 pub(crate) struct FxHasher(u64);
 
 impl Hasher for FxHasher {
