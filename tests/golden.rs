@@ -6,9 +6,10 @@
 //! Each entry is fingerprinted two ways — FNV-1a of `Report::to_json()` and
 //! FNV-1a of every `Subsystem::Cluster` trace event — and stored in
 //! `tests/golden/<entry>.txt` next to the report's top-level fields, so a
-//! mismatch names the fields that moved. One entry, `all_subsystems`,
-//! hashes the trace of every subsystem instead, so a reordered UTCSU,
-//! kernel, netsim or engine record moves it too. A deliberate behaviour
+//! mismatch names the fields that moved. Two entries, `all_subsystems`
+//! and `trigger_faults_all_subsystems`, hash the trace of every subsystem
+//! instead, so a reordered UTCSU, kernel, netsim, fault or engine record
+//! moves them too. A deliberate behaviour
 //! change is re-recorded with
 //!
 //! ```text
@@ -142,6 +143,11 @@ fn check_traced(name: &str, cfg: ClusterConfig, mask: u32) {
         path.display(),
         diff.join("\n  ")
     );
+}
+
+/// The trace mask with every subsystem on.
+fn every_subsystem() -> u32 {
+    Subsystem::ALL.iter().fold(0, |m, s| m | s.bit())
 }
 
 fn base(n: usize, seed: u64) -> ClusterConfig {
@@ -287,8 +293,7 @@ fn status_cell_publication() {
 /// Missed, late and duplicated receive triggers on a two-LAN chain: the
 /// late-trigger, missed-trigger and duplicate-reception paths, and the
 /// gateways' second SSU.
-#[test]
-fn trigger_faults_gateways() {
+fn trigger_faults() -> ClusterConfig {
     let mut cfg = base(0, 0x601D);
     cfg.topology = Topology::chain_of_lans(2, 4);
     cfg.f = 0;
@@ -303,7 +308,23 @@ fn trigger_faults_gateways() {
             },
         ))
         .with(all_nodes(3, 7, FaultKind::PacketDuplicate { rate: 0.1 }));
-    check("trigger_faults_gateways", cfg);
+    cfg
+}
+
+#[test]
+fn trigger_faults_gateways() {
+    check("trigger_faults_gateways", trigger_faults());
+}
+
+/// [`trigger_faults`] with every subsystem traced: the one entry whose
+/// trace holds the `faults` spans that annotate a late or missed trigger.
+#[test]
+fn trigger_faults_all_subsystems() {
+    check_traced(
+        "trigger_faults_all_subsystems",
+        trigger_faults(),
+        every_subsystem(),
+    );
 }
 
 /// Synchronized actuations and application events with one node crashed
@@ -326,8 +347,7 @@ fn all_subsystems() {
     let mut cfg = base(0, 0x601D);
     cfg.topology = Topology::chain_of_lans(2, 4);
     cfg.f = 0;
-    let mask = Subsystem::ALL.iter().fold(0, |m, s| m | s.bit());
-    check_traced("all_subsystems", cfg, mask);
+    check_traced("all_subsystems", cfg, every_subsystem());
 }
 
 /// `cfg` run for `secs` sim-s with a third of it as warm-up, the split
