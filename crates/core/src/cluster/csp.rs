@@ -222,15 +222,19 @@ fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
         return;
     }
     // Wire hop: from the TRANSMIT trigger to the last bit leaving the
-    // wire (receiver-side propagation lands in each rcv_trigger hop). The
-    // medium emits the span under its own subsystem.
+    // wire (receiver-side propagation lands in each rcv_trigger hop),
+    // labelled with the LAN rather than a node.
     let mut wire_span = SpanId::NONE;
-    if chain.0.is_some() {
-        let dur = wire_end.saturating_since(chain.1);
-        if let Some(o) = &mut world.obs {
-            o.hop_dur(HOP_WIRE, dur.as_fs());
+    if let Some(o) = &mut world.obs {
+        if chain.0.is_some() {
+            wire_span = o.hop(
+                HOP_WIRE,
+                wire_end.as_fs(),
+                wire_end.saturating_since(chain.1).as_fs(),
+                lan as u32,
+                chain.0,
+            );
         }
-        wire_span = world.mediums[lan].wire_span(wire_end.as_fs(), dur.as_fs(), chain.0);
     }
     let mut scheduled: usize = 0;
     // Indexed, since scheduling borrows the world; nothing here changes
@@ -346,9 +350,11 @@ fn exec_rx_write(
     // is never latched (the frame later drops in rx_complete); a late
     // trigger latches a stamp that post-dates the true arrival.
     if world.injector.missed_trigger(q, now) {
-        world
-            .injector
-            .annotate_span(now, q, "fault_trigger_missed", chain.0, 0);
+        if let Some(o) = &world.obs {
+            if chain.0.is_some() {
+                o.annotate(now.as_fs(), 0, q as u32, "fault_trigger_missed", chain.0);
+            }
+        }
     } else if let Some(d) = world.injector.late_trigger(q, now) {
         let xt = world.flights.get(&fid).and_then(|f| f.xmit_trigger_real);
         eng.schedule_at(now + d, move |w, e| {
@@ -378,12 +384,11 @@ fn exec_rx_write(
 /// The RECEIVE trigger fires at `t` on receiver `q` of flight `fid`, on
 /// time or `late` by an injected delay. The receive hop (propagation plus
 /// the header writes before the trigger) ends at `t` and extends `chain`,
-/// the inbound wire head; its span is staged so the UTCSU parents its
-/// latch span under it. The trigger itself is the header write, or on a
-/// gateway's further attachment `a` the SSU's trigger line directly. The
-/// trigger instant and the chain head, upgraded to the latch span (which
-/// ends one synchronizer delay later) when one was emitted, are recorded
-/// for `rx_complete`, unless a late trigger finds its flight already gone:
+/// the inbound wire head. The trigger itself is the header write, or on a
+/// gateway's further attachment `a` the SSU's trigger line directly; the
+/// UTCSU latch hop, one synchronizer delay long, follows it. The trigger
+/// instant and the chain head, the latch span, are recorded for
+/// `rx_complete`, unless a late trigger finds its flight already gone:
 /// then nothing would ever consume the record.
 #[allow(clippy::too_many_arguments)]
 fn rcv_trigger(
@@ -396,10 +401,10 @@ fn rcv_trigger(
     chain: (SpanId, SimTime),
     late: Option<SimDuration>,
 ) {
-    let mut head = None;
+    let mut rcv = SpanId::NONE;
     if let Some(o) = &mut world.obs {
         if chain.0.is_some() {
-            let rcv = o.hop(
+            rcv = o.hop(
                 HOP_RCV_TRIGGER,
                 t.as_fs(),
                 t.saturating_since(chain.1).as_fs(),
@@ -409,15 +414,8 @@ fn rcv_trigger(
             if let Some(d) = late {
                 // The injected lateness rides the chain as a fault
                 // annotation child of the trigger span.
-                world
-                    .injector
-                    .annotate_span(t, q, "fault_trigger_late", rcv, d.as_fs());
+                o.annotate(t.as_fs(), d.as_fs(), q as u32, "fault_trigger_late", rcv);
             }
-            world.nodes[q]
-                .nti
-                .utcsu_mut()
-                .stage_trigger_span(rcv, t.as_fs());
-            head = Some((rcv, t));
         }
     }
     let node = &mut world.nodes[q];
@@ -427,14 +425,17 @@ fn rcv_trigger(
     } else {
         node.nti.utcsu_mut().trigger_ssu_receive(a);
     }
-    let latch = node.nti.utcsu_mut().take_latch_span();
-    if latch.is_some() {
-        let lat_fs = node.nti.utcsu().stamp_delay_ticks() * 1_000_000_000_000_000
-            / world.cfg.fosc_hz as u128;
-        if let Some(o) = &mut world.obs {
-            o.hop_dur(HOP_LATCH, lat_fs);
+    let mut head = None;
+    if let Some(o) = &mut world.obs {
+        if rcv.is_some() {
+            let lat = SimDuration::from_fs(
+                node.nti.utcsu().stamp_delay_ticks() * 1_000_000_000_000_000
+                    / world.cfg.fosc_hz as u128,
+            );
+            let end = t + lat;
+            let latch = o.hop(HOP_LATCH, end.as_fs(), lat.as_fs(), q as u32, rcv);
+            head = Some((latch, end));
         }
-        head = Some((latch, t + SimDuration::from_fs(lat_fs)));
     }
     if late.is_some() {
         match world.flights.get_mut(&fid) {
@@ -518,8 +519,8 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
     );
     let at = now + entry + body + dispatch;
     // The kernel's draws, then the packet-interrupt hop (latch end →
-    // interrupt assertion) and the ISR + dispatch hop the kernel emits;
-    // `chain` is what the sync task's accept span parents on.
+    // interrupt assertion) and the ISR + dispatch hop; `chain` is what the
+    // sync task's accept span parents on.
     let mut chain = SpanId::NONE;
     if let Some(o) = &mut world.obs {
         o.isr_entry_ns.record(fs_to_ns(entry.as_fs()));
@@ -533,11 +534,13 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
                 q as u32,
                 ls,
             );
-            let dur_fs = at.saturating_since(now).as_fs();
-            chain = world.nodes[q]
-                .kernel
-                .isr_dispatch_span(at.as_fs(), dur_fs, ispan);
-            o.hop_dur(HOP_ISR_DISPATCH, dur_fs);
+            chain = o.hop(
+                HOP_ISR_DISPATCH,
+                at.as_fs(),
+                at.saturating_since(now).as_fs(),
+                q as u32,
+                ispan,
+            );
         }
     }
     let mode = world.cfg.mode;

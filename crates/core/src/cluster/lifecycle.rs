@@ -188,8 +188,8 @@ impl World {
             }
         }
         // Every power-up builds a fresh chip, so this is the UTCSU's one
-        // attach site: a restarted or joined node keeps its metrics and
-        // latch spans.
+        // attach site: a restarted or joined node keeps its trigger count
+        // and trace instants.
         node.nti.utcsu_mut().attach_observer(&cfg.obs, id as u32);
         node
     }

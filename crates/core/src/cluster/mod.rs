@@ -386,6 +386,20 @@ pub const ENTER_STATE_NAMES: [&str; 5] = [
     "enter_reintegrating",
 ];
 
+/// The subsystem each hop's span is traced under, index-aligned with
+/// [`SPAN_HOPS`]: the layer that produces the hop, though the cluster
+/// emits every span of the chain.
+const HOP_SUBSYSTEMS: [Subsystem; SPAN_HOPS.len()] = [
+    Subsystem::Cluster,
+    Subsystem::Cluster,
+    Subsystem::Net,
+    Subsystem::Cluster,
+    Subsystem::Utcsu,
+    Subsystem::Cluster,
+    Subsystem::Kernel,
+    Subsystem::Cluster,
+];
+
 const HOP_CSP_SEND: usize = 0;
 const HOP_XMIT_TRIGGER: usize = 1;
 const HOP_WIRE: usize = 2;
@@ -441,17 +455,19 @@ struct ClusterObs {
 }
 
 impl ClusterObs {
-    /// Emit one cluster-side hop of a CSP's causal chain: allocate a span
-    /// id, link it under `parent` (null parent ⇒ root), and record the hop
-    /// duration into the decomposition histogram. Returns the new span id
-    /// so the caller can thread the chain head forward.
+    /// Emit one hop of a CSP's causal chain under its
+    /// [`HOP_SUBSYSTEMS`] entry: allocate a span id, link it under
+    /// `parent` (null parent ⇒ root), and record the hop duration into the
+    /// decomposition histogram. `node` is the node the hop happens on, or
+    /// for `wire` the LAN. Returns the new span id so the caller can thread
+    /// the chain head forward.
     fn hop(&mut self, idx: usize, end_fs: u128, dur_fs: u128, node: u32, parent: SpanId) -> SpanId {
         let span = self.obs.new_span();
         self.obs.span_link(
             end_fs,
             dur_fs,
             node,
-            Subsystem::Cluster,
+            HOP_SUBSYSTEMS[idx],
             SPAN_HOPS[idx],
             span,
             parent,
@@ -460,11 +476,15 @@ impl ClusterObs {
         span
     }
 
-    /// Record the duration of a hop whose span another layer emitted (the
-    /// medium's wire hop, the UTCSU latch, the kernel's ISR + dispatch)
-    /// into the same decomposition family.
-    fn hop_dur(&mut self, idx: usize, dur_fs: u128) {
-        self.hop_ns[idx].record(fs_to_ns(dur_fs));
+    /// Mark an injected fault inside a CSP's chain: a `faults` child span
+    /// of `kind` (`fault_trigger_late`, `fault_trigger_missed`) under
+    /// `parent`, ending at `end_fs`, whose duration `dur_fs` is the
+    /// anomaly's magnitude (the injected delay), so an analyzer can tell
+    /// injected anomalies from organic ones.
+    fn annotate(&self, end_fs: u128, dur_fs: u128, node: u32, kind: &'static str, parent: SpanId) {
+        let span = self.obs.new_span();
+        self.obs
+            .span_link(end_fs, dur_fs, node, Subsystem::Faults, kind, span, parent);
     }
 
     fn flush(&mut self, metrics: &Metrics) {
@@ -494,8 +514,8 @@ impl ClusterObs {
 struct Rx {
     /// Real instant of the trigger (the receive end of the ε pair).
     trigger: SimTime,
-    /// Receive-side span chain head: the latch span (or the trigger span
-    /// when nothing latched) and its real end instant. `None` untraced.
+    /// Receive-side span chain head: the latch span and its real end
+    /// instant. `None` untraced.
     head: Option<(SpanId, SimTime)>,
 }
 
@@ -681,10 +701,9 @@ impl Cluster {
             }
         }
         // Each layer is attached to the observer where it is built: one
-        // medium per LAN here, each node's kernel (for its spans) with its
-        // hardware and its UTCSU in `World::power_up`, the engine and the
-        // cluster metrics (the kernels' latency histograms among them)
-        // below.
+        // medium per LAN here, each node's UTCSU in `World::power_up`, the
+        // engine and the cluster metrics (the kernels' latency histograms
+        // among them) below.
         let mediums = (0..cfg.topology.lan_count())
             .map(|l| {
                 let mut m = Medium::new(cfg.medium, root.split_idx("medium", l as u64));
@@ -731,12 +750,10 @@ impl Cluster {
                     )
                 })
                 .collect();
-            let mut kernel = Kernel::new(cfg.kernel, node_rng.split("kernel"));
-            kernel.attach_observer(&cfg.obs, id as u32);
             let hw = Hardware {
                 osc,
                 comcos,
-                kernel,
+                kernel: Kernel::new(cfg.kernel, node_rng.split("kernel")),
                 health: HealthTracker::new(HealthConfig::for_f(cfg.f)),
                 gps,
             };

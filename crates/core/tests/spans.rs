@@ -31,7 +31,8 @@ fn traced_cfg(n: usize, seed: u64, obs: &SimObserver) -> ClusterConfig {
 /// A traced 4-node run produces parent-linked spans forming a DAG with no
 /// orphans, and every accepted CSP's chain walks the full
 /// send→trigger→wire→trigger→latch→interrupt→ISR→accept pipeline back to
-/// its root.
+/// its root, each hop under the subsystem of the layer that produces it
+/// and starting where its parent ends.
 #[test]
 fn traced_run_yields_connected_span_forest() {
     let obs = SimObserver::with_trace(1 << 20, span_mask());
@@ -57,10 +58,24 @@ fn traced_run_yields_connected_span_forest() {
     );
     let mut expected: Vec<&str> = SPAN_HOPS.to_vec();
     expected.reverse();
+    let layers = [
+        "cluster", "kernel", "cluster", "utcsu", "cluster", "net", "cluster", "cluster",
+    ];
     for &a in &accepts {
         let chain = forest.chain_to_root(a);
         let kinds: Vec<&str> = chain.iter().map(|r| r.kind.as_str()).collect();
         assert_eq!(kinds, expected, "accept chain covers every hop");
+        let subs: Vec<&str> = chain.iter().map(|r| r.sub.as_str()).collect();
+        assert_eq!(subs, layers, "each hop is traced under its layer");
+        for hop in chain.windows(2) {
+            assert_eq!(
+                hop[0].start_fs(),
+                hop[1].end_fs,
+                "{} starts where {} ends",
+                hop[0].kind,
+                hop[1].kind
+            );
+        }
         // The hops between the TRANSMIT trigger and the RECEIVE trigger
         // telescope exactly: wire + rcv_trigger spans sum to the measured
         // end-to-end stamp-pair delay ε of this CSP.
@@ -72,8 +87,9 @@ fn traced_run_yields_connected_span_forest() {
             rcv.end_fs - xmit.end_fs,
             "per-hop decomposition sums to the observed ε"
         );
-        assert_eq!(wire.start_fs(), xmit.end_fs, "hops abut");
-        assert_eq!(rcv.start_fs(), wire.end_fs, "hops abut");
+        // The UTCSU's synchronizer delay: 2 ticks at 10 MHz with the
+        // RELIABLE pin.
+        assert_eq!(chain[3].dur_fs, 200_000_000, "latch lasts 200 ns");
     }
 }
 

@@ -26,7 +26,7 @@
 //! crashes, rejoins).
 
 use nti_gps::GpsFault;
-use nti_obs::{MetricKey, SimObserver, SpanId, Subsystem};
+use nti_obs::{MetricKey, SimObserver, Subsystem};
 use nti_simcore::{DriftExcursion, SimDuration, SimRng, SimTime};
 use std::sync::Arc;
 
@@ -421,19 +421,10 @@ pub struct FaultInjector {
 }
 
 /// Combine independent per-episode probabilities into one draw:
-/// P(any fires) = 1 − Π(1 − rᵢ).
-fn combine(rates: impl Iterator<Item = f64>) -> f64 {
-    let mut miss = 1.0;
-    let mut any = false;
-    for r in rates {
-        any = true;
-        miss *= 1.0 - r.clamp(0.0, 1.0);
-    }
-    if any {
-        1.0 - miss
-    } else {
-        0.0
-    }
+/// P(any fires) = 1 − Π(1 − rᵢ), which is 0 for no episodes. Both the
+/// simulation-side and the serve-side injectors draw through it.
+pub(crate) fn combine(rates: impl Iterator<Item = f64>) -> f64 {
+    1.0 - rates.fold(1.0, |miss, r| miss * (1.0 - r.clamp(0.0, 1.0)))
 }
 
 impl FaultInjector {
@@ -741,37 +732,6 @@ impl FaultInjector {
     /// Record a restarted node completing reintegration.
     pub fn note_rejoin(&mut self, now: SimTime, n: usize) {
         self.count_instant(now, n, "fault_rejoin", |o| &o.rejoins);
-    }
-
-    /// Annotate a causal span with an injected-fault marker: a child span
-    /// (kind `fault_<what>`, e.g. `fault_trigger_late`) under `parent` in
-    /// the `faults` subsystem ending at `now`, whose duration `value_fs`
-    /// is the magnitude of the anomaly (e.g. the injected delay) — so the
-    /// fault shows up *inside* the affected CSP's span tree and an
-    /// analyzer can tell injected anomalies from organic ones. No-op when
-    /// no observer is attached or `parent` is null.
-    pub fn annotate_span(
-        &self,
-        now: SimTime,
-        node: usize,
-        kind: &'static str,
-        parent: SpanId,
-        value_fs: u128,
-    ) {
-        let Some(o) = &self.obs else { return };
-        if parent.is_none() {
-            return;
-        }
-        let span = o.obs.new_span();
-        o.obs.span_link(
-            now.as_fs(),
-            value_fs,
-            node as u32,
-            Subsystem::Faults,
-            kind,
-            span,
-            parent,
-        );
     }
 
     /// Trace the episode boundaries crossing `now` (start/end instants).

@@ -25,6 +25,7 @@
 //! derives per-shard streams so shard threads never share RNG state), and
 //! an empty plan draws nothing at all.
 
+use crate::combine;
 use nti_simcore::SimRng;
 use std::time::Duration;
 
@@ -222,22 +223,6 @@ pub enum IngressFate {
 pub struct ServeFaultInjector {
     episodes: Vec<ServeFaultEpisode>,
     rng: SimRng,
-}
-
-/// Combine independent per-episode probabilities (1 − Π(1 − rᵢ)),
-/// mirroring the simulation-side injector.
-fn combine(rates: impl Iterator<Item = f64>) -> f64 {
-    let mut miss = 1.0;
-    let mut any = false;
-    for r in rates {
-        any = true;
-        miss *= 1.0 - r.clamp(0.0, 1.0);
-    }
-    if any {
-        1.0 - miss
-    } else {
-        0.0
-    }
 }
 
 impl ServeFaultInjector {

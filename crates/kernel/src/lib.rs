@@ -32,7 +32,6 @@ pub mod exec;
 
 pub use exec::{Executive, Msg, Step, TaskBody, TaskId, TraceEvent};
 
-use nti_obs::{SimObserver, SpanId, Subsystem};
 use nti_simcore::rng::SimRng;
 use nti_simcore::time::SimDuration;
 use std::collections::VecDeque;
@@ -170,42 +169,20 @@ impl KernelConfig {
     }
 }
 
-/// The observer a kernel emits its `isr_dispatch` span through (see
-/// [`Kernel::isr_dispatch_span`]), and the node that span is labelled
-/// with. The kernel records none of the latencies it draws: every node's
-/// kernel draws from the one [`KernelConfig`] of its cluster, so the
-/// cluster records them into one `kernel/<name>_ns` histogram per latency.
-#[derive(Clone, Debug)]
-struct KernelObs {
-    obs: SimObserver,
-    node: u32,
-}
-
-/// The executive: draws latencies from its configured distributions.
+/// The executive: draws latencies from its configured distributions. It
+/// records none of them: every node's kernel draws from the one
+/// [`KernelConfig`] of its cluster, so the cluster records them into one
+/// `kernel/<name>_ns` histogram per latency.
 #[derive(Clone, Debug)]
 pub struct Kernel {
     cfg: KernelConfig,
     rng: SimRng,
-    obs: Option<KernelObs>,
 }
 
 impl Kernel {
     /// Create an executive.
     pub fn new(cfg: KernelConfig, rng: SimRng) -> Self {
-        Kernel {
-            cfg,
-            rng,
-            obs: None,
-        }
-    }
-
-    /// Attach an observer; `node` labels this kernel's spans. Disabled
-    /// observers detach instrumentation entirely.
-    pub fn attach_observer(&mut self, obs: &SimObserver, node: u32) {
-        self.obs = obs.is_enabled().then(|| KernelObs {
-            obs: obs.clone(),
-            node,
-        });
+        Kernel { cfg, rng }
     }
 
     /// The configuration.
@@ -226,31 +203,6 @@ impl Kernel {
     /// Draw a task dispatch latency.
     pub fn task_dispatch(&mut self) -> SimDuration {
         self.cfg.task_dispatch.draw(&mut self.rng)
-    }
-
-    /// Record the causal ISR + task-dispatch hop of a received CSP: a span
-    /// ending at `end_fs` (when the sync task runs) linked under `parent`
-    /// (the packet-interrupt span). Returns the new span id, or
-    /// [`SpanId::NONE`] when no observer is attached or `parent` is null,
-    /// so callers can thread the id unconditionally.
-    pub fn isr_dispatch_span(&self, end_fs: u128, dur_fs: u128, parent: SpanId) -> SpanId {
-        let Some(o) = &self.obs else {
-            return SpanId::NONE;
-        };
-        if parent.is_none() {
-            return SpanId::NONE;
-        }
-        let span = o.obs.new_span();
-        o.obs.span_link(
-            end_fs,
-            dur_fs,
-            o.node,
-            Subsystem::Kernel,
-            "isr_dispatch",
-            span,
-            parent,
-        );
-        span
     }
 
     /// Draw a CSP assembly duration (step 1).

@@ -15,9 +15,7 @@
 //! `wire_bits / bitrate`; propagation adds a fixed per-segment delay
 //! (a 10BASE bus of ≤ a few 100 m: tens to hundreds of ns).
 
-use nti_obs::{
-    fs_to_ns, Counter, Gauge, Histogram, MetricKey, Payload, SimObserver, SpanId, Subsystem,
-};
+use nti_obs::{fs_to_ns, Counter, Gauge, Histogram, MetricKey, Payload, SimObserver, Subsystem};
 use nti_simcore::rng::SimRng;
 use nti_simcore::time::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -178,25 +176,6 @@ impl Medium {
     /// The configuration.
     pub fn config(&self) -> MediumConfig {
         self.cfg
-    }
-
-    /// Record the causal `wire` hop of a frame delivered over this
-    /// segment: a span ending at `end_fs` (the end of serialization)
-    /// linked under `parent` (the sender-side TRANSMIT-trigger span).
-    /// Returns the new span id, or [`SpanId::NONE`] when no observer is
-    /// attached (or no parent exists), so the caller can thread the id on
-    /// unconditionally.
-    pub fn wire_span(&self, end_fs: u128, dur_fs: u128, parent: SpanId) -> SpanId {
-        let Some(o) = &self.obs else {
-            return SpanId::NONE;
-        };
-        if parent.is_none() {
-            return SpanId::NONE;
-        }
-        let span = o.obs.new_span();
-        o.obs
-            .span_link(end_fs, dur_fs, o.lan, Subsystem::Net, "wire", span, parent);
-        span
     }
 
     /// One-way propagation delay of this segment, including any

@@ -46,9 +46,7 @@ pub use snu::Snu;
 pub use stamp::{Apu, Gpu, Ssu, Stamp, StampLatch};
 pub use timer::{DutyTimer, NUM_TIMERS};
 
-use nti_obs::{
-    Counter, Histogram, LocalCounter, LocalHist, MetricKey, Payload, SimObserver, SpanId, Subsystem,
-};
+use nti_obs::{Counter, Histogram, LocalCounter, MetricKey, Payload, SimObserver, Subsystem};
 use nti_simcore::ntp::{NtpTime, FRAC_BITS, NTP_FRAC_BITS};
 use nti_simcore::Accuracy;
 use std::sync::Arc;
@@ -84,16 +82,14 @@ impl Default for UtcsuConfig {
 /// Pre-resolved observability handles, populated by
 /// [`Utcsu::attach_observer`]. The chip runs in the tick domain, so trace
 /// timestamps use *nominal* local time (tick / f_osc) rather than simulated
-/// real time. The per-trigger metrics are local accumulators, flushed by
-/// [`Utcsu::flush_obs`] and on drop; a clone starts them empty.
+/// real time. The per-trigger count is a local accumulator, flushed by
+/// [`Utcsu::flush_obs`] and on drop; a clone starts it empty.
 #[derive(Clone, Debug)]
 struct UtcsuObs {
     obs: SimObserver,
     node: u32,
     /// All external triggers (SSU/GPU/APU/HWSNAP) that latched a stamp.
     triggers: LocalCounter,
-    /// Synchronizer latency of each trigger sample (nanoseconds).
-    trigger_latency_ns: LocalHist,
     /// Continuous amortization phases started.
     amort_starts: Arc<Counter>,
     /// Length of each amortization phase (ticks).
@@ -132,12 +128,6 @@ pub struct Utcsu {
     amort_hi: u32,
     leap_secs: u32,
     obs: Option<UtcsuObs>,
-    /// Causal-span context staged by the driver for the next trigger:
-    /// `(parent span, engine-time fs of the trigger)`. Consumed by
-    /// [`Utcsu::obs_trigger`], which emits the `latch` span and parks its
-    /// id here for [`Utcsu::take_latch_span`].
-    span_ctx: Option<(SpanId, u128)>,
-    latch_span: SpanId,
 }
 
 impl Utcsu {
@@ -168,8 +158,6 @@ impl Utcsu {
             amort_hi: 0,
             leap_secs: 0,
             obs: None,
-            span_ctx: None,
-            latch_span: SpanId::NONE,
         }
     }
 
@@ -183,9 +171,6 @@ impl Utcsu {
                 obs: obs.clone(),
                 node,
                 triggers: LocalCounter::new(obs.counter(key("triggers")).expect("enabled")),
-                trigger_latency_ns: LocalHist::new(
-                    obs.hist(key("trigger_latency_ns")).expect("enabled"),
-                ),
                 amort_starts: obs.counter(key("amort_starts")).expect("enabled"),
                 amort_ticks: obs.hist(key("amort_ticks")).expect("enabled"),
             })
@@ -194,12 +179,11 @@ impl Utcsu {
         };
     }
 
-    /// Flush the locally accumulated trigger metrics into the observer's
+    /// Flush the locally accumulated trigger count into the observer's
     /// registry.
     pub fn flush_obs(&mut self) {
         if let Some(o) = &mut self.obs {
             o.triggers.flush();
-            o.trigger_latency_ns.flush();
         }
     }
 
@@ -209,61 +193,18 @@ impl Utcsu {
         self.tick * 1_000_000_000_000_000u128 / self.cfg.fosc_hz as u128
     }
 
-    /// Record one trigger sample: count it, record the synchronizer latency
-    /// and emit a trace instant when the `utcsu` subsystem is traced. When
-    /// the driver staged a causal-span context ([`Utcsu::stage_trigger_span`])
-    /// the synchronizer latency additionally becomes a `latch` span linked
-    /// under the staged parent, timestamped in **engine** time (the staged
-    /// instant plus the synchronizer recovery) so it telescopes with the
-    /// surrounding hops.
+    /// Record one trigger sample: count it and emit a trace instant when
+    /// the `utcsu` subsystem is traced.
     fn obs_trigger(&mut self, kind: &'static str) {
-        let ctx = self.span_ctx.take();
         let Some(traced) = self.obs.as_ref().map(|o| o.obs.tracing(Subsystem::Utcsu)) else {
             return;
         };
         let nominal_fs = traced.then(|| self.nominal_fs());
-        let latency_ticks = self.stamp_delay_ticks();
         let Some(o) = &mut self.obs else { return };
         o.triggers.inc();
-        let latency_ns = latency_ticks as u64 * 1_000_000_000 / self.cfg.fosc_hz;
-        o.trigger_latency_ns.record(latency_ns);
         if let Some(fs) = nominal_fs {
             o.obs.instant(fs, o.node, Subsystem::Utcsu, kind);
         }
-        if let Some((parent, real_fs)) = ctx {
-            let latency_fs = latency_ticks * 1_000_000_000_000_000u128 / self.cfg.fosc_hz as u128;
-            let span = o.obs.new_span();
-            o.obs.span_link(
-                real_fs + latency_fs,
-                latency_fs,
-                o.node,
-                Subsystem::Utcsu,
-                "latch",
-                span,
-                parent,
-            );
-            self.latch_span = span;
-        }
-    }
-
-    /// Stage the causal-span context for the next external trigger:
-    /// `parent` is the span of the event that raises the trigger line
-    /// (e.g. the RECEIVE header write) and `real_fs` the engine time at
-    /// which it does. That trigger turns the
-    /// synchronizer latency into a parent-linked `latch` span; fetch its
-    /// id with [`Utcsu::take_latch_span`]. No-op state when no observer
-    /// is attached (callers guard on a non-null `parent`).
-    pub fn stage_trigger_span(&mut self, parent: SpanId, real_fs: u128) {
-        if parent.is_some() && self.obs.is_some() {
-            self.span_ctx = Some((parent, real_fs));
-        }
-    }
-
-    /// Take the span id of the most recent staged-and-latched trigger
-    /// (see [`Utcsu::stage_trigger_span`]), resetting it to
-    /// [`SpanId::NONE`].
-    pub fn take_latch_span(&mut self) -> SpanId {
-        std::mem::take(&mut self.latch_span)
     }
 
     /// The static configuration.
@@ -756,44 +697,7 @@ mod tests {
         assert_eq!(u.next_event_tick(), None);
     }
 
-    #[test]
-    fn staged_trigger_emits_parent_linked_latch_span() {
-        let mut u = Utcsu::new(UtcsuConfig {
-            fosc_hz: 10_000_000,
-            reliable_pin: true,
-        });
-        let obs = SimObserver::with_trace(64, u32::MAX);
-        u.attach_observer(&obs, 3);
-        let parent = obs.new_span();
-        u.stage_trigger_span(parent, 1_000_000);
-        u.trigger_ssu_receive(0);
-        let latch = u.take_latch_span();
-        assert!(latch.is_some());
-        assert!(u.take_latch_span().is_none(), "take resets the id");
-        let evs = obs.events();
-        let link = evs
-            .iter()
-            .find_map(|e| match e.payload {
-                Payload::SpanLink {
-                    span,
-                    parent: p,
-                    dur_fs,
-                } if e.kind == "latch" => Some((span, p, dur_fs, e.sim_time_fs)),
-                _ => None,
-            })
-            .expect("latch span recorded");
-        // 2 ticks at 10 MHz = 200 ns of synchronizer latency, ending
-        // 200 ns after the staged engine-time instant.
-        assert_eq!(
-            link,
-            (latch.0, parent.0, 200_000_000, 1_000_000 + 200_000_000)
-        );
-        // An unstaged trigger emits no span and leaves no id behind.
-        u.trigger_ssu_receive(0);
-        assert!(u.take_latch_span().is_none());
-    }
-
-    /// Trigger metrics accumulate locally: nothing reaches the registry
+    /// The trigger count accumulates locally: nothing reaches the registry
     /// before a flush, a clone starts empty, and a chip dropped unflushed
     /// (a restart replaces a node's NTI) still lands its triggers.
     #[test]
@@ -804,15 +708,12 @@ mod tests {
         let triggers = obs
             .counter(MetricKey::node(2, "utcsu", "triggers"))
             .unwrap();
-        let latency = obs
-            .hist(MetricKey::node(2, "utcsu", "trigger_latency_ns"))
-            .unwrap();
         for _ in 0..3 {
             u.trigger_ssu_receive(0);
         }
         assert_eq!(triggers.get(), 0);
         u.flush_obs();
-        assert_eq!((triggers.get(), latency.count()), (3, 3));
+        assert_eq!(triggers.get(), 3);
         u.trigger_ssu_transmit(1);
         let mut copy = u.clone();
         copy.trigger_ssu_receive(1);
@@ -823,7 +724,7 @@ mod tests {
             "the clone did not copy the pending trigger"
         );
         drop(copy);
-        assert_eq!((triggers.get(), latency.count()), (5, 5));
+        assert_eq!(triggers.get(), 5);
     }
 
     #[test]
