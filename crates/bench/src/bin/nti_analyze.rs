@@ -11,7 +11,7 @@
 //!   stamp-pair delay ε, with the telescoping check that the `wire` and
 //!   `rcv_trigger` hop durations sum **exactly** to the observed ε of
 //!   each accepted CSP;
-//! * the invariant-monitor violation counts found in the trace.
+//! * the invariant-violation counts found in the trace.
 //!
 //! Machine-readable results accrete one line per invocation in
 //! `target/experiments/BENCH_obs.json`, and a compact per-hop p99 line is
@@ -21,7 +21,7 @@
 //! `--smoke`: self-contained CI gate — runs a traced nominal 4-node
 //! cluster in-process and asserts the forest is connected and
 //! violation-free, then injects a saturating 2 ms late-trigger fault and
-//! asserts the trigger-latency monitor fires. Exits non-zero on failure.
+//! asserts the trigger-latency check fires. Exits non-zero on failure.
 
 use nti_bench::{append_bench, eng, header};
 use nti_core::cluster::{Cluster, ClusterConfig, SPAN_HOPS};
@@ -272,7 +272,8 @@ fn record_analysis(source: &str, a: &Analysis) {
 }
 
 /// Parse one exported JSONL trace file into span records + violation
-/// counts (the monitor's `viol_*` counter samples ride the same trace).
+/// counts (each violation the cluster counts rides the trace as a `viol_*`
+/// value event).
 fn parse_jsonl(text: &str) -> (Vec<SpanRecord>, BTreeMap<String, u64>) {
     let mut records = Vec::new();
     let mut violations = BTreeMap::new();

@@ -26,7 +26,7 @@
 //! | `e18_churn` | membership churn × congestion × mesh depth (`--smoke` = CI gate) |
 //! | `e19_serve` | serving real NTPv4 traffic from the ensemble (`--smoke`, `--telemetry-gate` = CI gates) |
 //! | `e20_abuse` | serve goodput under fuzz, flood and a stalled sim (`--smoke` = CI gate) |
-//! | `nti_analyze` | offline span-forest and monitor report over exported traces (`--smoke` = CI gate) |
+//! | `nti_analyze` | offline span-forest and invariant-violation report over exported traces (`--smoke` = CI gate) |
 //!
 //! Set `NTI_EXP_FAST=1` to shrink the simulated durations (CI smoke runs).
 //! Simulator and server performance is measured by `perfbench/`, not here.

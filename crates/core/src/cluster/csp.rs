@@ -61,7 +61,6 @@ pub(super) fn csp_send(
         let buf = nti_module::DATA_BUF_BASE + (node.tx_slot % 8) * 256;
         node.nti
             .write_bytes(nti_module::CPU_BASE + buf, &payload.encode());
-        node.driver.record_tx(Interface::Ci);
         node.nti.read_bytes(buf, &mut payload_bytes);
     }
     // Control path: the CPU queues a TRANSMIT command block in the System
@@ -364,21 +363,17 @@ fn exec_rx_write(
             let t = e.now();
             w.nodes[q].advance(t);
             rcv_trigger(w, t, q, fid, a, slot, chain, Some(d));
-            // The trigger-latency invariant is checked here rather than at
+            // The trigger-latency invariant is checked here as well as at
             // the reception interrupt: a trigger this late may miss the
             // latch window entirely, in which case the frame drops before
             // `record_eps` would ever observe the pair.
-            if let (Some(m), Some(xt)) = (w.monitors.as_mut(), xt) {
-                m.trigger_latency(t.as_fs(), q as u32, t.saturating_since(xt).as_fs());
+            if let Some(xt) = xt {
+                check_trigger_latency(w, t, q, t.saturating_since(xt));
             }
         });
     } else {
         rcv_trigger(world, now, q, fid, a, slot, chain, None);
     }
-    // The ISR-level driver sees the frame as CI traffic (Figure 9).
-    world.nodes[q]
-        .driver
-        .deliver(nti_kernel::ETHERTYPE_CI, fid as usize, Vec::new());
 }
 
 /// The RECEIVE trigger fires at `t` on receiver `q` of flight `fid`, on
@@ -480,30 +475,17 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
     world.nodes[q]
         .nti
         .read_bytes(nti_module::CPU_BASE + rx_data_buf(slot), &mut stored);
-    // Let the driver consume the CI queue entry (KI/NI traffic is
-    // untouched).
-    let _ = world.nodes[q].driver.pop(Interface::Ci);
     let Some(mut flight) = flight else {
         return;
     };
     // Decode what actually landed in memory; the hardware-inserted fields
     // (transmit stamp + accuracies) came in the *header*, so they are
     // merged from the mapped values the COMCO fetched.
-    match CspPayload::decode(&stored) {
-        Some(mut p) => {
-            p.hw_timestamp = flight.payload.hw_timestamp;
-            p.hw_acc = flight.payload.hw_acc;
-            debug_assert_eq!(p, flight.payload, "memory path corrupted the payload");
-            flight.payload = p;
-        }
-        None => {
-            // Payload missing from memory: an overlapped reception
-            // clobbered the data buffer before the ISR read it.
-            world.nodes[q].nti.utcsu_mut().ssu[a].receive.clear();
-            count_drop(world, now, q, DropCause::Overrun);
-            return;
-        }
-    }
+    let mut p = CspPayload::decode(&stored).expect("a full-length buffer decodes");
+    p.hw_timestamp = flight.payload.hw_timestamp;
+    p.hw_acc = flight.payload.hw_acc;
+    debug_assert_eq!(p, flight.payload, "memory path corrupted the payload");
+    flight.payload = p;
     if flight.corrupted {
         // Footnote 4: the trigger fired but the frame is discarded; the
         // ISR clears the latch so the stamp is not misattributed.
@@ -552,7 +534,7 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
         eng.schedule_at(at, move |w, e| {
             let t = e.now();
             let recv_local = w.nodes[q].read_clock_regs(t);
-            record_eps(w, t, t, sent);
+            record_eps(w, t, t.saturating_since(sent));
             let xmit = sw_xmit_stamp(&payload, recv_local);
             process_csp(w, e, q, payload, xmit, recv_local, marked, chain);
         });
@@ -585,12 +567,9 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
         (world.nodes[q].read_clock_regs(now), Some(now))
     };
     if let (Some(tr), Some(tx)) = (recv_real, flight.xmit_trigger_real) {
-        record_eps(world, now, tr, tx);
-        // Trigger-to-latch budget: the measured stamp-pair delay must stay
-        // inside the static bound δ_max.
-        if let Some(m) = world.monitors.as_mut() {
-            m.trigger_latency(now.as_fs(), q as u32, tr.saturating_since(tx).as_fs());
-        }
+        let delay = tr.saturating_since(tx);
+        record_eps(world, now, delay);
+        check_trigger_latency(world, now, q, delay);
     }
     let (payload, marked) = (flight.payload, flight.marked);
     eng.schedule_at(at, move |w, e| {
@@ -655,14 +634,24 @@ fn count_drop(world: &mut World, now: SimTime, q: usize, cause: DropCause) {
 /// statistics, and its excess over the static bound `delay_min` into the
 /// registry, where the sub-µs excess falls into buckets a few ns wide (the
 /// whole ~68 µs delay would land in 1,024-ns buckets).
-fn record_eps(world: &mut World, now: SimTime, recv_real: SimTime, xmit_real: SimTime) {
+fn record_eps(world: &mut World, now: SimTime, delay: SimDuration) {
     if now.as_fs() >= world.cfg.warmup.as_fs() {
-        let delay = recv_real.saturating_since(xmit_real);
         world.metrics.eps_delay.add(delay.as_secs_f64());
         if let Some(o) = &mut world.obs {
             let excess = delay.saturating_sub(world.params.delay_min);
             o.eps_excess_ns.record(fs_to_ns(excess.as_fs()));
         }
+    }
+}
+
+/// The trigger-to-latch budget: a stamp-pair delay measured at `t` on
+/// node `q` must stay inside the static bound `delay_max` the algorithm
+/// compensates with.
+fn check_trigger_latency(world: &mut World, t: SimTime, q: usize, delay: SimDuration) {
+    let bound = world.params.delay_max;
+    if delay > bound {
+        let excess = delay.as_fs() as i128 - bound.as_fs() as i128;
+        world.violation(VIOL_TRIGGER_LATENCY, t.as_fs(), q as u32, excess);
     }
 }
 

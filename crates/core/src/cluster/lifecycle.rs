@@ -87,9 +87,6 @@ pub(super) fn crash_node(world: &mut World, eng: &mut Eng, id: usize) {
         // closed: that restart never recovered.
         world.metrics.rejoin_alpha[idx].interrupted = true;
     }
-    if let Some(m) = world.monitors.as_mut() {
-        m.reset_clock(id as u32);
-    }
     if let Some(ev) = world.nodes[id].utcsu_event.take() {
         eng.cancel(ev);
     }
@@ -110,8 +107,10 @@ impl World {
     /// Power node `id` up on `hw`: a fresh NTI, its UTCSU caught up to
     /// oscillator tick `tick`, with its clock loaded to `boot` under an
     /// accuracy cover of the boot scatter, the SYNCRUN started and every
-    /// interrupt unmasked; a fresh `SyncCore`; driver, SCB and rate state
-    /// reset; the drift budget programmed; and the GPS, application-event
+    /// interrupt unmasked; a fresh `SyncCore`; SCB and rate state reset,
+    /// and no clock sample for the monotonicity check (a reseeded boot
+    /// clock may read earlier than the pre-crash clock); the drift budget
+    /// programmed; and the GPS, application-event
     /// and leap hardware enabled as configured, the leap only while its
     /// boundary lies after `now`; and the UTCSU attached to the observer.
     pub(super) fn power_up(
@@ -152,7 +151,6 @@ impl World {
             nti,
             comcos: hw.comcos,
             kernel: hw.kernel,
-            driver: ComcoDriver::new(),
             scb: nti_module::ScbDriver::default(),
             core,
             health: hw.health,
@@ -164,6 +162,7 @@ impl World {
             utcsu_event: None,
             amort_dstep_saved: None,
             cum_adj_units: 0,
+            last_clock_fs: None,
             quant_units: if cfg.granularity <= SimDuration::from_nanos(60) {
                 UTCSU_QUANT_UNITS
             } else {
@@ -271,11 +270,6 @@ fn restart_node_with(world: &mut World, eng: &mut Eng, id: usize, off: SimDurati
     }
     let edge = world.nodes[id].health.set_reintegrating();
     note_health_edge(world, now, id, edge);
-    if let Some(m) = world.monitors.as_mut() {
-        // The reseeded boot clock may legitimately read earlier than the
-        // pre-crash clock.
-        m.reset_clock(id as u32);
-    }
     // Every restart opens its own trajectory (an interrupted predecessor
     // was already closed by `crash_node`).
     world.metrics.rejoin_alpha.push(RejoinTrajectory {

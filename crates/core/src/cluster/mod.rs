@@ -39,12 +39,12 @@ use crate::status::{ClusterStatus, NodeStatus, StatusCell};
 use crate::validate::{gps_observation, validate, ValidationStats};
 use nti_faults::{ChurnEvent, ChurnKind, ChurnPlan, FaultInjector, FaultPlan};
 use nti_gps::{GpsConfig, GpsReceiver};
-use nti_kernel::{ComcoDriver, Interface, Kernel, KernelConfig};
+use nti_kernel::{Kernel, KernelConfig};
 use nti_module::{CpldConfig, Nti, UTCSU_BASE};
 use nti_netsim::{Comco, ComcoTiming, Frame, Medium, MediumConfig, Topology};
 use nti_obs::{
-    fs_to_ns, Counter, Gauge, Histogram, LocalHist, MetricKey, MonitorConfig, Monitors,
-    SimObserver, SpanId, Subsystem, GLOBAL_NODE,
+    fs_to_ns, Counter, Gauge, Histogram, LocalHist, MetricKey, SimObserver, SpanId, Subsystem,
+    GLOBAL_NODE,
 };
 use nti_simcore::ntp::{NtpTime, FRAC_BITS, NTP_FRAC_BITS};
 use nti_simcore::time::{SimDuration, SimTime};
@@ -67,7 +67,10 @@ use lifecycle::{
     apply_lan_faults, boot_offset, churn_event, crash_node, fault_boundary, note_health_edge,
     restart_node,
 };
-use report::{finalize, CSP_COUNT_NAMES};
+use report::{
+    finalize, CSP_COUNT_NAMES, VIOLATION_NAMES, VIOL_CONTAINMENT, VIOL_HOLDOVER_CONTAINMENT,
+    VIOL_MONOTONIC, VIOL_PRECISION, VIOL_TRIGGER_LATENCY,
+};
 pub use report::{Metrics, RejoinTrajectory, Report, REJOIN_TRACK_ROUNDS};
 use round::{arm_round_timers, arm_timer, gps_second, schedule_utcsu_service};
 use snapshot::{actuation_fired, app_event, ref_time, snapshot};
@@ -252,9 +255,9 @@ pub struct ClusterConfig {
     pub snapshot_every: SimDuration,
     /// Metrics warm-up exclusion window.
     pub warmup: SimDuration,
-    /// Precision budget π for the online precision monitor: a snapshot
-    /// whose worst pairwise clock difference exceeds this raises a
-    /// `precision` violation. `None` disables the check (the simulation
+    /// Precision budget π: a snapshot whose worst pairwise clock
+    /// difference exceeds this counts a `viol_precision` violation, with
+    /// metrics on or off. `None` disables the check (the simulation
     /// derives no closed-form π; callers supply their own budget).
     pub precision_budget: Option<SimDuration>,
     /// Observability sink: threaded into the engine, every medium, every
@@ -413,9 +416,9 @@ const HOP_ACCEPT: usize = 7;
 /// `cluster` subsystem, global scope unless noted). The histograms
 /// recorded per CSP reception (`eps_excess_ns`, the hop histograms, the
 /// kernel's reception latencies) are local accumulators, flushed by
-/// [`World::flush_obs`] and on drop. The CSP counts are kept in
-/// [`Metrics`] alone; `flush_obs` publishes what they gained since the
-/// last flush. The rest are written directly.
+/// [`World::flush_obs`] and on drop. The CSP and violation counts are
+/// kept in [`Metrics`] alone; `flush_obs` publishes what they gained since
+/// the last flush. The rest are written directly.
 struct ClusterObs {
     obs: SimObserver,
     /// Per-snapshot worst pairwise clock difference (ns).
@@ -452,6 +455,10 @@ struct ClusterObs {
     /// `cluster/status_publishes` — frames published into the status
     /// cell; serving-side staleness alarms correlate against this.
     status_publishes: Arc<Counter>,
+    /// `monitor/<name>` for each of [`VIOLATION_NAMES`], index-aligned.
+    violation_counters: [Arc<Counter>; VIOLATION_NAMES.len()],
+    /// The [`Metrics::violations`] the last flush published.
+    violations_published: [u64; VIOLATION_NAMES.len()],
 }
 
 impl ClusterObs {
@@ -495,16 +502,29 @@ impl ClusterObs {
         self.isr_entry_ns.flush();
         self.isr_body_ns.flush();
         self.dispatch_ns.flush();
-        let counts = metrics.csp_counts();
-        for ((counter, published), now) in self
-            .csp_counters
-            .iter()
-            .zip(&mut self.csp_published)
-            .zip(counts)
-        {
-            counter.add(now - *published);
-            *published = now;
-        }
+        publish(
+            &self.csp_counters,
+            &mut self.csp_published,
+            metrics.csp_counts(),
+        );
+        publish(
+            &self.violation_counters,
+            &mut self.violations_published,
+            metrics.violations,
+        );
+    }
+}
+
+/// Add to each counter what its count gained since `published`, the
+/// counts the last flush published, and remember `counts`.
+fn publish<const N: usize>(
+    counters: &[Arc<Counter>; N],
+    published: &mut [u64; N],
+    counts: [u64; N],
+) {
+    for ((counter, published), now) in counters.iter().zip(published).zip(counts) {
+        counter.add(now - *published);
+        *published = now;
     }
 }
 
@@ -558,8 +578,6 @@ pub struct World {
     /// Frames published into `cfg.status_cell` so far.
     status_publishes: u64,
     obs: Option<ClusterObs>,
-    /// Online invariant monitors (`None` when observability is off).
-    monitors: Option<Monitors>,
     cfg: ClusterConfig,
     params: SyncParams,
 }
@@ -581,10 +599,21 @@ impl World {
         self.nodes[id].is_down()
     }
 
-    /// The online invariant monitor bank, when observability is enabled
-    /// (violation counts, first offenses).
-    pub fn monitors(&self) -> Option<&Monitors> {
-        self.monitors.as_ref()
+    /// Count one violation of invariant `kind` (a `VIOL_*` index) at
+    /// `t_fs` on `node` (`GLOBAL_NODE` for the ensemble-wide precision
+    /// check), by `excess_fs`, the observed quantity minus its bound; with
+    /// metrics on, also trace it as a `viol_<kind>` value event.
+    fn violation(&mut self, kind: usize, t_fs: u128, node: u32, excess_fs: i128) {
+        self.metrics.violations[kind] += 1;
+        if let Some(o) = &self.obs {
+            o.obs.value(
+                t_fs,
+                node,
+                Subsystem::Cluster,
+                VIOLATION_NAMES[kind],
+                excess_fs.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
+            );
+        }
     }
 
     /// Flush every per-reception local accumulator (the cluster's, and
@@ -726,7 +755,6 @@ impl Cluster {
             metrics: Metrics::default(),
             status_publishes: 0,
             obs: None,
-            monitors: None,
             cfg,
             params,
         };
@@ -799,27 +827,12 @@ impl Cluster {
                         .expect("enabled")
                 }),
                 status_publishes: obs.counter(key("status_publishes")).expect("enabled"),
+                violation_counters: VIOLATION_NAMES.map(|nm| {
+                    obs.counter(MetricKey::global("monitor", nm))
+                        .expect("enabled")
+                }),
+                violations_published: [0; VIOLATION_NAMES.len()],
             });
-            world.monitors = Monitors::new(
-                &obs,
-                n,
-                MonitorConfig {
-                    // The static worst-case transmission-delay bound the
-                    // algorithm compensates with also budgets the measured
-                    // trigger-to-latch stamp-pair delay.
-                    delay_budget_fs: Some(params.delay_max.as_fs()),
-                    precision_bound_fs: world.cfg.precision_budget.map(|d| d.as_fs()),
-                    check_containment: true,
-                    // Amortized interval clocks slew continuously and never
-                    // read backwards; instantaneous-step modes and leap
-                    // insertion legitimately do.
-                    check_monotonic: world.cfg.leap_insert_at_sec.is_none()
-                        && matches!(
-                            world.cfg.algo,
-                            AlgoKind::IntervalOa | AlgoKind::IntervalMarzullo
-                        ),
-                },
-            );
         }
         let mut eng = Eng::new();
         eng.attach_observer(&obs);

@@ -3,9 +3,9 @@
 use super::*;
 
 /// Run-wide measurement accumulators. The summaries keep no samples, so
-/// these hold the same memory however long the run. The CSP counts are
-/// their only store: `World::flush_obs` publishes them into the
-/// observer's `cluster/csps_*` counters.
+/// these hold the same memory however long the run. The CSP and violation
+/// counts are their only store: `World::flush_obs` publishes them into the
+/// observer's `cluster/csps_*` and `monitor/viol_*` counters.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Per-snapshot maximum pairwise clock difference (s).
@@ -61,6 +61,10 @@ pub struct Metrics {
     pub gps_accepted: u64,
     /// Rejected external intervals.
     pub gps_rejected: u64,
+    /// Invariant violations per check, index-aligned with
+    /// `VIOLATION_NAMES`: containment, precision, monotonicity, trigger
+    /// latency and holdover containment. Counted with metrics on or off.
+    pub violations: [u64; VIOLATION_NAMES.len()],
 }
 
 /// Registry names of [`Metrics::csp_counts`], index-aligned: each is
@@ -73,6 +77,28 @@ pub(super) const CSP_COUNT_NAMES: [&str; 6] = [
     "csps_dropped_overrun",
     "csps_dropped_injected",
 ];
+
+/// Registry names of [`Metrics::violations`], index-aligned: each is
+/// published as the `monitor/<name>` counter and traced as a value event
+/// of that kind, whose value is the observed quantity minus its bound.
+pub(super) const VIOLATION_NAMES: [&str; 5] = [
+    "viol_containment",
+    "viol_precision",
+    "viol_monotonic",
+    "viol_trigger_latency",
+    "viol_holdover_containment",
+];
+
+/// Reference time outside a synchronized node's accuracy interval.
+pub(super) const VIOL_CONTAINMENT: usize = 0;
+/// Worst pairwise clock difference above `ClusterConfig::precision_budget`.
+pub(super) const VIOL_PRECISION: usize = 1;
+/// An amortized clock read earlier than at the previous snapshot.
+pub(super) const VIOL_MONOTONIC: usize = 2;
+/// A stamp-pair delay above the static bound `delay_max`.
+pub(super) const VIOL_TRIGGER_LATENCY: usize = 3;
+/// Reference time outside a holdover node's accuracy interval.
+pub(super) const VIOL_HOLDOVER_CONTAINMENT: usize = 4;
 
 impl Metrics {
     /// The CSP counts, index-aligned with [`CSP_COUNT_NAMES`].
@@ -163,8 +189,9 @@ pub struct Report {
     /// Worst cross-node spread of synchronized duty-timer actuations (s),
     /// and the number of actuations measured.
     pub actuations: (f64, usize),
-    /// Online invariant violations raised across all monitors (always 0
-    /// when observability is off — the monitors need an enabled observer).
+    /// Invariant violations summed over the five checks (containment,
+    /// precision, monotonicity, trigger latency, holdover containment);
+    /// the same with metrics on or off.
     pub monitor_violations: u64,
 }
 
@@ -287,7 +314,6 @@ pub(super) fn finalize(w: &mut World) -> Report {
         w.metrics.gps_rejected += n.vstats.rejected;
     }
     let cf_failures = w.nodes.iter().map(|n| n.core.cf_failures).sum();
-    let monitor_violations = w.monitors.as_ref().map_or(0, |m| m.total());
     let final_states: Vec<&'static str> = w.nodes.iter().map(|n| n.health.state().name()).collect();
     let health_transitions = w.nodes.iter().map(|n| n.health.transitions()).sum();
     let holdover_rounds = w.nodes.iter().map(|n| n.health.holdover_rounds()).sum();
@@ -332,7 +358,7 @@ pub(super) fn finalize(w: &mut World) -> Report {
         cf_failures,
         app_events: (m.app_event_spread.max(), m.app_event_spread.count()),
         actuations: (m.actuation_spread.max(), m.actuation_spread.count()),
-        monitor_violations,
+        monitor_violations: m.violations.iter().sum(),
     }
 }
 

@@ -65,7 +65,7 @@ fn in_leap_blackout(world: &World, now: SimTime) -> bool {
 }
 
 /// A clock reading as femtoseconds since the NTP epoch (for the
-/// monotonicity monitor; split so the fraction multiply cannot overflow).
+/// monotonicity check; split so the fraction multiply cannot overflow).
 fn ntp_to_fs(t: NtpTime) -> i128 {
     let secs = (t.raw() >> FRAC_BITS) as i128;
     let frac = (t.raw() & ((1u128 << FRAC_BITS) - 1)) as i128;
@@ -104,12 +104,21 @@ pub(super) fn actuation_fired(world: &mut World, eng: &mut Eng, id: usize) {
     arm_timer(node, 2, next);
 }
 
-/// Periodic HWSNAP sweep: precision, accuracy, containment.
+/// Periodic HWSNAP sweep: precision, accuracy, containment, and the
+/// invariant checks on them.
 pub(super) fn snapshot(world: &mut World, eng: &mut Eng) {
     let now = eng.now();
     let mut times: Vec<NtpTime> = Vec::with_capacity(world.nodes.len());
     let mut rates: Vec<f64> = Vec::with_capacity(world.nodes.len());
     let in_window = now.as_fs() >= world.cfg.warmup.as_fs() && !in_leap_blackout(world, now);
+    // Amortized interval clocks slew continuously and never read
+    // backwards; instantaneous-step modes and leap insertion legitimately
+    // do.
+    let check_monotonic = world.cfg.leap_insert_at_sec.is_none()
+        && matches!(
+            world.cfg.algo,
+            AlgoKind::IntervalOa | AlgoKind::IntervalMarzullo
+        );
     for id in 0..world.nodes.len() {
         // Crashed nodes hold no clock; reintegrating nodes are excluded
         // from ensemble metrics until they have reacquired synchronized
@@ -123,7 +132,7 @@ pub(super) fn snapshot(world: &mut World, eng: &mut Eng) {
         let t = world.nodes[id].nti.utcsu().time();
         // A holdover node free-runs outside the precision ensemble (its
         // clock is honest but no longer trimmed); its containment claim is
-        // still checked — routed to the dedicated monitor below.
+        // still checked, and counted apart below.
         let holdover = world.nodes[id].health.state() == HealthState::Holdover;
         if !holdover {
             times.push(t);
@@ -133,12 +142,17 @@ pub(super) fn snapshot(world: &mut World, eng: &mut Eng) {
             let reference = ref_time(world, now);
             let (am, ap) = world.nodes[id].nti.utcsu().alpha();
             let iv = AccInterval::from_alpha(t, am, ap);
-            let contained = iv.contains_time(reference);
-            world.metrics.containment_checks += 1;
-            if !contained {
-                world.metrics.containment_violations += 1;
-            }
             let signed_err = iv.value_error_secs(reference);
+            world.metrics.containment_checks += 1;
+            if !iv.contains_time(reference) {
+                world.metrics.containment_violations += 1;
+                let kind = if holdover {
+                    VIOL_HOLDOVER_CONTAINMENT
+                } else {
+                    VIOL_CONTAINMENT
+                };
+                world.violation(kind, now.as_fs(), id as u32, (signed_err * 1e15) as i128);
+            }
             let err = signed_err.abs();
             let a_max = am.as_secs_f64().max(ap.as_secs_f64());
             world.metrics.true_error.add(err);
@@ -147,31 +161,25 @@ pub(super) fn snapshot(world: &mut World, eng: &mut Eng) {
                 o.true_error_ns.record((err * 1e9) as u64);
                 o.alpha_ns.record((a_max * 1e9) as u64);
             }
-            if let Some(m) = world.monitors.as_mut() {
-                if holdover {
-                    m.holdover_containment(
-                        now.as_fs(),
-                        id as u32,
-                        contained,
-                        (signed_err * 1e15) as i128,
-                    );
-                } else {
-                    m.containment(
-                        now.as_fs(),
-                        id as u32,
-                        contained,
-                        (signed_err * 1e15) as i128,
-                    );
+            if check_monotonic {
+                let clock = ntp_to_fs(t);
+                if let Some(prev) = world.nodes[id].last_clock_fs.replace(clock) {
+                    if clock < prev {
+                        world.violation(VIOL_MONOTONIC, now.as_fs(), id as u32, clock - prev);
+                    }
                 }
-                m.clock_sample(now.as_fs(), id as u32, ntp_to_fs(t));
             }
         }
     }
     if in_window {
         let worst = NtpTime::spread_secs(&times);
         world.metrics.precision.add(worst);
-        if let Some(m) = world.monitors.as_mut() {
-            m.precision(now.as_fs(), (worst * 1e15) as u128);
+        if let Some(budget) = world.cfg.precision_budget {
+            let worst_fs = (worst * 1e15) as u128;
+            if worst_fs > budget.as_fs() {
+                let excess = worst_fs as i128 - budget.as_fs() as i128;
+                world.violation(VIOL_PRECISION, now.as_fs(), GLOBAL_NODE, excess);
+            }
         }
         if let Some(o) = &world.obs {
             let ns = (worst * 1e9) as u64;

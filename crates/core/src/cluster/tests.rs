@@ -303,3 +303,42 @@ fn rate_estimates_are_consumed_each_round_with_rate_sync_on() {
         assert!(node.rate.rounds_applied >= 2, "node {i}");
     }
 }
+
+/// The monotonicity check fires on a clock that reads earlier than at the
+/// previous snapshot, and a restart forgets the sample: node 1 carries a
+/// planted sample one second ahead into the next snapshot and counts the
+/// one violation, traced with a negative value; node 2, planted the same
+/// and then crashed and restarted, powers up with no sample.
+#[test]
+fn monotonicity_check_fires_and_a_restart_forgets_the_sample() {
+    let obs = SimObserver::with_trace(1 << 16, Subsystem::Cluster.bit());
+    let mut cfg = quick_cfg(4);
+    cfg.obs = obs.clone();
+    let mut c = Cluster::new(cfg);
+    // Just past the 6 s snapshot, two seconds after the warm-up.
+    c.advance_until(SimTime::from_millis(6_100));
+    assert_eq!(c.world.metrics.violations, [0; VIOLATION_NAMES.len()]);
+    for id in [1, 2] {
+        let last = c.world.nodes[id].last_clock_fs.expect("sampled");
+        c.world.nodes[id].last_clock_fs = Some(last + 1_000_000_000_000_000);
+    }
+    crash_node(&mut c.world, &mut c.eng, 2);
+    restart_node(&mut c.world, &mut c.eng, 2);
+    assert_eq!(c.world.nodes[2].last_clock_fs, None);
+    c.advance_until(SimTime::from_millis(6_600));
+    let mut expected = [0; VIOLATION_NAMES.len()];
+    expected[VIOL_MONOTONIC] = 1;
+    assert_eq!(c.world.metrics.violations, expected);
+    let traced: Vec<_> = obs
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == "viol_monotonic")
+        .collect();
+    assert_eq!(traced.len(), 1);
+    assert_eq!(traced[0].node, 1);
+    assert!(
+        matches!(traced[0].payload, nti_obs::Payload::Value { value } if value < 0),
+        "{:?}",
+        traced[0].payload
+    );
+}

@@ -22,7 +22,7 @@ use crate::health::{HealthState, HealthTracker};
 use crate::rate::RateSync;
 use crate::validate::ValidationStats;
 use nti_gps::GpsReceiver;
-use nti_kernel::{ComcoDriver, Kernel};
+use nti_kernel::Kernel;
 use nti_module::{Nti, ScbDriver};
 use nti_netsim::Comco;
 use nti_simcore::ntp::{NtpTime, FRAC_BITS};
@@ -42,8 +42,6 @@ pub struct Node {
     pub comcos: Vec<Comco>,
     /// The RT executive (latency model).
     pub kernel: Kernel,
-    /// The COMCO driver (KI/NI/CI demultiplexer).
-    pub driver: ComcoDriver,
     /// The SCB command-block driver (the System Structures rendezvous).
     pub scb: ScbDriver,
     /// Synchronization algorithm state.
@@ -68,6 +66,10 @@ pub struct Node {
     /// subtracted from local stamps before rate estimation so the rate loop
     /// does not chase state-correction slews.
     pub cum_adj_units: i128,
+    /// The clock reading (femtoseconds since the NTP epoch) at the last
+    /// snapshot that checked monotonicity; `None` until the first since
+    /// power-up.
+    pub last_clock_fs: Option<i128>,
     /// Timestamp-quantization granularity in internal 2⁻⁵⁹ s units
     /// (UTCSU: 2³⁵ = one 2⁻²⁴ s granule; CSU baseline: ≈1 µs).
     pub quant_units: u128,
@@ -226,7 +228,6 @@ mod tests {
                 rng.split("comco"),
             )],
             kernel: Kernel::new(KernelConfig::ideal(), rng.split("kern")),
-            driver: ComcoDriver::new(),
             scb: ScbDriver::default(),
             core: SyncCore::new(params(), AlgoKind::IntervalOa),
             health: HealthTracker::new(crate::health::HealthConfig::for_f(0)),
@@ -238,6 +239,7 @@ mod tests {
             utcsu_event: None,
             amort_dstep_saved: None,
             cum_adj_units: 0,
+            last_clock_fs: None,
             quant_units: UTCSU_QUANT_UNITS,
         }
     }

@@ -1,13 +1,16 @@
-//! End-to-end causal-span and invariant-monitor checks: a traced cluster
-//! run must yield a fully connected span forest whose per-hop durations
-//! telescope into the measured stamp-pair delay; a nominal run raises no
-//! monitor violations; an injected late-trigger fault provably trips the
-//! trigger-latency monitor.
+//! End-to-end causal-span and invariant checks: a traced cluster run must
+//! yield a fully connected span forest whose per-hop durations telescope
+//! into the measured stamp-pair delay; a nominal run counts no invariant
+//! violations; an injected late-trigger fault provably trips the
+//! trigger-latency check; a drifting partitioned node's containment
+//! failures are counted apart while it is in holdover; and the precision
+//! check runs only against a budget. The counts reach `Report` with
+//! metrics off too.
 
-use nti_core::cluster::{Cluster, ClusterConfig, SPAN_HOPS};
+use nti_core::cluster::{Cluster, ClusterConfig, Report, SPAN_HOPS};
 use nti_core::params::TimestampMode;
 use nti_faults::{FaultEpisode, FaultKind, FaultPlan, FaultTarget};
-use nti_obs::{records_from_events, MetricKey, SimObserver, SpanForest, Subsystem};
+use nti_obs::{records_from_events, MetricKey, Payload, SimObserver, SpanForest, Subsystem};
 use nti_simcore::time::{SimDuration, SimTime};
 
 /// Everything span-bearing except the engine (whose per-event tracing
@@ -93,13 +96,13 @@ fn traced_run_yields_connected_span_forest() {
     }
 }
 
-/// On a nominal (fault-free) seed every online invariant holds: no
-/// containment, precision, monotonicity or trigger-latency violations.
+/// On a nominal (fault-free) seed every invariant holds: no containment,
+/// precision, monotonicity or trigger-latency violations.
 #[test]
 fn nominal_run_raises_no_violations() {
     let obs = SimObserver::enabled();
     let mut cfg = traced_cfg(4, 13, &obs);
-    // Generous precision budget so the opt-in monitor is exercised too.
+    // Generous precision budget so the opt-in check is exercised too.
     cfg.precision_budget = Some(SimDuration::from_millis(5));
     let rep = Cluster::new(cfg).run();
     assert!(rep.csps.1 > 10);
@@ -117,7 +120,8 @@ fn nominal_run_raises_no_violations() {
 
 /// An injected late receive trigger adds 2 ms to the trigger-to-latch
 /// path — far beyond the static delay bound — and must trip the
-/// trigger-latency monitor; the annotated fault span rides the chain.
+/// trigger-latency check, each traced violation valued at the delay minus
+/// the bound; the annotated fault span rides the chain.
 #[test]
 fn late_trigger_fault_trips_trigger_latency_monitor() {
     let obs = SimObserver::with_trace(1 << 20, span_mask());
@@ -136,12 +140,22 @@ fn late_trigger_fault_trips_trigger_latency_monitor() {
     let c = obs
         .counter(MetricKey::global("monitor", "viol_trigger_latency"))
         .unwrap();
+    assert!(c.get() >= 1, "the trigger-latency check specifically fired");
+    let events = obs.events();
+    let excess: Vec<i64> = events
+        .iter()
+        .filter(|e| e.kind == "viol_trigger_latency")
+        .map(|e| match e.payload {
+            Payload::Value { value } => value,
+            ref p => panic!("viol_trigger_latency carries {p:?}"),
+        })
+        .collect();
+    assert_eq!(excess.len() as u64, c.get(), "every violation is traced");
     assert!(
-        c.get() >= 1,
-        "the trigger-latency monitor specifically fired"
+        excess.iter().all(|&v| v > 0),
+        "traced value is the delay minus the bound: {excess:?}"
     );
     // The fault annotation spans hang off the affected trigger spans.
-    let events = obs.events();
     assert!(
         events
             .iter()
@@ -179,5 +193,82 @@ fn span_chain_survives_timestamp_mode_ablation() {
             rep.csps.1,
             "{mode:?}: one accept span per delivery"
         );
+    }
+}
+
+/// The run behind the holdover test: node 2 of five is partitioned from
+/// 6 to 16 s while its oscillator runs 200 ppm fast, far past the 12 ppm
+/// drift budget its free-running accuracy interval deteriorates by.
+fn drifting_partition(obs: &SimObserver) -> Report {
+    let mut cfg = ClusterConfig::default_lan(5, 7);
+    cfg.duration = SimDuration::from_secs(20);
+    cfg.warmup = SimDuration::from_secs(3);
+    cfg.obs = obs.clone();
+    let episode = |kind| FaultEpisode {
+        from: SimTime::from_secs(6),
+        until: SimTime::from_secs(16),
+        target: FaultTarget::Node(2),
+        kind,
+    };
+    cfg.fault_plan = FaultPlan::new()
+        .with(episode(FaultKind::Partition))
+        .with(episode(FaultKind::DriftExcursion { extra_ppm: 200.0 }));
+    Cluster::new(cfg).run()
+}
+
+/// A containment failure is counted under `viol_holdover_containment`
+/// while the node is in holdover and under `viol_containment` otherwise;
+/// the two sum to the report's containment failures, each is traced once,
+/// and the report counts the same with metrics off.
+#[test]
+fn holdover_containment_is_counted_apart() {
+    let obs = SimObserver::with_trace(1 << 16, Subsystem::Cluster.bit());
+    let rep = drifting_partition(&obs);
+    let count = |kind| {
+        obs.counter(MetricKey::global("monitor", kind))
+            .unwrap()
+            .get()
+    };
+    let traced = |kind| obs.events().iter().filter(|e| e.kind == kind).count() as u64;
+    let (sync, holdover) = (
+        count("viol_containment"),
+        count("viol_holdover_containment"),
+    );
+    assert_eq!(rep.containment, (17, 175));
+    assert_eq!((sync, holdover), (3, 14));
+    assert_eq!(sync + holdover, rep.containment.0);
+    assert_eq!(traced("viol_containment"), sync);
+    assert_eq!(traced("viol_holdover_containment"), holdover);
+    assert_eq!(rep.monitor_violations, sync + holdover);
+
+    let off = drifting_partition(&SimObserver::disabled());
+    assert_eq!(off.monitor_violations, rep.monitor_violations);
+}
+
+/// The precision check needs a budget: without one nothing counts, and
+/// with a 1 ns budget every snapshot in the window counts once, with
+/// metrics on or off.
+#[test]
+fn precision_is_checked_only_with_a_budget() {
+    let obs = SimObserver::enabled();
+    let rep = Cluster::new(traced_cfg(4, 13, &obs)).run();
+    let c = obs
+        .counter(MetricKey::global("monitor", "viol_precision"))
+        .unwrap();
+    assert_eq!((c.get(), rep.monitor_violations), (0, 0));
+
+    for obs in [SimObserver::enabled(), SimObserver::disabled()] {
+        let mut cfg = traced_cfg(4, 13, &obs);
+        cfg.precision_budget = Some(SimDuration::from_nanos(1));
+        let (rep, metrics) = Cluster::new(cfg).finish();
+        let snapshots = metrics.precision.count() as u64;
+        assert!(snapshots > 10, "{snapshots} snapshots in the window");
+        assert_eq!(rep.monitor_violations, snapshots);
+        if obs.is_enabled() {
+            let c = obs
+                .counter(MetricKey::global("monitor", "viol_precision"))
+                .unwrap();
+            assert_eq!(c.get(), snapshots);
+        }
     }
 }

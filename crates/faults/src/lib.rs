@@ -695,17 +695,14 @@ impl FaultInjector {
     /// how much? Draws at most once; counts when it fires. The delay is the
     /// maximum over active matching episodes.
     pub fn late_trigger(&mut self, n: usize, now: SimTime) -> Option<SimDuration> {
-        let mut p_inputs: Vec<f64> = Vec::new();
         let mut max_delay = SimDuration::ZERO;
-        for e in &self.episodes {
-            if let FaultKind::LateTrigger { rate, delay } = e.kind {
-                if e.target.covers_node(n) && e.active(now) {
-                    p_inputs.push(rate);
-                    max_delay = max_delay.max(delay);
-                }
+        let p = combine(self.episodes.iter().filter_map(|e| match e.kind {
+            FaultKind::LateTrigger { rate, delay } if e.target.covers_node(n) && e.active(now) => {
+                max_delay = max_delay.max(delay);
+                Some(rate)
             }
-        }
-        let p = combine(p_inputs.into_iter());
+            _ => None,
+        }));
         if p > 0.0 && max_delay > SimDuration::ZERO && self.trigger_rng.chance(p) {
             self.count_instant(now, n, "fault_trigger_late", |o| &o.triggers_late);
             Some(max_delay)

@@ -23,10 +23,8 @@
 //! is the reference model those distributions summarize, and is exercised
 //! by its own tests plus the KI/NI/CI structure test.
 
-use nti_obs::{fs_to_ns, Counter, Histogram, MetricKey, Payload, SimObserver, Subsystem};
 use nti_simcore::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Task identifier.
 pub type TaskId = usize;
@@ -105,8 +103,6 @@ struct Tcb {
     pending_events: u32,
     /// FIFO tiebreaker within a priority.
     enqueued_seq: u64,
-    /// When the task last became Ready (for ready-queue wait accounting).
-    ready_since: SimTime,
 }
 
 #[derive(Default)]
@@ -131,17 +127,6 @@ pub enum TraceEvent {
     Exited(TaskId),
 }
 
-/// Pre-resolved observability handles for the executive (see
-/// [`Executive::attach_observer`]).
-struct ExecObs {
-    obs: SimObserver,
-    node: u32,
-    dispatches: Arc<Counter>,
-    preemptions: Arc<Counter>,
-    /// Time spent Ready before getting the CPU.
-    queue_wait_ns: Arc<Histogram>,
-}
-
 /// The executive.
 pub struct Executive {
     now: SimTime,
@@ -155,7 +140,6 @@ pub struct Executive {
     trace: Vec<(SimTime, TraceEvent)>,
     seq: u64,
     running: Option<TaskId>,
-    obs: Option<ExecObs>,
 }
 
 impl Executive {
@@ -171,29 +155,7 @@ impl Executive {
             trace: Vec::new(),
             seq: 0,
             running: None,
-            obs: None,
         }
-    }
-
-    /// Attach an observer; `node` labels this executive's metrics.
-    pub fn attach_observer(&mut self, obs: &SimObserver, node: u32) {
-        self.obs = if obs.is_enabled() {
-            Some(ExecObs {
-                obs: obs.clone(),
-                node,
-                dispatches: obs
-                    .counter(MetricKey::node(node, "kernel", "dispatches"))
-                    .expect("enabled"),
-                preemptions: obs
-                    .counter(MetricKey::node(node, "kernel", "preemptions"))
-                    .expect("enabled"),
-                queue_wait_ns: obs
-                    .hist(MetricKey::node(node, "kernel", "queue_wait_ns"))
-                    .expect("enabled"),
-            })
-        } else {
-            None
-        };
     }
 
     /// Create a task with the given priority (higher number = higher
@@ -209,7 +171,6 @@ impl Executive {
             cpu_used: SimDuration::ZERO,
             pending_events: 0,
             enqueued_seq: self.seq,
-            ready_since: self.now,
         });
         id
     }
@@ -290,7 +251,6 @@ impl Executive {
         self.seq += 1;
         self.tasks[t].state = State::Ready;
         self.tasks[t].enqueued_seq = self.seq;
-        self.tasks[t].ready_since = self.now;
     }
 
     /// The highest-priority ready task (FIFO within a priority).
@@ -358,35 +318,9 @@ impl Executive {
                         && self.tasks[prev].state == State::Computing
                     {
                         self.trace.push((self.now, TraceEvent::Preempted(prev, t)));
-                        if let Some(o) = &self.obs {
-                            o.preemptions.inc();
-                            if o.obs.tracing(Subsystem::Kernel) {
-                                o.obs.event(
-                                    self.now.as_fs(),
-                                    o.node,
-                                    Subsystem::Kernel,
-                                    "preempted",
-                                    Payload::Value { value: prev as i64 },
-                                );
-                            }
-                        }
                     }
                 }
                 self.trace.push((self.now, TraceEvent::Dispatched(t)));
-                if let Some(o) = &self.obs {
-                    o.dispatches.inc();
-                    let wait = self.now.saturating_since(self.tasks[t].ready_since);
-                    o.queue_wait_ns.record(fs_to_ns(wait.as_fs()));
-                    if o.obs.tracing(Subsystem::Kernel) {
-                        o.obs.span(
-                            self.now.as_fs(),
-                            wait.as_fs(),
-                            o.node,
-                            Subsystem::Kernel,
-                            "queue_wait",
-                        );
-                    }
-                }
                 self.now += self.context_switch;
                 self.running = Some(t);
             }

@@ -307,15 +307,6 @@ impl Medium {
         }
     }
 
-    /// Fraction of elapsed time the channel spent serializing frames, in
-    /// permille of `now` (0 before any traffic).
-    pub fn utilization_permille(&self, now: SimTime) -> u64 {
-        if now.as_fs() == 0 {
-            return 0;
-        }
-        (self.busy_total.as_fs() * 1000 / now.as_fs()) as u64
-    }
-
     /// Counters for instrumentation: `(grants, deferrals)`.
     pub fn stats(&self) -> (u64, u64) {
         (self.grants, self.deferrals)

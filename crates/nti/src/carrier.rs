@@ -41,11 +41,6 @@ impl Carrier {
         self.slots[slot].take()
     }
 
-    /// Number of slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Access a slot's module.
     pub fn module(&mut self, slot: usize) -> Option<&mut Nti> {
         self.slots[slot].as_mut()

@@ -17,7 +17,6 @@
 //! to serve the public internet; bind it to 127.0.0.1 (the serve-side
 //! default) unless you know better.
 
-use crate::json::escape_into;
 use crate::live::LiveWindows;
 use crate::metrics::{MetricHandle, MetricKey, Registry};
 use std::collections::BTreeMap;
@@ -376,14 +375,6 @@ pub fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> std::io::Res
         return Err(std::io::Error::other(format!("non-200 response: {status}")));
     }
     Ok(body.to_string())
-}
-
-/// Escape a string for embedding in a JSON body (helper re-export for
-/// endpoint providers building ad-hoc JSON).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
 }
 
 #[cfg(test)]

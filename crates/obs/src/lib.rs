@@ -27,9 +27,6 @@
 //! * [`span`] — causal span tracing: parent-linked [`SpanId`]s threaded
 //!   through a CSP's life, plus [`SpanForest`] for offline
 //!   reconstruction.
-//! * [`monitor`] — online invariant [`Monitors`] (containment, precision,
-//!   monotonicity, trigger-latency budget) raising structured
-//!   [`Violation`]s.
 //! * [`json`] — a dependency-free JSON value used by the exporters and
 //!   the experiment harness.
 //! * [`live`] — windowed aggregation over the registry: a bounded ring
@@ -51,7 +48,6 @@ pub mod keys;
 pub mod live;
 pub mod local;
 pub mod metrics;
-pub mod monitor;
 pub mod observer;
 pub mod quantile;
 pub mod span;
@@ -63,7 +59,6 @@ pub use json::Json;
 pub use live::{LiveConfig, LiveWindows};
 pub use local::{LocalCounter, LocalHist};
 pub use metrics::{Counter, Gauge, MetricHandle, MetricId, MetricKey, Registry};
-pub use monitor::{MonitorConfig, Monitors, Violation};
 pub use observer::{fs_to_ns, ObsCore, SimObserver};
 pub use span::{records_from_events, SpanForest, SpanId, SpanRecord};
 pub use trace::{Payload, Subsystem, TraceEvent, Tracer, GLOBAL_NODE};

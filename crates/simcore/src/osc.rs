@@ -179,11 +179,6 @@ impl Oscillator {
         self.nominal_hz
     }
 
-    /// Nominal period as a duration (rounded to femtoseconds).
-    pub fn nominal_period(&self) -> SimDuration {
-        SimDuration::from_fs(period_for(self.nominal_hz, 0.0) / AS_PER_FS)
-    }
-
     /// Worst-case drift bound in ppm (the datasheet figure).
     pub fn rho_bound_ppm(&self) -> f64 {
         self.model.rho_bound_ppm()

@@ -145,11 +145,6 @@ impl SimRng {
 }
 
 impl SimRng {
-    /// Next 32-bit draw (high half of the 64-bit state, which mixes best).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64_raw() >> 32) as u32
-    }
-
     /// Fill a byte slice with pseudo-random bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {

@@ -72,11 +72,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / FS_PER_SEC as f64
     }
-    /// Value in nanoseconds as a float (lossy; for reporting only).
-    pub fn as_nanos_f64(self) -> f64 {
-        self.0 as f64 / FS_PER_NS as f64
-    }
-
     /// Time elapsed since `earlier`, or `None` if `earlier` is later.
     pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
         self.0.checked_sub(earlier.0).map(SimDuration)
@@ -139,10 +134,6 @@ impl SimDuration {
     /// Value in microseconds as a float (lossy; for reporting only).
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / FS_PER_US as f64
-    }
-    /// Value in nanoseconds as a float (lossy; for reporting only).
-    pub fn as_nanos_f64(self) -> f64 {
-        self.0 as f64 / FS_PER_NS as f64
     }
     /// Whole nanoseconds (truncated).
     pub const fn as_nanos(self) -> u128 {

@@ -17,6 +17,8 @@
 //! ```
 //!
 //! which rewrites the files and prints the same list of moved fields.
+//! One more test runs two corpus configurations unobserved as well, and
+//! asserts that observing a run leaves its report byte-identical.
 
 use nti::core::cluster::{BgLoad, Cluster, ClusterConfig, GpsNodeCfg};
 use nti::core::params::TimestampMode;
@@ -193,11 +195,17 @@ fn chain_of_lans_3x4() {
     check("chain_of_lans_3x4", cfg);
 }
 
-#[test]
-fn software_stamps() {
+/// Software stamps on four nodes: every containment check of this short
+/// run fails.
+fn software_mode() -> ClusterConfig {
     let mut cfg = base(4, 0x601D);
     cfg.mode = TimestampMode::Software;
-    check("software_stamps", cfg);
+    cfg
+}
+
+#[test]
+fn software_stamps() {
+    check("software_stamps", software_mode());
 }
 
 #[test]
@@ -325,6 +333,21 @@ fn trigger_faults_all_subsystems() {
         trigger_faults(),
         every_subsystem(),
     );
+}
+
+/// Observing a run leaves its report byte-identical: the invariant checks
+/// count with metrics off as with metrics on, on two entries that fail
+/// them.
+#[test]
+fn observing_a_run_does_not_change_its_report() {
+    for cfg in [trigger_faults(), software_mode()] {
+        let off = Cluster::new(cfg.clone()).run();
+        let mut observed = cfg;
+        observed.obs = SimObserver::enabled();
+        let on = Cluster::new(observed).run();
+        assert!(on.monitor_violations > 0, "the entry fails no check");
+        assert_eq!(off.to_json().to_string(), on.to_json().to_string());
+    }
 }
 
 /// Synchronized actuations and application events with one node crashed
