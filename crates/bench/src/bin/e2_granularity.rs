@@ -10,12 +10,15 @@
 //! constants differ from the adversarial worst case (we measure a finite
 //! run), but the *slope/shape* must track the formula.
 
+use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{eng, header, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig};
+use nti_obs::SimObserver;
 use nti_simcore::SimDuration;
 
-fn run(granularity: SimDuration, fosc: u64, seed: u64) -> f64 {
+fn run(granularity: SimDuration, fosc: u64, seed: u64, obs: &SimObserver) -> f64 {
     let mut cfg = with_duration(ClusterConfig::default_lan(4, seed), secs(60, 9));
+    cfg.obs = obs.clone();
     cfg.granularity = granularity;
     cfg.fosc_hz = fosc;
     cfg.rate_sync = true;
@@ -26,6 +29,8 @@ fn run(granularity: SimDuration, fosc: u64, seed: u64) -> f64 {
 }
 
 fn main() {
+    let opts = ObsOpts::from_env();
+    let obs = opts.observer();
     println!("E2: precision impairment by granularity G and rate uncertainty u");
     println!("paper: worst-case precision impaired by 4G + 10u\n");
 
@@ -40,7 +45,7 @@ fn main() {
     let mut monotone = true;
     for g_ns in [60u64, 250, 1000, 4000, 16000] {
         let g = g_ns as f64 * 1e-9;
-        let measured = run(SimDuration::from_nanos(g_ns), 10_000_000, 0xE2 + g_ns);
+        let measured = run(SimDuration::from_nanos(g_ns), 10_000_000, 0xE2 + g_ns, &obs);
         let envelope = 4.0 * g + 10.0 * u;
         println!(
             "{:<12} {:>16} {:>18} {:>8.2}",
@@ -69,7 +74,7 @@ fn main() {
     for fosc_mhz in [1u64, 2, 5, 10, 20] {
         let fosc = fosc_mhz * 1_000_000;
         let u = 1.0 / fosc as f64;
-        let measured = run(SimDuration::from_micros(1), fosc, 0x2E2 + fosc_mhz);
+        let measured = run(SimDuration::from_micros(1), fosc, 0x2E2 + fosc_mhz, &obs);
         let envelope = 4.0e-6 + 10.0 * u;
         println!(
             "{:<12} {:>12} {:>16} {:>18}",
@@ -81,4 +86,5 @@ fn main() {
     }
     println!();
     println!("shape check: both sweeps must show precision tracking the 4G+10u envelope.");
+    opts.finish(&obs);
 }

@@ -9,11 +9,14 @@
 //! worst-case impairment 14·(1/f_osc) is tabulated beside the *measured*
 //! precision of a 4-node cluster with stamps quantized to G.
 
+use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{eng, header, parallel_sweep, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig};
 use nti_simcore::SimDuration;
 
 fn main() {
+    let opts = ObsOpts::from_env();
+    let obs = opts.observer();
     println!("E3: worst-case precision vs oscillator frequency (G = u = 1/f_osc)");
     println!("paper: sub-1 us worst case requires G = u < 70 ns, i.e. f_osc > 14 MHz\n");
     let h = format!(
@@ -28,6 +31,7 @@ fn main() {
         let gu = 1.0 / fosc as f64;
         let mut cfg = with_duration(ClusterConfig::default_lan(4, 0xE3 + fosc_mhz), secs(60, 9));
         cfg.fosc_hz = fosc;
+        cfg.obs = obs.clone();
         cfg.granularity = SimDuration::from_secs_f64(gu);
         cfg.rate_sync = true;
         // Quiet oscillators so the measured floor is the G/u terms, not
@@ -64,4 +68,5 @@ fn main() {
         ),
         None => println!("no crossover found (!)"),
     }
+    opts.finish(&obs);
 }

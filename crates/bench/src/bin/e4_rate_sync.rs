@@ -8,12 +8,15 @@
 //! effective rate spread and the achieved precision with and without the
 //! rate algorithm trimming STEP each round.
 
+use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{eng, header, record, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig, DriftSpec};
+use nti_obs::SimObserver;
 use nti_simcore::SimDuration;
 
-fn run(rho_ppm: f64, rate_sync: bool, seed: u64) -> nti_core::cluster::Report {
+fn run(rho_ppm: f64, rate_sync: bool, seed: u64, obs: &SimObserver) -> nti_core::cluster::Report {
     let mut cfg = with_duration(ClusterConfig::default_lan(4, seed), secs(60, 12));
+    cfg.obs = obs.clone();
     cfg.drift = DriftSpec::RandomWalk {
         rho_max_ppm: rho_ppm,
         sigma_ppb: rho_ppm * 2.0,
@@ -25,6 +28,8 @@ fn run(rho_ppm: f64, rate_sync: bool, seed: u64) -> nti_core::cluster::Report {
 }
 
 fn main() {
+    let opts = ObsOpts::from_env();
+    let obs = opts.observer();
     println!("E4: rate synchronization vs oscillator quality (4 nodes)");
     println!("paper: rate sync reduces the max drift; cheap oscillators suffice\n");
     let h = format!(
@@ -35,7 +40,7 @@ fn main() {
     for rho in [2.0f64, 10.0, 50.0] {
         let mut improvement = (0.0, 0.0);
         for rs in [false, true] {
-            let rep = run(rho, rs, 0xE4 + rho as u64 + rs as u64);
+            let rep = run(rho, rs, 0xE4 + rho as u64 + rs as u64, &obs);
             record("e4_rate_sync", &format!("rho{rho}/rs{rs}"), &rep.to_json());
             println!(
                 "{:<12} {:<10} {:>18.4} {:>16} {:>14}",
@@ -60,6 +65,7 @@ fn main() {
     println!("temperature-cycled TCXOs (±1 ppm swing over 10 min, per-node phase):");
     for rs in [false, true] {
         let mut cfg = with_duration(ClusterConfig::default_lan(4, 0xE4F), secs(60, 12));
+        cfg.obs = obs.clone();
         cfg.drift = DriftSpec::Temperature {
             mean_ppm: 5.0,
             amp_ppm: 1.0,
@@ -81,4 +87,5 @@ fn main() {
     println!("shape: rate sync must collapse the rate spread to ~0.1 ppm and buy");
     println!("roughly an order of magnitude of precision on cheap (50 ppm) parts —");
     println!("that is the paper's argument for building rate adjustment in hardware.");
+    opts.finish(&obs);
 }

@@ -9,14 +9,22 @@
 //! must keep containment and accuracy; blind trust must break on the
 //! value-corrupting faults.
 
+use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{eng, header, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig, GpsNodeCfg};
 use nti_faults::FaultPlan;
 use nti_gps::{GpsConfig, GpsFault};
+use nti_obs::SimObserver;
 use nti_simcore::SimDuration;
 
-fn run(fault: Option<GpsFault>, blind: bool, seed: u64) -> nti_core::cluster::Report {
+fn run(
+    fault: Option<GpsFault>,
+    blind: bool,
+    seed: u64,
+    obs: &SimObserver,
+) -> nti_core::cluster::Report {
     let mut cfg = with_duration(ClusterConfig::default_lan(8, seed), secs(45, 9));
+    cfg.obs = obs.clone();
     cfg.rate_sync = true;
     cfg.gps_blind_trust = blind;
     cfg.gps = (0..3)
@@ -32,6 +40,8 @@ fn run(fault: Option<GpsFault>, blind: bool, seed: u64) -> nti_core::cluster::Re
 }
 
 fn main() {
+    let opts = ObsOpts::from_env();
+    let obs = opts.observer();
     println!("E5: clock validation vs the HS97 GPS fault catalogue");
     println!("8 nodes, 3 receivers (2 healthy + 1 per-class faulty)\n");
     let h = format!(
@@ -78,7 +88,7 @@ fn main() {
     ];
     for (name, fault) in classes {
         for blind in [false, true] {
-            let rep = run(fault, blind, 0xE5);
+            let rep = run(fault, blind, 0xE5, &obs);
             println!(
                 "{:<16} {:<10} {:>10} {:>10} {:>14} {:>13}/{}",
                 name,
@@ -95,4 +105,5 @@ fn main() {
     println!("expectation: with validation every row keeps 0 containment violations");
     println!("and tens-of-us accuracy; blind trust breaks on offset/second-jump/stuck");
     println!("faults — the paper's case against trusting receivers unconditionally.");
+    opts.finish(&obs);
 }

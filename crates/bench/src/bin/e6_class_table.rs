@@ -12,6 +12,7 @@
 //! substrate and run under identical load; the achieved worst-case
 //! precision must land in the right decade and preserve the ordering.
 
+use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{eng, header, record, secs, with_duration};
 use nti_core::cluster::{BgLoad, Cluster, ClusterConfig};
 use nti_core::params::{AlgoKind, TimestampMode};
@@ -29,6 +30,8 @@ struct Class {
 }
 
 fn main() {
+    let opts = ObsOpts::from_env();
+    let obs = opts.observer();
     println!("E6: synchronization tightness by approach class (4 nodes, moderate load)");
     println!("paper §1/§5 comparison; NTI claims ≥ 1 order of magnitude improvement\n");
     let classes = [
@@ -86,6 +89,7 @@ fn main() {
     let mut results = Vec::new();
     for c in &classes {
         let mut cfg = with_duration(ClusterConfig::default_lan(4, 0xE6), secs(60, 12));
+        cfg.obs = obs.clone();
         cfg.mode = c.mode;
         cfg.algo = c.algo;
         cfg.granularity = c.granularity;
@@ -119,4 +123,5 @@ fn main() {
             "below the claimed order of magnitude (!)"
         }
     );
+    opts.finish(&obs);
 }

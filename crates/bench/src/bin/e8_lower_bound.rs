@@ -8,12 +8,15 @@
 //! The measured worst case must stay above the bound (sanity of the
 //! simulation) and approach Θ(ε) as n grows.
 
+use nti_bench::obs_cli::ObsOpts;
 use nti_bench::{eng, header, secs, with_duration};
 use nti_core::cluster::{Cluster, ClusterConfig, DriftSpec};
 use nti_netsim::{ComcoTiming, Jitter};
 use nti_simcore::SimDuration;
 
 fn main() {
+    let opts = ObsOpts::from_env();
+    let obs = opts.observer();
     println!("E8: [LL84] lower bound ε(1 - 1/n) with n ideal clocks");
     // A COMCO whose only nondeterminism is a 2 us store-latency window:
     // the stamp-pair uncertainty ε is exactly that window.
@@ -37,6 +40,7 @@ fn main() {
     header(&h);
     for n in [2usize, 3, 4, 8, 16] {
         let mut cfg = with_duration(ClusterConfig::default_lan(n, 0xE8 + n as u64), secs(40, 8));
+        cfg.obs = obs.clone();
         cfg.drift = DriftSpec::Perfect;
         cfg.rho_budget_ppm = 0.5;
         cfg.comco = comco;
@@ -61,4 +65,5 @@ fn main() {
     println!("note: the bound is adversarial (worst case over executions); a finite");
     println!("random run measures a high quantile of it, so 'measured ≥ ~0.5×bound'");
     println!("is the meaningful sanity check, and growth with n is the shape check.");
+    opts.finish(&obs);
 }

@@ -363,10 +363,11 @@ fn exec_rx_write(
             let t = e.now();
             w.nodes[q].advance(t);
             rcv_trigger(w, t, q, fid, a, slot, chain, Some(d));
-            // The trigger-latency invariant is checked here as well as at
-            // the reception interrupt: a trigger this late may miss the
-            // latch window entirely, in which case the frame drops before
-            // `record_eps` would ever observe the pair.
+            // The trigger-latency invariant is checked here, not at the
+            // reception interrupt: a trigger this late may miss the latch
+            // window entirely, in which case the frame drops before
+            // `record_eps` would ever observe the pair. A reception that
+            // survives is not checked again (`Rx::late`).
             if let Some(xt) = xt {
                 check_trigger_latency(w, t, q, t.saturating_since(xt));
             }
@@ -420,7 +421,7 @@ fn rcv_trigger(
     } else {
         node.nti.utcsu_mut().trigger_ssu_receive(a);
     }
-    let mut head = None;
+    let mut head = (SpanId::NONE, t);
     if let Some(o) = &mut world.obs {
         if rcv.is_some() {
             let lat = SimDuration::from_fs(
@@ -429,7 +430,7 @@ fn rcv_trigger(
             );
             let end = t + lat;
             let latch = o.hop(HOP_LATCH, end.as_fs(), lat.as_fs(), q as u32, rcv);
-            head = Some((latch, end));
+            head = (latch, end);
         }
     }
     if late.is_some() {
@@ -438,7 +439,14 @@ fn rcv_trigger(
             None => return,
         }
     }
-    world.rx.insert((fid, q), Rx { trigger: t, head });
+    world.rx.insert(
+        (fid, q),
+        Rx {
+            trigger: t,
+            head,
+            late: late.is_some(),
+        },
+    );
 }
 
 /// Step 6→7: the packet interrupt; ISR + dispatch; stamps resolved per the
@@ -508,7 +516,7 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
         o.isr_entry_ns.record(fs_to_ns(entry.as_fs()));
         o.isr_body_ns.record(fs_to_ns(body.as_fs()));
         o.dispatch_ns.record(fs_to_ns(dispatch.as_fs()));
-        if let Some((ls, lt)) = rx.and_then(|r| r.head) {
+        if let Some(Rx { head: (ls, lt), .. }) = rx.filter(|r| r.head.0.is_some()) {
             let ispan = o.hop(
                 HOP_INTERRUPT,
                 now.as_fs(),
@@ -566,10 +574,15 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
         world.nodes[q].nti.utcsu_mut().ssu[a].receive.clear();
         (world.nodes[q].read_clock_regs(now), Some(now))
     };
+    // A late trigger's own event already checked this pair: in the
+    // hardware mode its instant is the receive end.
+    let checked = mode == TimestampMode::Hardware && rx.is_some_and(|r| r.late);
     if let (Some(tr), Some(tx)) = (recv_real, flight.xmit_trigger_real) {
         let delay = tr.saturating_since(tx);
         record_eps(world, now, delay);
-        check_trigger_latency(world, now, q, delay);
+        if !checked {
+            check_trigger_latency(world, now, q, delay);
+        }
     }
     let (payload, marked) = (flight.payload, flight.marked);
     eng.schedule_at(at, move |w, e| {

@@ -43,7 +43,7 @@ use nti_kernel::{Kernel, KernelConfig};
 use nti_module::{CpldConfig, Nti, UTCSU_BASE};
 use nti_netsim::{Comco, ComcoTiming, Frame, Medium, MediumConfig, Topology};
 use nti_obs::{
-    fs_to_ns, Counter, Gauge, Histogram, LocalHist, MetricKey, SimObserver, SpanId, Subsystem,
+    fs_to_ns, publish, Counter, Gauge, LocalHist, MetricKey, SimObserver, SpanId, Subsystem,
     GLOBAL_NODE,
 };
 use nti_simcore::ntp::{NtpTime, FRAC_BITS, NTP_FRAC_BITS};
@@ -413,24 +413,23 @@ const HOP_ISR_DISPATCH: usize = 6;
 const HOP_ACCEPT: usize = 7;
 
 /// Pre-resolved cluster-level observability handles (metrics under the
-/// `cluster` subsystem, global scope unless noted). The histograms
-/// recorded per CSP reception (`eps_excess_ns`, the hop histograms, the
-/// kernel's reception latencies) are local accumulators, flushed by
-/// [`World::flush_obs`] and on drop. The CSP and violation counts are
-/// kept in [`Metrics`] alone; `flush_obs` publishes what they gained since
-/// the last flush. The rest are written directly.
+/// `cluster` subsystem, global scope unless noted). Every histogram is a
+/// local accumulator, flushed by [`World::flush_obs`] and on drop. The CSP
+/// and violation counts are kept in [`Metrics`] alone; `flush_obs`
+/// publishes what they gained since the last flush. The membership
+/// counters and gauges and `status_publishes` are written directly.
 struct ClusterObs {
     obs: SimObserver,
     /// Per-snapshot worst pairwise clock difference (ns).
-    precision_ns: Arc<Histogram>,
+    precision_ns: LocalHist,
     /// Per-snapshot per-node |C − t| (ns).
-    true_error_ns: Arc<Histogram>,
+    true_error_ns: LocalHist,
     /// Per-snapshot per-node max(α⁻, α⁺) (ns).
-    alpha_ns: Arc<Histogram>,
+    alpha_ns: LocalHist,
     /// Stamp-pair delays above the static bound `delay_min` (ns).
     eps_excess_ns: LocalHist,
     /// Per-round convergence-input offset spread (ns).
-    cf_input_spread_ns: Arc<Histogram>,
+    cf_input_spread_ns: LocalHist,
     /// `cluster/<name>` for each of [`CSP_COUNT_NAMES`], index-aligned.
     csp_counters: [Arc<Counter>; CSP_COUNT_NAMES.len()],
     /// The [`Metrics::csp_counts`] the last flush published.
@@ -445,7 +444,7 @@ struct ClusterObs {
     isr_body_ns: LocalHist,
     dispatch_ns: LocalHist,
     /// `kernel/csp_assembly_ns`: the assembly latency drawn per CSP sent.
-    csp_assembly_ns: Arc<Histogram>,
+    csp_assembly_ns: LocalHist,
     /// `membership/enter_<state>` — transitions into each health state,
     /// index-aligned with [`HEALTH_STATES`].
     enter_state: [Arc<Counter>; HEALTH_STATES.len()],
@@ -495,13 +494,22 @@ impl ClusterObs {
     }
 
     fn flush(&mut self, metrics: &Metrics) {
-        self.eps_excess_ns.flush();
-        for h in &mut self.hop_ns {
+        for h in [
+            &mut self.precision_ns,
+            &mut self.true_error_ns,
+            &mut self.alpha_ns,
+            &mut self.eps_excess_ns,
+            &mut self.cf_input_spread_ns,
+            &mut self.isr_entry_ns,
+            &mut self.isr_body_ns,
+            &mut self.dispatch_ns,
+            &mut self.csp_assembly_ns,
+        ]
+        .into_iter()
+        .chain(&mut self.hop_ns)
+        {
             h.flush();
         }
-        self.isr_entry_ns.flush();
-        self.isr_body_ns.flush();
-        self.dispatch_ns.flush();
         publish(
             &self.csp_counters,
             &mut self.csp_published,
@@ -515,28 +523,18 @@ impl ClusterObs {
     }
 }
 
-/// Add to each counter what its count gained since `published`, the
-/// counts the last flush published, and remember `counts`.
-fn publish<const N: usize>(
-    counters: &[Arc<Counter>; N],
-    published: &mut [u64; N],
-    counts: [u64; N],
-) {
-    for ((counter, published), now) in counters.iter().zip(published).zip(counts) {
-        counter.add(now - *published);
-        *published = now;
-    }
-}
-
 /// One receiver's record of one flight's RECEIVE trigger, kept from the
 /// trigger until the packet interrupt (`rx_complete`) consumes it.
 #[derive(Clone, Copy, Debug)]
 struct Rx {
     /// Real instant of the trigger (the receive end of the ε pair).
     trigger: SimTime,
-    /// Receive-side span chain head: the latch span and its real end
-    /// instant. `None` untraced.
-    head: Option<(SpanId, SimTime)>,
+    /// Receive-side span chain head: the latch span (`SpanId::NONE`
+    /// untraced) and its real end instant.
+    head: (SpanId, SimTime),
+    /// The trigger was injected late, and its own event already checked
+    /// the trigger-latency invariant for this pair.
+    late: bool,
 }
 
 /// What a node keeps across a power cycle: its physical oscillator, COMCOs,
@@ -616,9 +614,9 @@ impl World {
         }
     }
 
-    /// Flush every per-reception local accumulator (the cluster's, and
-    /// each node's UTCSU) into the observer's registry, and publish the
-    /// CSP counts gained since the last flush.
+    /// Flush every local accumulator (the cluster's, and each node's
+    /// UTCSU) into the observer's registry, and publish the CSP and
+    /// violation counts gained since the last flush.
     fn flush_obs(&mut self) {
         if let Some(o) = &mut self.obs {
             o.flush(&self.metrics);
@@ -798,25 +796,21 @@ impl Cluster {
         let obs = world.cfg.obs.clone();
         if obs.is_enabled() {
             let key = |name| MetricKey::global("cluster", name);
-            let kernel = |name| {
-                obs.hist(MetricKey::global("kernel", name))
-                    .expect("enabled")
-            };
+            let hist = |key| LocalHist::new(obs.hist(key).expect("enabled"));
+            let kernel = |name| hist(MetricKey::global("kernel", name));
             world.obs = Some(ClusterObs {
                 obs: obs.clone(),
-                precision_ns: obs.hist(key("precision_ns")).expect("enabled"),
-                true_error_ns: obs.hist(key("true_error_ns")).expect("enabled"),
-                alpha_ns: obs.hist(key("alpha_ns")).expect("enabled"),
-                eps_excess_ns: LocalHist::new(obs.hist(key("eps_excess_ns")).expect("enabled")),
-                cf_input_spread_ns: obs.hist(key("cf_input_spread_ns")).expect("enabled"),
+                precision_ns: hist(key("precision_ns")),
+                true_error_ns: hist(key("true_error_ns")),
+                alpha_ns: hist(key("alpha_ns")),
+                eps_excess_ns: hist(key("eps_excess_ns")),
+                cf_input_spread_ns: hist(key("cf_input_spread_ns")),
                 csp_counters: CSP_COUNT_NAMES.map(|nm| obs.counter(key(nm)).expect("enabled")),
                 csp_published: [0; CSP_COUNT_NAMES.len()],
-                hop_ns: HOP_HIST_NAMES.map(|nm| {
-                    LocalHist::new(obs.hist(MetricKey::global("span", nm)).expect("enabled"))
-                }),
-                isr_entry_ns: LocalHist::new(kernel("isr_entry_ns")),
-                isr_body_ns: LocalHist::new(kernel("isr_body_ns")),
-                dispatch_ns: LocalHist::new(kernel("dispatch_ns")),
+                hop_ns: HOP_HIST_NAMES.map(|nm| hist(MetricKey::global("span", nm))),
+                isr_entry_ns: kernel("isr_entry_ns"),
+                isr_body_ns: kernel("isr_body_ns"),
+                dispatch_ns: kernel("dispatch_ns"),
                 csp_assembly_ns: kernel("csp_assembly_ns"),
                 enter_state: ENTER_STATE_NAMES.map(|nm| {
                     obs.counter(MetricKey::global("membership", nm))

@@ -86,7 +86,7 @@ fn round_start(world: &mut World, eng: &mut Eng, id: usize) {
     // Software transmit stamp is taken during assembly (step 1).
     let sw_stamp = world.nodes[id].read_clock_regs(now);
     let assembly = world.nodes[id].kernel.csp_assembly();
-    if let Some(o) = &world.obs {
+    if let Some(o) = &mut world.obs {
         o.csp_assembly_ns.record(fs_to_ns(assembly.as_fs()));
     }
     eng.schedule_at(now + assembly, move |w, e| {
@@ -148,7 +148,7 @@ fn cf_time(world: &mut World, eng: &mut Eng, id: usize) {
 
     // Convergence-input disagreement, measured before converge() drains
     // the inbox.
-    if let Some(o) = &world.obs {
+    if let Some(o) = &mut world.obs {
         if let Some(spread) = world.nodes[id].core.inbox_offset_spread_units() {
             let ns = ((spread.unsigned_abs() * 1_000_000_000) >> FRAC_BITS) as u64;
             o.cf_input_spread_ns.record(ns);

@@ -157,7 +157,7 @@ pub(super) fn snapshot(world: &mut World, eng: &mut Eng) {
             let a_max = am.as_secs_f64().max(ap.as_secs_f64());
             world.metrics.true_error.add(err);
             world.metrics.alpha.add(a_max);
-            if let Some(o) = &world.obs {
+            if let Some(o) = &mut world.obs {
                 o.true_error_ns.record((err * 1e9) as u64);
                 o.alpha_ns.record((a_max * 1e9) as u64);
             }
@@ -181,7 +181,7 @@ pub(super) fn snapshot(world: &mut World, eng: &mut Eng) {
                 world.violation(VIOL_PRECISION, now.as_fs(), GLOBAL_NODE, excess);
             }
         }
-        if let Some(o) = &world.obs {
+        if let Some(o) = &mut world.obs {
             let ns = (worst * 1e9) as u64;
             o.precision_ns.record(ns);
             o.obs.value(

@@ -2,7 +2,7 @@
 //! yield a fully connected span forest whose per-hop durations telescope
 //! into the measured stamp-pair delay; a nominal run counts no invariant
 //! violations; an injected late-trigger fault provably trips the
-//! trigger-latency check; a drifting partitioned node's containment
+//! trigger-latency check, once per late trigger; a drifting partitioned node's containment
 //! failures are counted apart while it is in holdover; and the precision
 //! check runs only against a budget. The counts reach `Report` with
 //! metrics off too.
@@ -172,6 +172,47 @@ fn late_trigger_fault_trips_trigger_latency_monitor() {
     let obs2 = SimObserver::enabled();
     let rep2 = Cluster::new(traced_cfg(4, 17, &obs2)).run();
     assert_eq!(rep2.monitor_violations, 0);
+}
+
+/// A late trigger whose reception survives is one violation, not two:
+/// the trigger's own event checks the pair, and the reception interrupt,
+/// whose receive end in the hardware mode is that same trigger instant,
+/// does not check it again. A 3-µs delay is past the bound but inside the
+/// latch window, so the receptions survive; every traced violation is then
+/// a distinct (node, excess) offense.
+#[test]
+fn surviving_late_trigger_is_counted_once() {
+    let obs = SimObserver::with_trace(1 << 20, span_mask());
+    let mut cfg = traced_cfg(4, 17, &obs);
+    cfg.fault_plan = FaultPlan::new().with(FaultEpisode {
+        from: SimTime::from_secs(5),
+        until: SimTime::from_secs(7),
+        target: FaultTarget::Node(2),
+        kind: FaultKind::LateTrigger {
+            rate: 0.5,
+            delay: SimDuration::from_micros(3),
+        },
+    });
+    let rep = Cluster::new(cfg).run();
+    let offenses: Vec<(u32, i64)> = obs
+        .events()
+        .iter()
+        .filter(|e| e.kind == "viol_trigger_latency")
+        .map(|e| match e.payload {
+            Payload::Value { value } => (e.node, value),
+            ref p => panic!("viol_trigger_latency carries {p:?}"),
+        })
+        .collect();
+    assert!(!offenses.is_empty(), "the late triggers violate the bound");
+    let mut distinct = offenses.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(
+        offenses.len(),
+        distinct.len(),
+        "each late trigger is counted once: {offenses:?}"
+    );
+    assert_eq!(rep.monitor_violations, offenses.len() as u64);
 }
 
 /// Mode ablation: the span chain stays complete in the software-stamp and

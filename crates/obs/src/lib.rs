@@ -13,10 +13,12 @@
 //!   reception: a plain add, flushed into the registry with the exact
 //!   bucket-wise merge where someone reads it (the end of
 //!   `Engine::run_until` and `Cluster::advance_until`/`finish`) and on
-//!   drop. The registry is exact at those flush boundaries.
+//!   drop; and [`publish`], which lands the gains of counts an owner
+//!   keeps itself (the engine's, the cluster's) at the same points. The
+//!   registry is exact at those flush boundaries.
 //! * [`trace`] — structured event tracing: a bounded pre-allocated ring of
-//!   `Copy` [`TraceEvent`]s with per-[`Subsystem`] enable masks; the
-//!   fully-disabled path costs one branch.
+//!   `Copy` [`TraceEvent`]s with a per-[`Subsystem`] enable mask fixed at
+//!   construction; the fully-disabled path costs one branch.
 //! * [`export`] — trace exporters for JSONL and Chrome `trace_event`
 //!   format (`chrome://tracing` / Perfetto).
 //! * [`quantile`] — the workspace's **single** quantile implementation
@@ -57,7 +59,7 @@ pub use expo::{http_get, render_prometheus, MetricsServer};
 pub use hist::Histogram;
 pub use json::Json;
 pub use live::{LiveConfig, LiveWindows};
-pub use local::{LocalCounter, LocalHist};
+pub use local::{publish, LocalCounter, LocalHist};
 pub use metrics::{Counter, Gauge, MetricHandle, MetricId, MetricKey, Registry};
 pub use observer::{fs_to_ns, ObsCore, SimObserver};
 pub use span::{records_from_events, SpanForest, SpanId, SpanRecord};

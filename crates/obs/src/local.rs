@@ -9,6 +9,11 @@
 //! `advance_until` and at `finish`), and both types flush on drop, so a
 //! component torn down mid-run still lands what it recorded.
 //!
+//! A count the owner keeps anyway as a plain `u64` (the engine's event
+//! counts, the cluster's CSP and violation counts) needs no accumulator:
+//! at each flush [`publish`] adds to its counter what it gained since the
+//! last one.
+//!
 //! A flush is the exact bucket-wise addition of [`Histogram::merge`], so
 //! at every flush boundary the registry holds exactly what recording
 //! straight into it would have produced. Between boundaries it lags by
@@ -166,5 +171,18 @@ impl Clone for LocalCounter {
 impl Drop for LocalCounter {
     fn drop(&mut self) {
         self.flush();
+    }
+}
+
+/// Add to each counter what its count gained since `published`, the counts
+/// the last flush published, and remember `counts`.
+pub fn publish<const N: usize>(
+    counters: &[Arc<Counter>; N],
+    published: &mut [u64; N],
+    counts: [u64; N],
+) {
+    for ((counter, published), now) in counters.iter().zip(published).zip(counts) {
+        counter.add(now - *published);
+        *published = now;
     }
 }

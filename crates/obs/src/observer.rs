@@ -7,9 +7,10 @@
 //! `Option<MyObsHandles>`) rather than going through the registry per
 //! event. A metric updated per engine event or per CSP reception goes one
 //! step further: its owner keeps a [`crate::LocalHist`] or
-//! [`crate::LocalCounter`] (a plain add) and flushes it where the registry
-//! is read, so the registry is exact at flush boundaries and the shared
-//! atomics stay off the hot path. Rare recorders write the `Arc`s directly.
+//! [`crate::LocalCounter`] (a plain add), or counts in a plain `u64` of its
+//! own, and flushes or [`crate::publish`]es it where the registry is read,
+//! so the registry is exact at flush boundaries and the shared atomics stay
+//! off the hot path. Rare recorders write the `Arc`s directly.
 
 use crate::export::{write_chrome, write_jsonl};
 use crate::metrics::{Counter, Gauge, MetricKey, Registry};
@@ -91,8 +92,9 @@ impl SimObserver {
         self.inner.as_ref().map(|c| c.registry.hist(key))
     }
 
-    /// Is tracing live for `s`? One branch when disabled, one relaxed
-    /// load when enabled. Use this to guard any event-payload computation.
+    /// Is tracing live for `s`? One branch when disabled, one test of the
+    /// tracer's fixed mask when enabled. Use this to guard any
+    /// event-payload computation; a per-event recorder resolves it once.
     #[inline]
     pub fn tracing(&self, s: Subsystem) -> bool {
         match &self.inner {

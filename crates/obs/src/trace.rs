@@ -4,10 +4,11 @@
 //! carries the simulation timestamp (femtoseconds), the node it happened
 //! on, the [`Subsystem`] that emitted it, a `&'static str` kind tag, and a
 //! small [`Payload`]. Events are `Copy` and the ring is pre-allocated, so
-//! recording never allocates; per-subsystem enable masks make the
-//! fully-disabled path a single relaxed load plus branch.
+//! recording never allocates. The per-subsystem enable mask is fixed when
+//! the tracer is built, which makes the fully-disabled path a single test
+//! plus branch, and lets a component resolve its own bit once.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
 /// The subsystems that can emit trace events. Each maps to one bit of the
@@ -141,14 +142,15 @@ pub struct TraceEvent {
 /// Node id used for events that do not belong to any single node.
 pub const GLOBAL_NODE: u32 = u32::MAX;
 
-/// A bounded ring of trace events with per-subsystem enable masks.
+/// A bounded ring of trace events with a per-subsystem enable mask, fixed
+/// at construction.
 ///
 /// When the ring is full the **oldest** events are overwritten and
 /// [`Tracer::dropped`] counts how many were lost, so a long run keeps the
 /// most recent window rather than the initial transient.
 #[derive(Debug)]
 pub struct Tracer {
-    mask: AtomicU32,
+    mask: u32,
     dropped: AtomicU64,
     ring: Mutex<Ring>,
 }
@@ -168,7 +170,7 @@ impl Tracer {
     pub fn new(capacity: usize, mask: u32) -> Tracer {
         assert!(capacity > 0, "tracer capacity must be positive");
         Tracer {
-            mask: AtomicU32::new(mask),
+            mask,
             dropped: AtomicU64::new(0),
             ring: Mutex::new(Ring {
                 buf: Vec::with_capacity(capacity),
@@ -179,16 +181,11 @@ impl Tracer {
         }
     }
 
-    /// Is tracing enabled for `s`? One relaxed load + test; this is the
+    /// Is tracing enabled for `s`? One test of the fixed mask; this is the
     /// entire cost of a disabled subsystem.
     #[inline]
     pub fn enabled(&self, s: Subsystem) -> bool {
-        self.mask.load(Relaxed) & s.bit() != 0
-    }
-
-    /// Replace the enable mask.
-    pub fn set_mask(&self, mask: u32) {
-        self.mask.store(mask, Relaxed);
+        self.mask & s.bit() != 0
     }
 
     /// Record an event if its subsystem is enabled. Allocation-free: the

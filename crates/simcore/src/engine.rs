@@ -54,14 +54,28 @@
 //! wheel and a heap↔wheel adaptive queue were measured against this heap
 //! on the repository benchmark and bought nothing end to end (DESIGN.md §4
 //! has the numbers and the rule for when a wheel may come back).
+//!
+//! ## Metrics
+//!
+//! The engine counts the events it schedules, fires and cancels in plain
+//! `u64`s, observed or not. With an observer attached
+//! ([`Engine::attach_observer`]), the `engine/events_*` counters receive
+//! what those counts gained at the end of each [`Engine::run_until`], at a
+//! re-attach (into the replaced observer) and when the engine is dropped,
+//! so they equal the engine's counts at each of those points. One fired
+//! event in 64 is sampled: its handler's wall time goes to
+//! `engine/handler_busy_ns` and the queue depth after it to
+//! `engine/queue_depth`. Whether the engine is traced is resolved once, at
+//! attach time. Every other event touches no metric at all.
 
 use crate::time::{SimDuration, SimTime};
-use nti_obs::{keys, LocalCounter, LocalHist, Payload, SimObserver, Subsystem, GLOBAL_NODE};
+use nti_obs::{keys, publish, Counter, LocalHist, Payload, SimObserver, Subsystem, GLOBAL_NODE};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::ptr;
+use std::sync::Arc;
 
 /// Handle to a scheduled event, usable for cancellation.
 ///
@@ -271,36 +285,33 @@ impl Ord for QEntry {
     }
 }
 
-/// The engine times one fired handler in this many for
-/// `engine/handler_busy_ns`, instead of reading the clock twice per event.
+/// The engine samples one fired handler in this many: it reads the clock
+/// around it for `engine/handler_busy_ns` and records the queue depth
+/// after it for `engine/queue_depth`, instead of doing both per event.
 const BUSY_SAMPLE_EVERY: u64 = 64;
 
-/// The engine's metrics, resolved once at [`Engine::attach_observer`] and
-/// kept in local accumulators: firing an event does plain adds, and the
-/// registry receives them at the end of each [`Engine::run_until`] (and
-/// when the engine is dropped or re-attached). When no observer is
-/// attached the whole block is absent and every instrumentation site is a
-/// single `Option` branch.
+/// The engine's metrics, resolved once at [`Engine::attach_observer`]. The
+/// engine counts its events in its own plain `u64`s whether or not an
+/// observer is attached; the registry receives what they gained, and the
+/// sampled histograms, at the end of each [`Engine::run_until`] and when
+/// the engine is dropped or re-attached. Between those points firing an
+/// event touches nothing here but the 1-in-[`BUSY_SAMPLE_EVERY`] sample
+/// and, when the engine is traced, the trace ring. When no observer is
+/// attached the whole block is absent.
 struct EngineObs {
     obs: SimObserver,
-    scheduled: LocalCounter,
-    fired: LocalCounter,
-    cancelled: LocalCounter,
-    /// Queue depth (live events) sampled after each fired event.
+    /// Whether the observer traces [`Subsystem::Engine`], resolved once:
+    /// the tracer's mask is fixed at construction.
+    trace: bool,
+    /// `engine/events_{scheduled,fired,cancelled}`, in
+    /// [`Engine::counts`] order.
+    counters: [Arc<Counter>; 3],
+    /// The [`Engine::counts`] the last flush published.
+    published: [u64; 3],
+    /// Queue depth (live events) after each sampled fired event.
     queue_depth: LocalHist,
-    /// Wall-clock busy time of one fired handler in
-    /// [`BUSY_SAMPLE_EVERY`] (nanoseconds).
+    /// Wall-clock busy time of each sampled fired handler (nanoseconds).
     busy_ns: LocalHist,
-}
-
-impl EngineObs {
-    fn flush(&mut self) {
-        self.scheduled.flush();
-        self.fired.flush();
-        self.cancelled.flush();
-        self.queue_depth.flush();
-        self.busy_ns.flush();
-    }
 }
 
 /// The event queue plus the simulation clock.
@@ -324,7 +335,11 @@ pub struct Engine<S> {
     free: Vec<u32>,
     /// Live (scheduled, not yet fired or cancelled) events.
     live: usize,
+    /// Events scheduled (each periodic re-arm included), fired, and
+    /// effectively cancelled so far.
+    scheduled: u64,
     fired: u64,
+    cancelled: u64,
     queue: BinaryHeap<Reverse<QEntry>>,
     /// Events at or past [`FAR_FS`] as `(at, packed ref)`, in `(time,
     /// schedule order)` order. Every heap entry is earlier, so this list
@@ -348,7 +363,9 @@ impl<S> Engine<S> {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
+            scheduled: 0,
             fired: 0,
+            cancelled: 0,
             queue: BinaryHeap::new(),
             far: VecDeque::new(),
             obs: None,
@@ -357,23 +374,50 @@ impl<S> Engine<S> {
 
     /// Attach an observer. A disabled observer detaches instrumentation
     /// entirely (the per-event cost returns to one branch). Metric handles
-    /// are resolved here, once, so the hot path never touches the registry.
-    /// What the replaced observer had pending lands in its registry.
+    /// and the engine's trace flag are resolved here, once, so the hot path
+    /// never touches the registry or the trace mask. What the replaced
+    /// observer had pending lands in its registry; the new one counts from
+    /// here on.
     pub fn attach_observer(&mut self, obs: &SimObserver) {
+        self.flush_obs();
         self.obs = if obs.is_enabled() {
-            let counter = |key| LocalCounter::new(obs.counter(key).expect("enabled"));
+            let counter = |key| obs.counter(key).expect("enabled");
             let hist = |key| LocalHist::new(obs.hist(key).expect("enabled"));
             Some(EngineObs {
                 obs: obs.clone(),
-                scheduled: counter(keys::engine_events_scheduled()),
-                fired: counter(keys::engine_events_fired()),
-                cancelled: counter(keys::engine_events_cancelled()),
+                trace: obs.tracing(Subsystem::Engine),
+                counters: [
+                    counter(keys::engine_events_scheduled()),
+                    counter(keys::engine_events_fired()),
+                    counter(keys::engine_events_cancelled()),
+                ],
+                published: self.counts(),
                 queue_depth: hist(keys::engine_queue_depth()),
                 busy_ns: hist(keys::engine_handler_busy_ns()),
             })
         } else {
             None
         };
+    }
+
+    /// Events scheduled, fired and cancelled so far.
+    fn counts(&self) -> [u64; 3] {
+        [self.scheduled, self.fired, self.cancelled]
+    }
+
+    /// Publish the counts gained since the last flush and the sampled
+    /// histograms into the attached observer's registry. Kept out of line:
+    /// it runs once per `run_until`, re-attach or drop, never per event,
+    /// and inlined into `run_until` and the drop glue it measurably slowed
+    /// the `Cluster::new` that follows a dropped cluster.
+    #[inline(never)]
+    fn flush_obs(&mut self) {
+        let counts = self.counts();
+        if let Some(o) = &mut self.obs {
+            publish(&o.counters, &mut o.published, counts);
+            o.queue_depth.flush();
+            o.busy_ns.flush();
+        }
     }
 
     /// Current simulation time.
@@ -428,9 +472,9 @@ impl<S> Engine<S> {
             let i = self.far.partition_point(|&(t, _)| t <= at);
             self.far.insert(i, (at, packed));
         }
-        if let Some(o) = &mut self.obs {
-            o.scheduled.inc();
-            if o.obs.tracing(Subsystem::Engine) {
+        self.scheduled += 1;
+        if let Some(o) = &self.obs {
+            if o.trace {
                 o.obs.event(
                     at.as_fs(),
                     GLOBAL_NODE,
@@ -515,9 +559,7 @@ impl<S> Engine<S> {
         s.gen = s.gen.wrapping_add(1);
         self.free.push(id.idx);
         self.live -= 1;
-        if let Some(o) = &mut self.obs {
-            o.cancelled.inc();
-        }
+        self.cancelled += 1;
     }
 
     /// Fire the event a (validated) packed reference points to, advancing
@@ -528,7 +570,8 @@ impl<S> Engine<S> {
         self.now = at;
         // The only per-event cost with no observer attached is this
         // one branch (`--obs-summary`-off must stay within 2 % of the
-        // uninstrumented engine).
+        // uninstrumented engine). With one attached, it picks the sampled
+        // event.
         let t0 = (self.obs.is_some() && self.fired.is_multiple_of(BUSY_SAMPLE_EVERY))
             .then(std::time::Instant::now);
         self.fired += 1;
@@ -562,10 +605,9 @@ impl<S> Engine<S> {
             if let Some(t0) = t0 {
                 o.busy_ns
                     .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+                o.queue_depth.record(self.live as u64);
             }
-            o.fired.inc();
-            o.queue_depth.record(self.live as u64);
-            if o.obs.tracing(Subsystem::Engine) {
+            if o.trace {
                 o.obs.event(
                     self.now.as_fs(),
                     GLOBAL_NODE,
@@ -589,9 +631,7 @@ impl<S> Engine<S> {
         if until > self.now {
             self.now = until;
         }
-        if let Some(o) = &mut self.obs {
-            o.flush();
-        }
+        self.flush_obs();
     }
 
     /// Pop the earliest live event if it is due at or before `until`.
@@ -657,6 +697,13 @@ impl<S> Engine<S> {
     fn jump_seq(&mut self, seq: u64) {
         assert!((self.seq..=SEQ_LIMIT).contains(&seq));
         self.seq = seq;
+    }
+}
+
+impl<S> Drop for Engine<S> {
+    /// What the observer has pending still lands in its registry.
+    fn drop(&mut self) {
+        self.flush_obs();
     }
 }
 
@@ -831,10 +878,10 @@ mod tests {
         assert_eq!(eng.pending(), 0);
     }
 
-    /// The engine's registry metrics are local accumulators flushed at the
-    /// end of each `run_until`: after every chunk they equal the engine's
-    /// own counts, the queue-depth histogram holds one sample per fired
-    /// event, and the busy-time histogram one per [`BUSY_SAMPLE_EVERY`].
+    /// The engine publishes its own counts at the end of each `run_until`:
+    /// after every chunk the registry's counters equal them, and the
+    /// queue-depth and busy-time histograms hold one sample per
+    /// [`BUSY_SAMPLE_EVERY`] fired events.
     #[test]
     fn observer_metrics_equal_engine_counts_after_each_run_until() {
         let obs = SimObserver::enabled();
@@ -853,37 +900,68 @@ mod tests {
             |hits: &mut u64, _| *hits += 1,
         );
         let reg = &obs.core().expect("enabled").registry;
-        let counter = |key| reg.find_counter(key).expect("registered").get();
+        let counts = || registry_counts(&obs);
         let hist = |key| reg.find_hist(key).expect("registered");
-        assert_eq!(
-            counter(keys::engine_events_scheduled()),
-            0,
-            "not flushed yet"
-        );
+        assert_eq!(counts(), [0; 3], "not flushed yet");
         for chunk in 1..=4u64 {
             eng.run_until(&mut periodic_hits, SimTime::from_millis(chunk * 100));
             let fired = eng.events_fired();
-            assert_eq!(counter(keys::engine_events_fired()), fired);
+            assert_eq!(counts(), eng.counts());
             // Each periodic occurrence re-arms, i.e. schedules once more.
-            assert_eq!(
-                counter(keys::engine_events_scheduled()),
-                300 + 1 + periodic_hits
-            );
-            assert_eq!(counter(keys::engine_events_cancelled()), 50);
-            assert_eq!(hist(keys::engine_queue_depth()).count(), fired);
-            assert_eq!(
-                hist(keys::engine_handler_busy_ns()).count(),
-                fired.div_ceil(BUSY_SAMPLE_EVERY)
-            );
+            assert_eq!(eng.counts(), [300 + 1 + periodic_hits, fired, 50]);
+            let sampled = fired.div_ceil(BUSY_SAMPLE_EVERY);
+            assert_eq!(hist(keys::engine_queue_depth()).count(), sampled);
+            assert_eq!(hist(keys::engine_handler_busy_ns()).count(), sampled);
         }
         assert_eq!(eng.events_fired(), 250 + periodic_hits);
         // What is pending when the engine goes away still lands.
+        let id = eng.schedule_at(SimTime::from_secs(1), |_, _| {});
         eng.schedule_at(SimTime::from_secs(1), |_, _| {});
+        eng.cancel(id);
+        let last = eng.counts();
+        assert_ne!(counts(), last);
         drop(eng);
-        assert_eq!(
-            counter(keys::engine_events_scheduled()),
-            300 + 1 + periodic_hits + 1
-        );
+        assert_eq!(counts(), last);
+    }
+
+    /// The registry's `engine/events_{scheduled,fired,cancelled}`.
+    fn registry_counts(obs: &SimObserver) -> [u64; 3] {
+        let reg = &obs.core().expect("enabled").registry;
+        [
+            keys::engine_events_scheduled(),
+            keys::engine_events_fired(),
+            keys::engine_events_cancelled(),
+        ]
+        .map(|key| reg.find_counter(key).expect("registered").get())
+    }
+
+    /// Re-attaching lands what is pending in the first observer's
+    /// registry, and the second one counts only what follows.
+    #[test]
+    fn reattach_lands_pending_counts_in_the_first_registry() {
+        let (first, second) = (SimObserver::enabled(), SimObserver::enabled());
+        let mut eng: Engine<()> = Engine::new();
+        eng.attach_observer(&first);
+        eng.schedule_at(SimTime::from_nanos(1), |_, _| {});
+        let id = eng.schedule_at(SimTime::from_nanos(2), |_, _| {});
+        eng.run_until(&mut (), SimTime::from_nanos(1));
+        assert_eq!(registry_counts(&first), [2, 1, 0]);
+        // Pending at the swap: one more schedule and the cancel.
+        eng.schedule_at(SimTime::from_nanos(3), |_, _| {});
+        eng.cancel(id);
+        eng.attach_observer(&second);
+        assert_eq!(registry_counts(&first), [3, 1, 1]);
+        assert_eq!(registry_counts(&second), [0; 3]);
+        eng.schedule_at(SimTime::from_nanos(4), |_, _| {});
+        eng.run_until(&mut (), SimTime::from_nanos(10));
+        assert_eq!(registry_counts(&first), [3, 1, 1], "the first stops");
+        assert_eq!(registry_counts(&second), [1, 2, 0]);
+        // Detaching lands the second observer's pending counts too.
+        eng.schedule_at(SimTime::from_nanos(11), |_, _| {});
+        eng.attach_observer(&SimObserver::disabled());
+        assert_eq!(registry_counts(&second), [2, 2, 0]);
+        drop(eng);
+        assert_eq!(registry_counts(&second), [2, 2, 0]);
     }
 
     /// Far-future events and sentinels at `SimTime::MAX` fire in order.

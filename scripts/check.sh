@@ -33,6 +33,15 @@ echo "$out" | grep -q "== observability summary ==" \
   || { echo "check.sh: missing observability summary" >&2; exit 1; }
 echo "$out" | grep -q "cluster/precision_ns" \
   || { echo "check.sh: missing cluster precision metric" >&2; exit 1; }
+for metric in engine/events_fired engine/queue_depth; do
+  echo "$out" | grep -q "$metric" \
+    || { echo "check.sh: missing engine metric $metric" >&2; exit 1; }
+done
+
+echo "== observability smoke run (e6_class_table --obs-summary) =="
+out=$(NTI_EXP_FAST=1 cargo run --release -q -p nti-bench --bin e6_class_table -- --obs-summary)
+echo "$out" | grep -q "== observability summary ==" \
+  || { echo "check.sh: e6_class_table printed no observability summary" >&2; exit 1; }
 
 echo "== simulator metrics-cost gate (e9_sixteen_nodes --obs-gate) =="
 cargo run --release -q -p nti-bench --bin e9_sixteen_nodes -- --obs-gate \
