@@ -530,7 +530,8 @@ struct Rx {
     /// Real instant of the trigger (the receive end of the ε pair).
     trigger: SimTime,
     /// Receive-side span chain head: the latch span (`SpanId::NONE`
-    /// untraced) and its real end instant.
+    /// untraced) and its real end instant. A pair rather than an `Option`
+    /// keeps the record at 64 bytes with `late` beside it.
     head: (SpanId, SimTime),
     /// The trigger was injected late, and its own event already checked
     /// the trigger-latency invariant for this pair.
