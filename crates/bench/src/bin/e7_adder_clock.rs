@@ -72,6 +72,11 @@ impl CounterClock {
 }
 
 fn main() {
+    // Nothing here is simulated, so there is nothing to observe: say so
+    // rather than drop an `--obs-summary` or `--trace-out` silently.
+    for arg in std::env::args().skip(1) {
+        eprintln!("warning: e7_adder_clock runs no simulation; ignoring argument {arg:?}");
+    }
     let fosc = 10_000_000u64;
     println!("E7: adder-based clock (UTCSU) vs counter-based clock (CSU style)");
     println!("f_osc = 10 MHz\n");

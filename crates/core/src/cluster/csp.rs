@@ -83,17 +83,14 @@ pub(super) fn csp_send(
         let _ = node.scb.ack_interrupt(&mut node.nti);
     }
     let bits = csp_frame_bits();
-    // Root of the CSP's causal span chain: the assembly hop, from the
-    // software stamp taken at round start to the COMCO hand-off.
-    let mut span = SpanId::NONE;
+    // Root of the CSP's causal chain: the assembly hop, from the software
+    // stamp taken at round start to the COMCO hand-off.
+    let mut head = Head {
+        span: SpanId::NONE,
+        end: sw_real,
+    };
     if let Some(o) = &mut world.obs {
-        span = o.hop(
-            HOP_CSP_SEND,
-            now.as_fs(),
-            now.saturating_since(sw_real).as_fs(),
-            id as u32,
-            SpanId::NONE,
-        );
+        o.hop(HOP_CSP_SEND, &mut head, now, id as u32);
     }
     for a in 0..world.topology.attachments(id).len() {
         let lan = world.topology.attachments(id)[a];
@@ -126,8 +123,7 @@ pub(super) fn csp_send(
                 marked: grant.marked,
                 receivers_pending: receivers.max(1),
                 late_records: false,
-                span,
-                span_t: now,
+                head,
             },
         );
         world.metrics.csps_sent += 1;
@@ -174,16 +170,7 @@ fn exec_tx_read(world: &mut World, eng: &mut Eng, id: usize, fid: u64, slot: u32
     if off == cpld.xmt_trigger_off {
         flight.xmit_trigger_real = Some(now);
         if let Some(o) = &mut world.obs {
-            if flight.span.is_some() {
-                flight.span = o.hop(
-                    HOP_XMIT_TRIGGER,
-                    now.as_fs(),
-                    now.saturating_since(flight.span_t).as_fs(),
-                    id as u32,
-                    flight.span,
-                );
-                flight.span_t = now;
-            }
+            o.hop(HOP_XMIT_TRIGGER, &mut flight.head, now, id as u32);
         }
     } else if off == cpld.xmt_map_ts_off {
         // A Byzantine node cannot forge the hardware insertion itself, but
@@ -204,11 +191,10 @@ fn exec_tx_read(world: &mut World, eng: &mut Eng, id: usize, fid: u64, slot: u32
 /// Last bit left the wire: fan out receptions on the segment.
 fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
     let now = eng.now();
-    let Some(flight) = world.flights.get(&fid) else {
+    let Some(flight) = world.flights.get_mut(&fid) else {
         return;
     };
     let (src, lan, wire_end) = (flight.src, flight.lan, flight.wire_end);
-    let chain = (flight.span, flight.span_t);
     if world.mediums[lan].is_partitioned() {
         // Severed segment: the frame propagated into the break and reaches
         // no receiver.
@@ -223,17 +209,8 @@ fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
     // Wire hop: from the TRANSMIT trigger to the last bit leaving the
     // wire (receiver-side propagation lands in each rcv_trigger hop),
     // labelled with the LAN rather than a node.
-    let mut wire_span = SpanId::NONE;
     if let Some(o) = &mut world.obs {
-        if chain.0.is_some() {
-            wire_span = o.hop(
-                HOP_WIRE,
-                wire_end.as_fs(),
-                wire_end.saturating_since(chain.1).as_fs(),
-                lan as u32,
-                chain.0,
-            );
-        }
+        o.hop(HOP_WIRE, &mut flight.head, wire_end, lan as u32);
     }
     let mut scheduled: usize = 0;
     // Indexed, since scheduling borrows the world; nothing here changes
@@ -267,8 +244,6 @@ fn wire_done(world: &mut World, eng: &mut Eng, fid: u64) {
         world.flights.remove(&fid);
     } else if let Some(flight) = world.flights.get_mut(&fid) {
         flight.receivers_pending = scheduled;
-        flight.span = wire_span;
-        flight.span_t = wire_end;
     }
 }
 
@@ -338,31 +313,37 @@ fn exec_rx_write(
         return;
     }
     world.nodes[q].advance(now);
-    // The inbound chain head (the wire span) of this frame, when the
-    // sender's side was traced.
-    let chain = world
-        .flights
-        .get(&fid)
-        .map(|f| (f.span, f.span_t))
-        .unwrap_or((SpanId::NONE, now));
+    // The frame's inbound chain, up to the wire, and its TRANSMIT trigger
+    // instant. A reception holds its flight until its packet interrupt.
+    let Some(&Flight {
+        head,
+        xmit_trigger_real: xt,
+        ..
+    }) = world.flights.get(&fid)
+    else {
+        return;
+    };
     // Trigger-path fault injection: a missed DMA trigger means the stamp
     // is never latched (the frame later drops in rx_complete); a late
     // trigger latches a stamp that post-dates the true arrival.
     if world.injector.missed_trigger(q, now) {
         if let Some(o) = &world.obs {
-            if chain.0.is_some() {
-                o.annotate(now.as_fs(), 0, q as u32, "fault_trigger_missed", chain.0);
-            }
+            o.annotate(
+                head,
+                now,
+                SimDuration::ZERO,
+                q as u32,
+                "fault_trigger_missed",
+            );
         }
     } else if let Some(d) = world.injector.late_trigger(q, now) {
-        let xt = world.flights.get(&fid).and_then(|f| f.xmit_trigger_real);
         eng.schedule_at(now + d, move |w, e| {
             if w.nodes[q].is_down() {
                 return;
             }
             let t = e.now();
             w.nodes[q].advance(t);
-            rcv_trigger(w, t, q, fid, a, slot, chain, Some(d));
+            rcv_trigger(w, t, q, fid, a, slot, head, Some(d));
             // The trigger-latency invariant is checked here, not at the
             // reception interrupt: a trigger this late may miss the latch
             // window entirely, in which case the frame drops before
@@ -373,17 +354,17 @@ fn exec_rx_write(
             }
         });
     } else {
-        rcv_trigger(world, now, q, fid, a, slot, chain, None);
+        rcv_trigger(world, now, q, fid, a, slot, head, None);
     }
 }
 
 /// The RECEIVE trigger fires at `t` on receiver `q` of flight `fid`, on
 /// time or `late` by an injected delay. The receive hop (propagation plus
-/// the header writes before the trigger) ends at `t` and extends `chain`,
-/// the inbound wire head. The trigger itself is the header write, or on a
-/// gateway's further attachment `a` the SSU's trigger line directly; the
-/// UTCSU latch hop, one synchronizer delay long, follows it. The trigger
-/// instant and the chain head, the latch span, are recorded for
+/// the header writes before the trigger) ends at `t` and extends `head`,
+/// the inbound chain up to the wire. The trigger itself is the header
+/// write, or on a gateway's further attachment `a` the SSU's trigger line
+/// directly; the UTCSU latch hop, one synchronizer delay long, follows it.
+/// The trigger instant and the chain, up to the latch, are recorded for
 /// `rx_complete`, unless a late trigger finds its flight already gone:
 /// then nothing would ever consume the record.
 #[allow(clippy::too_many_arguments)]
@@ -394,24 +375,15 @@ fn rcv_trigger(
     fid: u64,
     a: usize,
     slot: u32,
-    chain: (SpanId, SimTime),
+    mut head: Head,
     late: Option<SimDuration>,
 ) {
-    let mut rcv = SpanId::NONE;
     if let Some(o) = &mut world.obs {
-        if chain.0.is_some() {
-            rcv = o.hop(
-                HOP_RCV_TRIGGER,
-                t.as_fs(),
-                t.saturating_since(chain.1).as_fs(),
-                q as u32,
-                chain.0,
-            );
-            if let Some(d) = late {
-                // The injected lateness rides the chain as a fault
-                // annotation child of the trigger span.
-                o.annotate(t.as_fs(), d.as_fs(), q as u32, "fault_trigger_late", rcv);
-            }
+        o.hop(HOP_RCV_TRIGGER, &mut head, t, q as u32);
+        if let Some(d) = late {
+            // The injected lateness rides the chain as a fault annotation
+            // child of the trigger span.
+            o.annotate(head, t, d, q as u32, "fault_trigger_late");
         }
     }
     let node = &mut world.nodes[q];
@@ -421,17 +393,12 @@ fn rcv_trigger(
     } else {
         node.nti.utcsu_mut().trigger_ssu_receive(a);
     }
-    let mut head = (SpanId::NONE, t);
     if let Some(o) = &mut world.obs {
-        if rcv.is_some() {
-            let lat = SimDuration::from_fs(
-                node.nti.utcsu().stamp_delay_ticks() * 1_000_000_000_000_000
-                    / world.cfg.fosc_hz as u128,
-            );
-            let end = t + lat;
-            let latch = o.hop(HOP_LATCH, end.as_fs(), lat.as_fs(), q as u32, rcv);
-            head = (latch, end);
-        }
+        let lat = SimDuration::from_fs(
+            node.nti.utcsu().stamp_delay_ticks() * 1_000_000_000_000_000
+                / world.cfg.fosc_hz as u128,
+        );
+        o.hop(HOP_LATCH, &mut head, t + lat, q as u32);
     }
     if late.is_some() {
         match world.flights.get_mut(&fid) {
@@ -509,28 +476,17 @@ fn rx_complete(world: &mut World, eng: &mut Eng, q: usize, fid: u64, a: usize, s
     );
     let at = now + entry + body + dispatch;
     // The kernel's draws, then the packet-interrupt hop (latch end →
-    // interrupt assertion) and the ISR + dispatch hop; `chain` is what the
-    // sync task's accept span parents on.
-    let mut chain = SpanId::NONE;
+    // interrupt assertion) and the ISR + dispatch hop, which the sync
+    // task's accept hop follows. A reception with no trigger record has no
+    // chain.
+    let mut chain = rx.map(|r| r.head);
     if let Some(o) = &mut world.obs {
         o.isr_entry_ns.record(fs_to_ns(entry.as_fs()));
         o.isr_body_ns.record(fs_to_ns(body.as_fs()));
         o.dispatch_ns.record(fs_to_ns(dispatch.as_fs()));
-        if let Some(Rx { head: (ls, lt), .. }) = rx.filter(|r| r.head.0.is_some()) {
-            let ispan = o.hop(
-                HOP_INTERRUPT,
-                now.as_fs(),
-                now.saturating_since(lt).as_fs(),
-                q as u32,
-                ls,
-            );
-            chain = o.hop(
-                HOP_ISR_DISPATCH,
-                at.as_fs(),
-                at.saturating_since(now).as_fs(),
-                q as u32,
-                ispan,
-            );
+        if let Some(head) = &mut chain {
+            o.hop(HOP_INTERRUPT, head, now, q as u32);
+            o.hop(HOP_ISR_DISPATCH, head, at, q as u32);
         }
     }
     let mode = world.cfg.mode;
@@ -681,7 +637,7 @@ fn process_csp(
     xmit: (NtpTime, Accuracy, Accuracy),
     recv_local: NtpTime,
     marked: bool,
-    span: SpanId,
+    chain: Option<Head>,
 ) {
     let node = &mut world.nodes[q];
     let csp = ReceivedCsp {
@@ -703,11 +659,9 @@ fn process_csp(
         node.rate.observe(payload.node, csp.xmit_stamp, rate_local);
     }
     world.metrics.csps_delivered += 1;
-    if let Some(o) = &mut world.obs {
-        if span.is_some() {
-            // Terminal hop: the CSP entered the algorithm's inbox.
-            o.hop(HOP_ACCEPT, eng.now().as_fs(), 0, q as u32, span);
-        }
+    if let (Some(o), Some(mut head)) = (&mut world.obs, chain) {
+        // Terminal hop: the CSP entered the algorithm's inbox.
+        o.hop(HOP_ACCEPT, &mut head, eng.now(), q as u32);
     }
 }
 

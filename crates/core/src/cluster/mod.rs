@@ -344,11 +344,20 @@ struct Flight {
     /// packet interrupt may already have passed, so the last receiver's
     /// interrupt drops whatever records of this flight remain.
     late_records: bool,
-    /// Head of this flight's causal span chain — the last hop emitted on
-    /// the sender side — and that hop's real end instant. Null/meaningless
-    /// when observability is off.
+    /// This flight's causal chain: the last sender-side hop, up to the
+    /// wire once the frame has left it.
+    head: Head,
+}
+
+/// The head of a CSP's causal chain: the last hop's span and the real
+/// instant that hop ended, where the next hop starts. Only
+/// [`ClusterObs::hop`] advances it, so consecutive hops abut by
+/// construction. `span` stays [`SpanId::NONE`] unless spans are traced
+/// (`ClusterObs::spans`); with metrics off nothing reads the head.
+#[derive(Clone, Copy, Debug)]
+struct Head {
     span: SpanId,
-    span_t: SimTime,
+    end: SimTime,
 }
 
 /// The causal-span hop kinds of a CSP's life, in pipeline order: CSP
@@ -420,6 +429,10 @@ const HOP_ACCEPT: usize = 7;
 /// counters and gauges and `status_publishes` are written directly.
 struct ClusterObs {
     obs: SimObserver,
+    /// Some hop's subsystem, or `faults`, is traced: only then do hops
+    /// allocate span ids and emit `SpanLink` events. Fixed with the
+    /// observer's mask.
+    spans: bool,
     /// Per-snapshot worst pairwise clock difference (ns).
     precision_ns: LocalHist,
     /// Per-snapshot per-node |C − t| (ns).
@@ -461,36 +474,49 @@ struct ClusterObs {
 }
 
 impl ClusterObs {
-    /// Emit one hop of a CSP's causal chain under its
-    /// [`HOP_SUBSYSTEMS`] entry: allocate a span id, link it under
-    /// `parent` (null parent ⇒ root), and record the hop duration into the
-    /// decomposition histogram. `node` is the node the hop happens on, or
-    /// for `wire` the LAN. Returns the new span id so the caller can thread
-    /// the chain head forward.
-    fn hop(&mut self, idx: usize, end_fs: u128, dur_fs: u128, node: u32, parent: SpanId) -> SpanId {
-        let span = self.obs.new_span();
-        self.obs.span_link(
-            end_fs,
-            dur_fs,
-            node,
-            HOP_SUBSYSTEMS[idx],
-            SPAN_HOPS[idx],
-            span,
-            parent,
-        );
+    /// Advance a CSP's causal chain by one hop, from `head` to `end`: the
+    /// hop lasts from the head's end to `end` and is recorded into its
+    /// decomposition histogram; with spans traced it also gets a span id,
+    /// linked under the head's span (none ⇒ root) and traced under its
+    /// [`HOP_SUBSYSTEMS`] entry. `node` is the node the hop happens on,
+    /// or for `wire` the LAN. The hop becomes the new head.
+    fn hop(&mut self, idx: usize, head: &mut Head, end: SimTime, node: u32) {
+        let dur_fs = end.saturating_since(head.end).as_fs();
         self.hop_ns[idx].record(fs_to_ns(dur_fs));
-        span
+        if self.spans {
+            let span = self.obs.new_span();
+            self.obs.span_link(
+                end.as_fs(),
+                dur_fs,
+                node,
+                HOP_SUBSYSTEMS[idx],
+                SPAN_HOPS[idx],
+                span,
+                head.span,
+            );
+            head.span = span;
+        }
+        head.end = end;
     }
 
-    /// Mark an injected fault inside a CSP's chain: a `faults` child span
-    /// of `kind` (`fault_trigger_late`, `fault_trigger_missed`) under
-    /// `parent`, ending at `end_fs`, whose duration `dur_fs` is the
-    /// anomaly's magnitude (the injected delay), so an analyzer can tell
-    /// injected anomalies from organic ones.
-    fn annotate(&self, end_fs: u128, dur_fs: u128, node: u32, kind: &'static str, parent: SpanId) {
-        let span = self.obs.new_span();
-        self.obs
-            .span_link(end_fs, dur_fs, node, Subsystem::Faults, kind, span, parent);
+    /// Mark an injected fault inside a CSP's chain when spans are traced:
+    /// a `faults` child span of `kind` (`fault_trigger_late`,
+    /// `fault_trigger_missed`) under `head`, ending at `end`, whose
+    /// duration `dur` is the anomaly's magnitude (the injected delay), so
+    /// an analyzer can tell injected anomalies from organic ones.
+    fn annotate(&self, head: Head, end: SimTime, dur: SimDuration, node: u32, kind: &'static str) {
+        if self.spans {
+            let span = self.obs.new_span();
+            self.obs.span_link(
+                end.as_fs(),
+                dur.as_fs(),
+                node,
+                Subsystem::Faults,
+                kind,
+                span,
+                head.span,
+            );
+        }
     }
 
     fn flush(&mut self, metrics: &Metrics) {
@@ -529,10 +555,8 @@ impl ClusterObs {
 struct Rx {
     /// Real instant of the trigger (the receive end of the ε pair).
     trigger: SimTime,
-    /// Receive-side span chain head: the latch span (`SpanId::NONE`
-    /// untraced) and its real end instant. A pair rather than an `Option`
-    /// keeps the record at 64 bytes with `late` beside it.
-    head: (SpanId, SimTime),
+    /// The reception's causal chain, up to the UTCSU latch.
+    head: Head,
     /// The trigger was injected late, and its own event already checked
     /// the trigger-latency invariant for this pair.
     late: bool,
@@ -801,6 +825,10 @@ impl Cluster {
             let kernel = |name| hist(MetricKey::global("kernel", name));
             world.obs = Some(ClusterObs {
                 obs: obs.clone(),
+                spans: HOP_SUBSYSTEMS
+                    .into_iter()
+                    .chain([Subsystem::Faults])
+                    .any(|s| obs.tracing(s)),
                 precision_ns: hist(key("precision_ns")),
                 true_error_ns: hist(key("true_error_ns")),
                 alpha_ns: hist(key("alpha_ns")),

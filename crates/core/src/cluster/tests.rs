@@ -342,3 +342,10 @@ fn monotonicity_check_fires_and_a_restart_forgets_the_sample() {
         traced[0].payload
     );
 }
+
+/// A RECEIVE-trigger record is one cache line: the trigger instant, the
+/// chain head and the late flag, with no `Option` around the head.
+#[test]
+fn rx_record_is_64_bytes() {
+    assert_eq!(std::mem::size_of::<Rx>(), 64);
+}

@@ -7,10 +7,12 @@
 //! check runs only against a budget. The counts reach `Report` with
 //! metrics off too.
 
-use nti_core::cluster::{Cluster, ClusterConfig, Report, SPAN_HOPS};
+use nti_core::cluster::{Cluster, ClusterConfig, Report, HOP_HIST_NAMES, SPAN_HOPS};
 use nti_core::params::TimestampMode;
 use nti_faults::{FaultEpisode, FaultKind, FaultPlan, FaultTarget};
-use nti_obs::{records_from_events, MetricKey, Payload, SimObserver, SpanForest, Subsystem};
+use nti_obs::{
+    records_from_events, MetricKey, Payload, SimObserver, SpanForest, SpanId, Subsystem,
+};
 use nti_simcore::time::{SimDuration, SimTime};
 
 /// Everything span-bearing except the engine (whose per-event tracing
@@ -29,6 +31,16 @@ fn traced_cfg(n: usize, seed: u64, obs: &SimObserver) -> ClusterConfig {
     cfg.warmup = SimDuration::from_secs(3);
     cfg.obs = obs.clone();
     cfg
+}
+
+/// Node 2's RECEIVE triggers fire `delay` late at `rate` from 5 to 7 s.
+fn late_triggers(rate: f64, delay: SimDuration) -> FaultPlan {
+    FaultPlan::new().with(FaultEpisode {
+        from: SimTime::from_secs(5),
+        until: SimTime::from_secs(7),
+        target: FaultTarget::Node(2),
+        kind: FaultKind::LateTrigger { rate, delay },
+    })
 }
 
 /// A traced 4-node run produces parent-linked spans forming a DAG with no
@@ -126,15 +138,7 @@ fn nominal_run_raises_no_violations() {
 fn late_trigger_fault_trips_trigger_latency_monitor() {
     let obs = SimObserver::with_trace(1 << 20, span_mask());
     let mut cfg = traced_cfg(4, 17, &obs);
-    cfg.fault_plan = FaultPlan::new().with(FaultEpisode {
-        from: SimTime::from_secs(5),
-        until: SimTime::from_secs(7),
-        target: FaultTarget::Node(2),
-        kind: FaultKind::LateTrigger {
-            rate: 1.0,
-            delay: SimDuration::from_millis(2),
-        },
-    });
+    cfg.fault_plan = late_triggers(1.0, SimDuration::from_millis(2));
     let rep = Cluster::new(cfg).run();
     assert!(rep.monitor_violations >= 1, "late triggers violate budgets");
     let c = obs
@@ -184,15 +188,7 @@ fn late_trigger_fault_trips_trigger_latency_monitor() {
 fn surviving_late_trigger_is_counted_once() {
     let obs = SimObserver::with_trace(1 << 20, span_mask());
     let mut cfg = traced_cfg(4, 17, &obs);
-    cfg.fault_plan = FaultPlan::new().with(FaultEpisode {
-        from: SimTime::from_secs(5),
-        until: SimTime::from_secs(7),
-        target: FaultTarget::Node(2),
-        kind: FaultKind::LateTrigger {
-            rate: 0.5,
-            delay: SimDuration::from_micros(3),
-        },
-    });
+    cfg.fault_plan = late_triggers(0.5, SimDuration::from_micros(3));
     let rep = Cluster::new(cfg).run();
     let offenses: Vec<(u32, i64)> = obs
         .events()
@@ -213,6 +209,52 @@ fn surviving_late_trigger_is_counted_once() {
         "each late trigger is counted once: {offenses:?}"
     );
     assert_eq!(rep.monitor_violations, offenses.len() as u64);
+}
+
+/// Span ids exist only where a trace records them. A metrics-only run and
+/// one that traces the engine alone allocate no span id and emit no
+/// `SpanLink`, yet record the same eight hop histograms as a run that
+/// traces every subsystem, and all three report the same. The 3-µs late
+/// triggers reach the fault annotations too.
+#[test]
+fn untraced_runs_allocate_no_span_ids_and_record_the_same_hops() {
+    let runs = [
+        SimObserver::enabled(),
+        SimObserver::with_trace(1 << 20, Subsystem::Engine.bit()),
+        SimObserver::with_trace(1 << 20, Subsystem::mask_from_spec("all")),
+    ]
+    .map(|obs| {
+        let mut cfg = traced_cfg(4, 17, &obs);
+        cfg.fault_plan = late_triggers(0.5, SimDuration::from_micros(3));
+        let report = Cluster::new(cfg).run().to_json().to_string();
+        let hops = HOP_HIST_NAMES.map(|nm| {
+            let h = obs.hist(MetricKey::global("span", nm)).unwrap();
+            (h.count(), h.sum(), h.min(), h.max())
+        });
+        (obs, report, hops)
+    });
+    let links = |obs: &SimObserver| {
+        obs.events()
+            .iter()
+            .filter(|e| matches!(e.payload, Payload::SpanLink { .. }))
+            .count()
+    };
+    assert!(!runs[1].0.events().is_empty(), "the engine was traced");
+    for (obs, ..) in &runs[..2] {
+        assert_eq!(links(obs), 0, "an untraced chain links no span");
+        assert_eq!(obs.new_span(), SpanId(1), "no span id was allocated");
+    }
+    let all = runs[2].0.events();
+    assert!(links(&runs[2].0) > 0, "the fully traced run links spans");
+    assert!(
+        all.iter().any(|e| e.kind == "fault_trigger_late"),
+        "a late trigger is annotated"
+    );
+    assert!(runs[0].2.iter().all(|&(count, ..)| count > 0), "every hop");
+    for (_, report, hops) in &runs[1..] {
+        assert_eq!(report, &runs[0].1, "the report does not move");
+        assert_eq!(hops, &runs[0].2, "hop histograms: count, sum, min, max");
+    }
 }
 
 /// Mode ablation: the span chain stays complete in the software-stamp and

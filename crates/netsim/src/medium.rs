@@ -93,6 +93,8 @@ pub struct Grant {
 #[derive(Clone, Debug)]
 struct MediumObs {
     obs: SimObserver,
+    /// `net` is traced; resolved at attach, since the mask is fixed.
+    trace: bool,
     lan: u32,
     grants: Arc<Counter>,
     deferrals: Arc<Counter>,
@@ -110,10 +112,6 @@ pub struct Medium {
     /// Current backoff exponent (contention estimator).
     backoff_k: u32,
     rng: SimRng,
-    grants: u64,
-    deferrals: u64,
-    /// Grants that exceeded the ECN threshold (0 when marking is off).
-    marks: u64,
     /// Total channel-occupied time (serialization), for utilization.
     busy_total: SimDuration,
     /// Fault-injected extra one-way propagation delay (congestion episode).
@@ -131,9 +129,6 @@ impl Medium {
             busy_until: SimTime::ZERO,
             backoff_k: 0,
             rng,
-            grants: 0,
-            deferrals: 0,
-            marks: 0,
             busy_total: SimDuration::ZERO,
             extra_prop: SimDuration::ZERO,
             partitioned: false,
@@ -141,13 +136,14 @@ impl Medium {
         }
     }
 
-    /// Attach an observer; `lan` labels this segment's metrics. A disabled
-    /// observer detaches instrumentation (grants return to counter bumps
-    /// plus one branch).
+    /// Attach an observer; `lan` labels this segment's metrics, which are
+    /// its only grant, deferral and mark counts. A disabled observer
+    /// detaches instrumentation (a grant's cost returns to one branch).
     pub fn attach_observer(&mut self, obs: &SimObserver, lan: u32) {
         self.obs = if obs.is_enabled() {
             Some(MediumObs {
                 obs: obs.clone(),
+                trace: obs.tracing(Subsystem::Net),
                 lan,
                 grants: obs
                     .counter(MetricKey::node(lan, "net", "grants"))
@@ -226,7 +222,6 @@ impl Medium {
                     // serialized-arbiter abstraction already queues losers,
                     // so the full 2¹⁰ Ethernet truncation would double-count
                     // contention and saturate the channel.
-                    self.deferrals += 1;
                     if self.rng.chance(0.5) {
                         self.backoff_k = (self.backoff_k + 1).min(5);
                         let slots = self.rng.below(1 << self.backoff_k);
@@ -242,12 +237,8 @@ impl Medium {
         let end = start + serialize;
         self.busy_until = end;
         self.busy_total += serialize;
-        self.grants += 1;
         let access_delay = start.saturating_since(ready);
         let marked = self.cfg.ecn_threshold.is_some_and(|th| access_delay > th);
-        if marked {
-            self.marks += 1;
-        }
         if let Some(o) = &self.obs {
             o.grants.inc();
             if contended {
@@ -264,7 +255,7 @@ impl Medium {
                 o.util_permille
                     .set((self.busy_total.as_fs() * 1000 / end.as_fs()) as i64);
             }
-            if o.obs.tracing(Subsystem::Net) {
+            if o.trace {
                 o.obs.span(
                     start.as_fs(),
                     access_delay.as_fs(),
@@ -305,16 +296,6 @@ impl Medium {
             access_delay,
             marked,
         }
-    }
-
-    /// Counters for instrumentation: `(grants, deferrals)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.grants, self.deferrals)
-    }
-
-    /// Number of congestion-marked grants so far.
-    pub fn ecn_marks(&self) -> u64 {
-        self.marks
     }
 }
 
@@ -388,14 +369,20 @@ mod tests {
         }
     }
 
+    /// LAN 0's `net/<name>` counter in `obs`.
+    fn count(obs: &SimObserver, name: &'static str) -> u64 {
+        obs.counter(MetricKey::node(0, "net", name)).unwrap().get()
+    }
+
     #[test]
     fn backoff_exponent_decays_when_uncontended() {
         let mut m = medium(AccessModel::CsmaCd);
+        let obs = SimObserver::enabled();
+        m.attach_observer(&obs, 0);
         // Build contention.
         let _ = m.grant(SimTime::from_secs(1), 10_000);
         let _ = m.grant(SimTime::from_secs(1), 10_000);
-        let (_, d1) = m.stats();
-        assert_eq!(d1, 1);
+        assert_eq!(count(&obs, "deferrals"), 1);
         // Long quiet period: next uncontended grant decays the exponent.
         let g = m.grant(SimTime::from_secs(10), 10_000);
         assert_eq!(g.access_delay, m.config().ifg);
@@ -422,11 +409,13 @@ mod tests {
         };
         cfg.ecn_threshold = Some(cfg.ifg + SimDuration::from_micros(1));
         let mut m = Medium::new(cfg, SimRng::new(7));
+        let obs = SimObserver::enabled();
+        m.attach_observer(&obs, 0);
         let g1 = m.grant(SimTime::from_secs(1), 10_000); // idle channel
         assert!(!g1.marked);
         let g2 = m.grant(SimTime::from_secs(1), 10_000); // waits ~1 ms
         assert!(g2.marked, "queued grant must carry the congestion mark");
-        assert_eq!(m.ecn_marks(), 1);
+        assert_eq!(count(&obs, "ecn_marks"), 1);
     }
 
     #[test]
@@ -437,7 +426,6 @@ mod tests {
             let g = m.grant(SimTime::from_millis(i), 10_000);
             assert!(!g.marked);
         }
-        assert_eq!(m.ecn_marks(), 0);
     }
 
     #[test]

@@ -87,6 +87,8 @@ impl Default for UtcsuConfig {
 #[derive(Clone, Debug)]
 struct UtcsuObs {
     obs: SimObserver,
+    /// `utcsu` is traced; resolved at attach, since the mask is fixed.
+    trace: bool,
     node: u32,
     /// All external triggers (SSU/GPU/APU/HWSNAP) that latched a stamp.
     triggers: LocalCounter,
@@ -94,6 +96,12 @@ struct UtcsuObs {
     amort_starts: Arc<Counter>,
     /// Length of each amortization phase (ticks).
     amort_ticks: Arc<Histogram>,
+}
+
+/// Nominal local time in femtoseconds after `tick` oscillator ticks at
+/// `fosc_hz` (tick / f_osc) — the timestamp base of a chip's trace events.
+fn nominal_fs(tick: u128, fosc_hz: u64) -> u128 {
+    tick * 1_000_000_000_000_000u128 / fosc_hz as u128
 }
 
 /// The simulated UTCSU ASIC.
@@ -169,6 +177,7 @@ impl Utcsu {
             let key = |name| MetricKey::node(node, "utcsu", name);
             Some(UtcsuObs {
                 obs: obs.clone(),
+                trace: obs.tracing(Subsystem::Utcsu),
                 node,
                 triggers: LocalCounter::new(obs.counter(key("triggers")).expect("enabled")),
                 amort_starts: obs.counter(key("amort_starts")).expect("enabled"),
@@ -187,22 +196,13 @@ impl Utcsu {
         }
     }
 
-    /// Nominal local time in femtoseconds (tick / f_osc) — the timestamp
-    /// base for this chip's trace events.
-    fn nominal_fs(&self) -> u128 {
-        self.tick * 1_000_000_000_000_000u128 / self.cfg.fosc_hz as u128
-    }
-
     /// Record one trigger sample: count it and emit a trace instant when
     /// the `utcsu` subsystem is traced.
     fn obs_trigger(&mut self, kind: &'static str) {
-        let Some(traced) = self.obs.as_ref().map(|o| o.obs.tracing(Subsystem::Utcsu)) else {
-            return;
-        };
-        let nominal_fs = traced.then(|| self.nominal_fs());
         let Some(o) = &mut self.obs else { return };
         o.triggers.inc();
-        if let Some(fs) = nominal_fs {
+        if o.trace {
+            let fs = nominal_fs(self.tick, self.cfg.fosc_hz);
             o.obs.instant(fs, o.node, Subsystem::Utcsu, kind);
         }
     }
@@ -302,15 +302,17 @@ impl Utcsu {
         if let Some(o) = &self.obs {
             o.amort_starts.inc();
             o.amort_ticks.record(ticks.min(u64::MAX as u128) as u64);
-            o.obs.event(
-                self.nominal_fs(),
-                o.node,
-                Subsystem::Utcsu,
-                "amort_start",
-                Payload::Value {
-                    value: ticks.min(i64::MAX as u128) as i64,
-                },
-            );
+            if o.trace {
+                o.obs.event(
+                    nominal_fs(self.tick, self.cfg.fosc_hz),
+                    o.node,
+                    Subsystem::Utcsu,
+                    "amort_start",
+                    Payload::Value {
+                        value: ticks.min(i64::MAX as u128) as i64,
+                    },
+                );
+            }
         }
     }
 
@@ -353,9 +355,9 @@ impl Utcsu {
                 match e {
                     LtuEvent::AmortizationEnd => {
                         self.itu.raise(IntSource::AmortEnd);
-                        if let Some(o) = &self.obs {
-                            o.obs
-                                .instant(self.nominal_fs(), o.node, Subsystem::Utcsu, "amort_end");
+                        if let Some(o) = self.obs.as_ref().filter(|o| o.trace) {
+                            let fs = nominal_fs(self.tick, self.cfg.fosc_hz);
+                            o.obs.instant(fs, o.node, Subsystem::Utcsu, "amort_end");
                         }
                     }
                     LtuEvent::LeapApplied(_) => self.itu.raise(IntSource::Leap),

@@ -37,6 +37,11 @@ for metric in engine/events_fired engine/queue_depth; do
   echo "$out" | grep -q "$metric" \
     || { echo "check.sh: missing engine metric $metric" >&2; exit 1; }
 done
+# e1's observer traces nothing: hop durations must not depend on tracing.
+for metric in span/hop_rcv_trigger_ns span/hop_accept_ns; do
+  echo "$out" | grep -q "$metric" \
+    || { echo "check.sh: missing hop histogram $metric in a metrics-only run" >&2; exit 1; }
+done
 
 echo "== observability smoke run (e6_class_table --obs-summary) =="
 out=$(NTI_EXP_FAST=1 cargo run --release -q -p nti-bench --bin e6_class_table -- --obs-summary)
