@@ -9,7 +9,8 @@
 //! mismatch names the fields that moved. Two entries, `all_subsystems`
 //! and `trigger_faults_all_subsystems`, hash the trace of every subsystem
 //! instead, so a reordered UTCSU, kernel, netsim, fault or engine record
-//! moves them too. A deliberate behaviour
+//! moves them too, and `recurring_generators_across_a_crash` hashes the
+//! engine's records beside the cluster's. A deliberate behaviour
 //! change is re-recorded with
 //!
 //! ```text
@@ -359,6 +360,25 @@ fn actuation_app_events_crash() {
     cfg.app_event_period = Some(SimDuration::from_millis(700));
     cfg.fault_plan = FaultPlan::crash(3, SimTime::from_secs(4), Some(SimTime::from_secs(5)));
     check("actuation_app_events_crash", cfg);
+}
+
+/// The simulator's recurring generators (GPS seconds on two nodes,
+/// application events and the HWSNAP sweep) across a crash of one GPS
+/// node, with the engine traced: every occurrence's schedule and fire
+/// record is hashed, so a generator that loses or reorders an occurrence
+/// while its node is down moves this entry.
+#[test]
+fn recurring_generators_across_a_crash() {
+    let mut cfg = base(4, 0x601D);
+    cfg.duration = SimDuration::from_secs(10);
+    cfg.gps = vec![gps(1), gps(2)];
+    cfg.app_event_period = Some(SimDuration::from_millis(700));
+    cfg.fault_plan = FaultPlan::crash(1, SimTime::from_secs(4), Some(SimTime::from_secs(6)));
+    check_traced(
+        "recurring_generators_across_a_crash",
+        cfg,
+        Subsystem::Engine.bit() | Subsystem::Cluster.bit(),
+    );
 }
 
 /// Every subsystem traced on a two-LAN chain: the engine's schedule/fire
