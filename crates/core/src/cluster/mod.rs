@@ -883,33 +883,21 @@ impl Cluster {
             arm_round_timers(&mut world, id, 1);
             schedule_utcsu_service(&mut world, &mut eng, id);
         }
-        // Snapshots: one periodic event, closure allocated once.
-        let every = world.cfg.snapshot_every;
-        eng.schedule_every(SimTime::ZERO + every, every, snapshot);
-        // GPS generators: one per (node, receiver), re-armed every second
-        // half a second ahead of the pulse.
+        // The recurring generators: each occurrence schedules the next.
+        // Snapshots (the HWSNAP sweep).
+        eng.schedule_at(SimTime::ZERO + world.cfg.snapshot_every, snapshot);
+        // GPS seconds: one generator per (node, receiver), half a second
+        // ahead of the pulse.
         for id in 0..n {
             for g in 0..world.nodes[id].gps.len() {
-                let mut sec: u64 = 1;
-                eng.schedule_every(
-                    SimTime::from_millis(500),
-                    SimDuration::from_secs(1),
-                    move |w, e| {
-                        let s = sec;
-                        sec += 1;
-                        gps_second(w, e, id, g, s);
-                    },
-                );
+                eng.schedule_at(SimTime::from_millis(500), move |w, e| {
+                    gps_second(w, e, id, g, 1)
+                });
             }
         }
         // Application events: one physical stimulus hits every node's APU 0.
         if let Some(period) = world.cfg.app_event_period {
-            let mut ev: u64 = 0;
-            eng.schedule_every(SimTime::ZERO + period, period, move |w, e| {
-                let k = ev;
-                ev += 1;
-                app_event(w, e, k);
-            });
+            eng.schedule_at(SimTime::ZERO + period, |w, e| app_event(w, e, 0));
         }
         // Background load.
         if world.cfg.bg_load.is_some() {

@@ -247,10 +247,18 @@ fn cf_time(world: &mut World, eng: &mut Eng, id: usize) {
     schedule_utcsu_service(world, eng, id);
 }
 
-/// GPS per-second generator: emit the pulse for `sec` and schedule the
-/// stamp and TOD handling. The per-second cadence itself is a periodic
-/// engine event (`schedule_every` in `Cluster::new`).
+/// GPS per-second generator: emit second `sec`'s pulse, then schedule
+/// second `sec + 1` one second on.
 pub(super) fn gps_second(world: &mut World, eng: &mut Eng, id: usize, g: usize, sec: u64) {
+    gps_pulse(world, eng, id, g, sec);
+    // Last, so the next second takes the sequence number after the pulse's.
+    eng.schedule_after(SimDuration::from_secs(1), move |w, e| {
+        gps_second(w, e, id, g, sec + 1)
+    });
+}
+
+/// Emit the pulse for `sec` and schedule the stamp and TOD handling.
+fn gps_pulse(world: &mut World, eng: &mut Eng, id: usize, g: usize, sec: u64) {
     if world.nodes[id].is_down() {
         // The receiver keeps running, but the crashed node samples nothing.
         return;

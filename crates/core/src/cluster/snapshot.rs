@@ -104,8 +104,8 @@ pub(super) fn actuation_fired(world: &mut World, eng: &mut Eng, id: usize) {
     arm_timer(node, 2, next);
 }
 
-/// Periodic HWSNAP sweep: precision, accuracy, containment, and the
-/// invariant checks on them.
+/// HWSNAP sweep: precision, accuracy, containment, and the invariant
+/// checks on them; then schedules the next sweep `snapshot_every` on.
 pub(super) fn snapshot(world: &mut World, eng: &mut Eng) {
     let now = eng.now();
     let mut times: Vec<NtpTime> = Vec::with_capacity(world.nodes.len());
@@ -218,19 +218,31 @@ pub(super) fn snapshot(world: &mut World, eng: &mut Eng) {
             o.status_publishes.add(1);
         }
     }
+    eng.schedule_after(world.cfg.snapshot_every, snapshot);
 }
 
 /// A global application event: the same physical edge reaches every
 /// node's APU 0; each UTCSU samples it at its own next-tick-plus-
 /// synchronizer instant. The cross-node spread of the resulting stamps is
 /// the end-to-end "relating sensor data" error: clock skew plus sampling
-/// quantization.
+/// quantization. Then schedules event `ev + 1` one period on.
 pub(super) fn app_event(world: &mut World, eng: &mut Eng, ev: u64) {
+    app_event_barrier(world, eng, ev);
+    let period = world
+        .cfg
+        .app_event_period
+        .expect("app events have a period");
+    eng.schedule_after(period, move |w, e| app_event(w, e, ev + 1));
+}
+
+/// Application event `ev`'s all-node barrier: every node stamps the edge,
+/// and the last stamp records the spread.
+fn app_event_barrier(world: &mut World, eng: &mut Eng, ev: u64) {
     let now = eng.now();
     let n = world.nodes.len();
     if world.nodes.iter().any(Node::is_down) {
-        // The all-nodes barrier cannot complete while any node is dark;
-        // skip this event (the periodic engine event keeps the cadence).
+        // The barrier cannot complete while any node is dark; skip this
+        // event (`app_event` keeps the cadence).
         return;
     }
     world.app_pending.insert(ev, Vec::with_capacity(n));

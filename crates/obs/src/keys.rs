@@ -11,7 +11,7 @@ use crate::metrics::MetricKey;
 /// Subsystem name under which the event engine registers its metrics.
 pub const ENGINE_SUBSYSTEM: &str = "engine";
 
-/// Events scheduled (one-shot schedules and each periodic re-arm).
+/// Events scheduled.
 pub fn engine_events_scheduled() -> MetricKey {
     MetricKey::global(ENGINE_SUBSYSTEM, "events_scheduled")
 }

@@ -15,42 +15,38 @@
 //!
 //! Events live in a **slab**: a `Vec` of generation-tagged slots with a free
 //! list, so the queue moves only packed `(generation, index)` u64
-//! references. [`Engine::cancel`] is O(1) — it bumps the slot generation,
-//! which makes every queued reference to the old occupant stale. `pending()`
-//! therefore counts *live* events only, and nothing accumulates for
-//! cancelled ids.
+//! references. Firing and [`Engine::cancel`] (O(1)) both free the slot and
+//! bump its generation, which makes every queued reference to the old
+//! occupant stale. `pending()` therefore counts *live* events only, and
+//! nothing accumulates for cancelled ids.
 //!
 //! The queue is one binary heap of 32-byte `{ key: u128, packed ref }`
 //! entries. The key holds the instant's femtoseconds in its high bits and
 //! a monotone sequence number in its low 40 bits, so one integer compare
-//! orders two entries by `(time, seq)`. Instants at or past 2^88 fs
-//! (~9,800 years; in practice only `SimTime::MAX`-style sentinels) do not
-//! fit a key: they wait in a side list kept in `(time, schedule order)`
-//! order. Every heap entry precedes every side-list entry, so the list is
-//! read only when the heap holds no live entry. Before the sequence number
-//! would pass 2^40, the queued entries are renumbered `0, 1, …` in order.
-//! Stale references are dropped lazily when they reach the head. A
-//! periodic event keeps its slab slot and boxed closure across occurrences
-//! and is re-armed in place with a fresh sequence number.
+//! orders two entries by `(time, seq)`. An instant must lie below 2^88 fs
+//! (~9,800 years) to fit a key, and [`Engine::schedule_at`] panics at or
+//! past it. Before the sequence number would pass 2^40, the queued entries
+//! are renumbered `0, 1, …` in order. Stale references are dropped lazily
+//! when they reach the head. A recurring event is a handler that schedules
+//! its next occurrence itself.
 //!
-//! A one-shot closure is stored **inline** in its slab slot: a
-//! [`INLINE_BYTES`]-byte, 16-aligned buffer plus the closure type's call
-//! and drop functions. A closure that is bigger or more aligned than the
-//! buffer is boxed and the box is stored inline instead, so firing has one
-//! path and most events allocate nothing.
+//! A closure is stored **inline** in its slab slot: a [`INLINE_BYTES`]-byte,
+//! 16-aligned buffer plus the closure type's call and drop functions. A
+//! closure that is bigger or more aligned than the buffer is boxed and the
+//! box is stored inline instead, so firing has one path and most events
+//! allocate nothing.
 //!
 //! | operation                             | cost                         |
 //! |---------------------------------------|------------------------------|
-//! | `schedule_at` / `_after` / `_every`   | O(log n)                     |
+//! | `schedule_at` / `schedule_after`      | O(log n)                     |
 //! | `cancel`                              | O(1)                         |
-//! | fire one event (incl. periodic re-arm)| O(log n) amortized           |
+//! | fire one event                        | O(log n) amortized           |
 //! | `next_event_time`                     | O(1) amortized               |
 //! | `pending` / `events_fired` / `now`    | O(1)                         |
-//! | schedule at or past 2^88 fs           | O(far) (side-list insert)    |
 //! | renumbering, once per ~2^40 schedules | O(n log n)                   |
 //!
 //! `n` counts queued entries, live and stale; each stale entry is popped at
-//! most once, and `far` counts side-list entries. A hierarchical timer
+//! most once. A hierarchical timer
 //! wheel and a heap↔wheel adaptive queue were measured against this heap
 //! on the repository benchmark and bought nothing end to end (DESIGN.md §4
 //! has the numbers and the rule for when a wheel may come back).
@@ -71,7 +67,7 @@
 use crate::time::{SimDuration, SimTime};
 use nti_obs::{keys, publish, Counter, LocalHist, Payload, SimObserver, Subsystem, GLOBAL_NODE};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::ptr;
@@ -88,14 +84,11 @@ pub struct EventId {
     gen: u32,
 }
 
-/// A boxed one-shot event closure. The engine stores one-shot closures
-/// inline and boxes only those that do not fit, but it owns them exactly as
-/// this type would.
+/// A boxed event closure. The engine stores closures inline and boxes only
+/// those that do not fit, but it owns them exactly as this type would.
 pub type EventFn<S> = Box<dyn FnOnce(&mut S, &mut Engine<S>)>;
-/// The closure type fired on every occurrence of a periodic event.
-pub type PeriodicFn<S> = Box<dyn FnMut(&mut S, &mut Engine<S>)>;
 
-/// Size in bytes of a slab slot's inline closure buffer. One-shot closures
+/// Size in bytes of a slab slot's inline closure buffer. Closures
 /// up to this size (and 16-byte alignment) are stored without an
 /// allocation; larger ones are boxed.
 pub const INLINE_BYTES: usize = 48;
@@ -111,7 +104,7 @@ const fn fits<T>() -> bool {
     size_of::<T>() <= INLINE_BYTES && align_of::<T>() <= align_of::<InlineBuf>()
 }
 
-/// A pending one-shot closure stored in its slab slot: the closure's bytes
+/// A pending closure stored in its slab slot: the closure's bytes
 /// plus its type's two operations. The two function pointers fill what
 /// would otherwise be alignment padding after the buffer, so the value is
 /// 64 bytes, the same as a buffer plus one pointer to a `'static` table
@@ -204,29 +197,16 @@ impl<S> Drop for OnceFn<S> {
     }
 }
 
-/// Slab slot payload. Timing lives in the queue entries, not here — the
-/// slab holds only what firing needs, keeping slots small (the slab is the
+/// A slab slot. Timing lives in the queue entries, not here — the slab
+/// holds only what firing needs, keeping slots small (the slab is the
 /// engine's biggest allocation and is accessed in random order).
-enum Body<S> {
-    /// Free slot (member of the free list).
-    Vacant,
-    /// A pending one-shot event.
-    Once(OnceFn<S>),
-    /// A pending periodic event; re-armed at `fired + period` after each
-    /// occurrence.
-    Every {
-        period: SimDuration,
-        f: PeriodicFn<S>,
-    },
-    /// A periodic event whose handler is currently executing (its closure is
-    /// temporarily out of the slab). Cancelling in this state frees the slot
-    /// and suppresses the re-arm.
-    InFlight,
-}
-
 struct SlabSlot<S> {
+    /// Advanced when the occupant fires or is cancelled, so a queued
+    /// reference or an id is live exactly while its generation matches.
     gen: u32,
-    body: Body<S>,
+    /// The pending closure, or `None` for a free slot (a member of the
+    /// free list).
+    body: Option<OnceFn<S>>,
 }
 
 #[inline]
@@ -246,11 +226,11 @@ const SEQ_BITS: u32 = 40;
 const SEQ_LIMIT: u64 = 1 << SEQ_BITS;
 
 /// Instants at or past this many femtoseconds (2^88 fs, ~9,800 years) do
-/// not fit a key's high bits; their events wait in the side list.
+/// not fit a key's high bits; [`Engine::schedule_at`] refuses them.
 const FAR_FS: u128 = 1 << (u128::BITS - SEQ_BITS);
 
-/// A heap entry. `key` is `at_fs << SEQ_BITS | seq` for an instant below
-/// [`FAR_FS`], so comparing keys is comparing `(time, seq)`; the packed
+/// A heap entry. `key` is `at_fs << SEQ_BITS | seq` (the instant lies below
+/// [`FAR_FS`]), so comparing keys is comparing `(time, seq)`; the packed
 /// slab reference rides along (it never decides an ordering: keys are
 /// unique).
 #[derive(Clone, Copy)]
@@ -335,16 +315,11 @@ pub struct Engine<S> {
     free: Vec<u32>,
     /// Live (scheduled, not yet fired or cancelled) events.
     live: usize,
-    /// Events scheduled (each periodic re-arm included), fired, and
-    /// effectively cancelled so far.
+    /// Events scheduled, fired, and effectively cancelled so far.
     scheduled: u64,
     fired: u64,
     cancelled: u64,
     queue: BinaryHeap<Reverse<QEntry>>,
-    /// Events at or past [`FAR_FS`] as `(at, packed ref)`, in `(time,
-    /// schedule order)` order. Every heap entry is earlier, so this list
-    /// is read only when the heap holds no live entry.
-    far: VecDeque<(SimTime, u64)>,
     obs: Option<EngineObs>,
 }
 
@@ -367,7 +342,6 @@ impl<S> Engine<S> {
             fired: 0,
             cancelled: 0,
             queue: BinaryHeap::new(),
-            far: VecDeque::new(),
             obs: None,
         }
     }
@@ -436,42 +410,66 @@ impl<S> Engine<S> {
         self.live
     }
 
-    fn alloc(&mut self, body: Body<S>) -> (u32, u32) {
+    fn alloc(&mut self, f: OnceFn<S>) -> (u32, u32) {
         if let Some(idx) = self.free.pop() {
             let s = &mut self.slots[idx as usize];
-            debug_assert!(matches!(s.body, Body::Vacant));
-            s.body = body;
+            debug_assert!(s.body.is_none());
+            s.body = Some(f);
             (idx, s.gen)
         } else {
             let idx = self.slots.len() as u32;
-            self.slots.push(SlabSlot { gen: 0, body });
+            self.slots.push(SlabSlot {
+                gen: 0,
+                body: Some(f),
+            });
             (idx, 0)
         }
+    }
+
+    /// Take the closure out of the live slot `idx` and free the slot,
+    /// advancing its generation so every reference to it turns stale.
+    fn release(&mut self, idx: u32) -> OnceFn<S> {
+        let s = &mut self.slots[idx as usize];
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(idx);
+        self.live -= 1;
+        s.body.take().expect("released a free slab slot")
     }
 
     /// Whether a packed queue reference still points at its original event.
     fn is_live(&self, packed: u64) -> bool {
         let (idx, gen) = unpack(packed);
-        self.slots.get(idx as usize).is_some_and(|s| {
-            s.gen == gen && matches!(s.body, Body::Once { .. } | Body::Every { .. })
-        })
+        self.slots[idx as usize].gen == gen
     }
 
-    /// Queue the event `packed` for `at`: on the heap under the next
-    /// sequence number, or at or past [`FAR_FS`] behind every side-list
-    /// entry not later than `at`.
-    fn enqueue(&mut self, at: SimTime, packed: u64) {
-        if at.0 < FAR_FS {
-            if self.seq == SEQ_LIMIT {
-                self.renumber();
-            }
-            let key = (at.0 << SEQ_BITS) | self.seq as u128;
-            self.seq += 1;
-            self.queue.push(Reverse(QEntry { key, packed }));
-        } else {
-            let i = self.far.partition_point(|&(t, _)| t <= at);
-            self.far.insert(i, (at, packed));
+    /// Schedule `f` to fire at the absolute instant `at`.
+    ///
+    /// # Panics
+    /// If `at` lies in the past (that would silently reorder causality) or
+    /// at or past 2^88 fs (~9,800 years), the first instant a queue key
+    /// cannot hold.
+    pub fn schedule_at(
+        &mut self,
+        at: SimTime,
+        f: impl FnOnce(&mut S, &mut Engine<S>) + 'static,
+    ) -> EventId {
+        assert!(
+            at >= self.now,
+            "scheduling into the past: {at:?} < {:?}",
+            self.now
+        );
+        assert!(at.0 < FAR_FS, "scheduling at or past 2^88 fs: {at:?}");
+        let (idx, gen) = self.alloc(OnceFn::new(f));
+        self.live += 1;
+        if self.seq == SEQ_LIMIT {
+            self.renumber();
         }
+        let key = (at.0 << SEQ_BITS) | self.seq as u128;
+        self.seq += 1;
+        self.queue.push(Reverse(QEntry {
+            key,
+            packed: pack(idx, gen),
+        }));
         self.scheduled += 1;
         if let Some(o) = &self.obs {
             if o.trace {
@@ -484,24 +482,6 @@ impl<S> Engine<S> {
                 );
             }
         }
-    }
-
-    /// Schedule `f` to fire at the absolute instant `at`. Scheduling in the
-    /// past is a logic error and panics (it would silently reorder
-    /// causality otherwise).
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        f: impl FnOnce(&mut S, &mut Engine<S>) + 'static,
-    ) -> EventId {
-        assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        let (idx, gen) = self.alloc(Body::Once(OnceFn::new(f)));
-        self.live += 1;
-        self.enqueue(at, pack(idx, gen));
         EventId { idx, gen }
     }
 
@@ -514,58 +494,24 @@ impl<S> Engine<S> {
         self.schedule_at(self.now + delay, f)
     }
 
-    /// Schedule `f` to fire at `first` and then every `period` after, with
-    /// the closure allocated **once** (no per-occurrence boxing). Each
-    /// occurrence consumes a fresh sequence number when it is re-armed —
-    /// immediately after the handler returns — so the interleaving is
-    /// identical to a handler that re-schedules itself as its last action.
-    /// Cancel the returned id (inside the handler or outside) to stop.
-    pub fn schedule_every(
-        &mut self,
-        first: SimTime,
-        period: SimDuration,
-        f: impl FnMut(&mut S, &mut Engine<S>) + 'static,
-    ) -> EventId {
-        assert!(
-            first >= self.now,
-            "scheduling into the past: {first:?} < {:?}",
-            self.now
-        );
-        assert!(
-            period > SimDuration::ZERO,
-            "periodic event needs period > 0"
-        );
-        let (idx, gen) = self.alloc(Body::Every {
-            period,
-            f: Box::new(f),
-        });
-        self.live += 1;
-        self.enqueue(first, pack(idx, gen));
-        EventId { idx, gen }
-    }
-
     /// Cancel a previously scheduled event. O(1): frees the slab slot and
     /// advances its generation, turning every queued reference stale.
     /// Cancelling an event that has already fired (or was already
     /// cancelled) is a no-op.
     pub fn cancel(&mut self, id: EventId) {
-        let Some(s) = self.slots.get_mut(id.idx as usize) else {
-            return;
-        };
-        if s.gen != id.gen || matches!(s.body, Body::Vacant) {
-            return;
+        if self
+            .slots
+            .get(id.idx as usize)
+            .is_some_and(|s| s.gen == id.gen)
+        {
+            drop(self.release(id.idx));
+            self.cancelled += 1;
         }
-        s.body = Body::Vacant; // drops the closure (unless in flight)
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(id.idx);
-        self.live -= 1;
-        self.cancelled += 1;
     }
 
     /// Fire the event a (validated) packed reference points to, advancing
     /// the clock to `at`.
     fn fire(&mut self, state: &mut S, at: SimTime, packed: u64) {
-        let (idx, gen) = unpack(packed);
         debug_assert!(at >= self.now);
         self.now = at;
         // The only per-event cost with no observer attached is this
@@ -575,32 +521,11 @@ impl<S> Engine<S> {
         let t0 = (self.obs.is_some() && self.fired.is_multiple_of(BUSY_SAMPLE_EVERY))
             .then(std::time::Instant::now);
         self.fired += 1;
-        let body = std::mem::replace(&mut self.slots[idx as usize].body, Body::Vacant);
-        match body {
-            Body::Once(f) => {
-                // Free before running so the handler sees this event as
-                // fired: cancelling its own id is a no-op and the slot is
-                // immediately reusable.
-                let s = &mut self.slots[idx as usize];
-                s.gen = s.gen.wrapping_add(1);
-                self.free.push(idx);
-                self.live -= 1;
-                f.call(state, self);
-            }
-            Body::Every { period, mut f } => {
-                self.slots[idx as usize].body = Body::InFlight;
-                f(state, self);
-                // Re-arm unless the handler (or anyone it called) cancelled
-                // this id. The new occurrence takes the next sequence
-                // number, exactly as a self-rescheduling handler would.
-                let s = &mut self.slots[idx as usize];
-                if s.gen == gen && matches!(s.body, Body::InFlight) {
-                    s.body = Body::Every { period, f };
-                    self.enqueue(at + period, packed);
-                }
-            }
-            Body::Vacant | Body::InFlight => unreachable!("fired a dead slab slot"),
-        }
+        // Free before running so the handler sees this event as fired:
+        // cancelling its own id is a no-op and the slot is immediately
+        // reusable.
+        let (idx, _) = unpack(packed);
+        self.release(idx).call(state, self);
         if let Some(o) = &mut self.obs {
             if let Some(t0) = t0 {
                 o.busy_ns
@@ -639,12 +564,8 @@ impl<S> Engine<S> {
         if self.next_event_time()? > until {
             return None;
         }
-        // `next_event_time` left the earliest live event at the head of
-        // the heap or, with the heap empty, of the side list.
-        match self.queue.pop() {
-            Some(Reverse(e)) => Some((e.at(), e.packed)),
-            None => self.far.pop_front(),
-        }
+        // `next_event_time` left the earliest live event at the head.
+        self.queue.pop().map(|Reverse(e)| (e.at(), e.packed))
     }
 
     /// Give the live heap entries the sequence numbers `0, 1, …` in their
@@ -681,12 +602,6 @@ impl<S> Engine<S> {
                 return Some(e.at());
             }
             self.queue.pop();
-        }
-        while let Some(&(at, packed)) = self.far.front() {
-            if self.is_live(packed) {
-                return Some(at);
-            }
-            self.far.pop_front();
         }
         None
     }
@@ -836,48 +751,6 @@ mod tests {
         assert_eq!(eng.pending(), 0);
     }
 
-    #[test]
-    fn periodic_event_fires_until_cancelled() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let mut log = Vec::new();
-        let id = eng.schedule_every(
-            SimTime::from_millis(10),
-            SimDuration::from_millis(10),
-            |s: &mut Vec<u64>, e: &mut Engine<Vec<u64>>| s.push(e.now().as_fs() as u64),
-        );
-        eng.run_until(&mut log, SimTime::from_millis(35));
-        assert_eq!(log.len(), 3);
-        assert_eq!(eng.pending(), 1);
-        eng.cancel(id);
-        assert_eq!(eng.pending(), 0);
-        eng.run_until(&mut log, SimTime::from_millis(100));
-        assert_eq!(log.len(), 3);
-    }
-
-    #[test]
-    fn periodic_event_can_cancel_itself_in_handler() {
-        struct St {
-            hits: u32,
-            id: Option<EventId>,
-        }
-        let mut eng: Engine<St> = Engine::new();
-        let mut st = St { hits: 0, id: None };
-        let id = eng.schedule_every(
-            SimTime::from_millis(1),
-            SimDuration::from_millis(1),
-            |s: &mut St, e: &mut Engine<St>| {
-                s.hits += 1;
-                if s.hits == 3 {
-                    e.cancel(s.id.unwrap());
-                }
-            },
-        );
-        st.id = Some(id);
-        eng.run_until(&mut st, SimTime::from_secs(1));
-        assert_eq!(st.hits, 3);
-        assert_eq!(eng.pending(), 0);
-    }
-
     /// The engine publishes its own counts at the end of each `run_until`:
     /// after every chunk the registry's counters equal them, and the
     /// queue-depth and busy-time histograms hold one sample per
@@ -887,33 +760,34 @@ mod tests {
         let obs = SimObserver::enabled();
         let mut eng: Engine<u64> = Engine::new();
         eng.attach_observer(&obs);
-        let mut periodic_hits = 0u64;
+        let mut ticks = 0u64;
         let ids: Vec<_> = (0..300u64)
             .map(|i| eng.schedule_at(SimTime::from_micros(i * 997 + 1), |_, _| {}))
             .collect();
         for id in &ids[..50] {
             eng.cancel(*id);
         }
-        eng.schedule_every(
-            SimTime::from_millis(1),
-            SimDuration::from_millis(1),
-            |hits: &mut u64, _| *hits += 1,
-        );
+        /// Count an occurrence and schedule the next one a millisecond on.
+        fn tick(ticks: &mut u64, e: &mut Engine<u64>) {
+            *ticks += 1;
+            e.schedule_after(SimDuration::from_millis(1), tick);
+        }
+        eng.schedule_at(SimTime::from_millis(1), tick);
         let reg = &obs.core().expect("enabled").registry;
         let counts = || registry_counts(&obs);
         let hist = |key| reg.find_hist(key).expect("registered");
         assert_eq!(counts(), [0; 3], "not flushed yet");
         for chunk in 1..=4u64 {
-            eng.run_until(&mut periodic_hits, SimTime::from_millis(chunk * 100));
+            eng.run_until(&mut ticks, SimTime::from_millis(chunk * 100));
             let fired = eng.events_fired();
             assert_eq!(counts(), eng.counts());
-            // Each periodic occurrence re-arms, i.e. schedules once more.
-            assert_eq!(eng.counts(), [300 + 1 + periodic_hits, fired, 50]);
+            // Each tick schedules the next one.
+            assert_eq!(eng.counts(), [300 + 1 + ticks, fired, 50]);
             let sampled = fired.div_ceil(BUSY_SAMPLE_EVERY);
             assert_eq!(hist(keys::engine_queue_depth()).count(), sampled);
             assert_eq!(hist(keys::engine_handler_busy_ns()).count(), sampled);
         }
-        assert_eq!(eng.events_fired(), 250 + periodic_hits);
+        assert_eq!(eng.events_fired(), 250 + ticks);
         // What is pending when the engine goes away still lands.
         let id = eng.schedule_at(SimTime::from_secs(1), |_, _| {});
         eng.schedule_at(SimTime::from_secs(1), |_, _| {});
@@ -964,19 +838,13 @@ mod tests {
         assert_eq!(registry_counts(&second), [2, 2, 0]);
     }
 
-    /// Far-future events and sentinels at `SimTime::MAX` fire in order.
+    /// An instant at 2^88 fs does not fit a queue key, so scheduling it
+    /// panics, as scheduling into the past does.
     #[test]
-    fn far_future_and_max_sentinel_events_fire() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
-        eng.schedule_at(SimTime::MAX, |s: &mut Vec<u32>, _| s.push(99));
-        eng.schedule_at(SimTime::from_secs(1000), |s: &mut Vec<u32>, _| s.push(2));
-        eng.schedule_at(SimTime::from_nanos(1), |s: &mut Vec<u32>, _| s.push(1));
-        eng.run_until(&mut log, SimTime::from_secs(2000));
-        assert_eq!(log, vec![1, 2]);
-        eng.run_to_completion(&mut log);
-        assert_eq!(log, vec![1, 2, 99]);
-        assert_eq!(eng.now(), SimTime::MAX);
+    #[should_panic(expected = "scheduling at or past 2^88 fs")]
+    fn scheduling_at_far_fs_panics() {
+        let mut eng: Engine<()> = Engine::new();
+        eng.schedule_at(SimTime(FAR_FS), |_, _| {});
     }
 
     /// Events scheduled for the instant currently being dispatched keep
@@ -1096,8 +964,8 @@ mod tests {
     }
 
     /// Every storage path drops its captures exactly once whether the
-    /// event fires, is cancelled, is still pending when the engine is
-    /// dropped, or is a periodic event that gets cancelled.
+    /// event fires, is cancelled, or is still pending when the engine is
+    /// dropped.
     #[test]
     fn captures_drop_exactly_once_on_every_path() {
         use std::cell::Cell;
@@ -1128,26 +996,6 @@ mod tests {
             drop(eng);
             assert_eq!(drops.get(), 3, "{name}: engine drop");
         }
-
-        // A cancelled periodic (its closure stays boxed).
-        let drops = Rc::new(Cell::new(0));
-        let mut eng: Engine<u32> = Engine::new();
-        let t = Tracked(drops.clone());
-        let id = eng.schedule_every(
-            SimTime::from_millis(1),
-            SimDuration::from_millis(1),
-            move |hits: &mut u32, _| {
-                let _t = &t;
-                *hits += 1;
-            },
-        );
-        let mut hits = 0;
-        eng.run_until(&mut hits, SimTime::from_millis(3));
-        assert_eq!((hits, drops.get()), (3, 0));
-        eng.cancel(id);
-        assert_eq!(drops.get(), 1, "periodic: cancel drops at once");
-        drop(eng);
-        assert_eq!(drops.get(), 1, "periodic: no second drop");
     }
 
     /// A handler that panics drops its captures exactly once, during the
@@ -1261,34 +1109,31 @@ mod tests {
     }
 
     /// A queue entry is one `u128` key plus the packed reference, 32
-    /// bytes, and the last instant below 2^88 fs goes on the heap while
-    /// 2^88 fs itself goes on the side list.
+    /// bytes, and the last two instants below 2^88 fs fit a key and fire
+    /// in order.
     #[test]
     fn key_layout_and_far_boundary() {
         assert_eq!(size_of::<Reverse<QEntry>>(), 32);
         let mut eng: Engine<Vec<u32>> = Engine::new();
-        eng.schedule_at(SimTime(FAR_FS), |s: &mut Vec<u32>, _| s.push(1));
-        eng.schedule_at(SimTime(FAR_FS - 1), |s: &mut Vec<u32>, _| s.push(0));
-        assert_eq!((eng.queue.len(), eng.far.len()), (1, 1));
-        assert_eq!(eng.next_event_time(), Some(SimTime(FAR_FS - 1)));
+        eng.schedule_at(SimTime(FAR_FS - 1), |s: &mut Vec<u32>, _| s.push(1));
+        eng.schedule_at(SimTime(FAR_FS - 2), |s: &mut Vec<u32>, _| s.push(0));
+        assert_eq!(eng.next_event_time(), Some(SimTime(FAR_FS - 2)));
         let mut log = Vec::new();
         eng.run_to_completion(&mut log);
         assert_eq!(log, vec![0, 1]);
+        assert_eq!(eng.events_fired(), 2);
     }
 
     /// Renumbering before the sequence number passes 2^40 keeps
     /// same-instant FIFO order (also when it happens while that instant
-    /// is being dispatched), drops cancelled entries without firing them,
-    /// and leaves pending side-list events in place.
+    /// is being dispatched) and drops cancelled entries without firing
+    /// them.
     #[test]
-    fn renumbering_keeps_fifo_cancels_and_far_events() {
+    fn renumbering_keeps_fifo_and_drops_cancelled() {
         type Eng = Engine<Vec<u32>>;
         let mut eng: Eng = Engine::new();
         let mut log = Vec::new();
         let t = SimTime::from_micros(5);
-        eng.schedule_at(SimTime::MAX, |s: &mut Vec<u32>, _| s.push(101));
-        eng.schedule_at(SimTime(FAR_FS), |s: &mut Vec<u32>, _| s.push(100));
-        eng.schedule_at(SimTime::MAX, |s: &mut Vec<u32>, _| s.push(102));
         eng.schedule_at(t, move |s: &mut Vec<u32>, e: &mut Eng| {
             s.push(1);
             // Scheduled during dispatch of `t`: behind 2, 3 and 4.
@@ -1309,15 +1154,13 @@ mod tests {
         // The first renumbering: 0, 1, 2 and 3 are live, `cancelled` is
         // dropped, and 4 takes the next number.
         eng.schedule_at(t, |s: &mut Vec<u32>, _| s.push(4));
-        assert_eq!((eng.seq, eng.queue.len(), eng.far.len()), (5, 5, 3));
-        assert_eq!(eng.pending(), 8);
+        assert_eq!((eng.seq, eng.queue.len()), (5, 5));
+        assert_eq!(eng.pending(), 5);
 
         eng.run_until(&mut log, t);
         assert_eq!(log, vec![0, 1, 2, 3, 4, 5, 6]);
         assert!(eng.seq < 8, "renumbered inside dispatch: {}", eng.seq);
-        assert_eq!(eng.pending(), 3);
-        eng.run_to_completion(&mut log);
-        assert_eq!(log[7..], [100, 101, 102]);
-        assert_eq!(eng.events_fired(), 10);
+        assert_eq!(eng.pending(), 0);
+        assert_eq!(eng.events_fired(), 7);
     }
 }

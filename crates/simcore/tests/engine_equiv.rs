@@ -2,13 +2,13 @@
 //!
 //! The model below is the engine's contract written as plainly as possible:
 //! pending events live in a `Vec`, firing removes the minimum `(time, seq)`
-//! by linear scan, a periodic event re-arms with the next sequence number
-//! after its handler runs, and cancel is by id. Random programs of
-//! schedules, cancels and time advances run on both, and the firing logs
-//! and `(now, pending, fired)` trajectories must match bit for bit.
-//! Instants range from sub-microsecond delays to a scale straddling
-//! 2^88 fs, up to `SimTime::MAX`, so the engine's side list for instants
-//! at or past 2^88 fs is checked against the same model.
+//! by linear scan, and cancel is by id. Random programs of schedules,
+//! cancels and time advances run on both, and the firing logs and
+//! `(now, pending, fired)` trajectories must match bit for bit.
+//! A recurring event is a handler that schedules its next occurrence as
+//! its last action, and a cancel of its id reaches whichever occurrence is
+//! pending. Instants range from sub-microsecond delays to the last ones
+//! below 2^88 fs, the first instant the engine refuses.
 //! One-shot closures capture payloads of 0, 8, 32 and more than
 //! [`INLINE_BYTES`] bytes, so both of the engine's closure storage paths
 //! (inline and boxed) run in every program.
@@ -16,9 +16,11 @@
 use nti_simcore::engine::INLINE_BYTES;
 use nti_simcore::{Engine, EventId, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Firing log: (label, fire time in fs). The label encodes which schedule
-/// op produced the event (and the occurrence number for periodics), so a
+/// op produced the event (and the occurrence number for recurring ones), so a
 /// log comparison catches reordering *between* distinct events as well as
 /// lost or duplicated occurrences.
 type Log = Vec<(u64, u128)>;
@@ -26,11 +28,11 @@ type Log = Vec<(u64, u128)>;
 /// One observable step: (now fs, pending, events_fired) after each op.
 type Trajectory = Vec<(u128, u64, u64)>;
 
-/// Occurrences after which a periodic event cancels itself.
-const PERIODIC_FIRES: u64 = 50;
+/// Occurrences after which a recurring event stops rescheduling itself.
+const RECURRING_FIRES: u64 = 50;
 
-/// Label offset of the one-shot an echoing periodic schedules for the
-/// instant of its own next occurrence.
+/// Label offset of the one-shot an echoing recurring event schedules for
+/// the instant of its own next occurrence.
 const ECHO: u64 = 500_000;
 
 /// What a model event does when it fires.
@@ -38,10 +40,11 @@ const ECHO: u64 = 500_000;
 enum Action {
     /// Log `label`.
     Once(u64),
-    /// Log occurrence `n` of periodic `label`; with `echo`, schedule a
-    /// one-shot for `period` later. Then re-arm `period` later unless this
-    /// was occurrence [`PERIODIC_FIRES`].
-    Every {
+    /// Log occurrence `n` of recurring event `label`; with `echo`, schedule
+    /// a one-shot for `period` later. Then schedule occurrence `n + 1`
+    /// `period` later, under the same id, unless this was occurrence
+    /// [`RECURRING_FIRES`].
+    Recur {
         label: u64,
         period: u128,
         n: u64,
@@ -87,7 +90,7 @@ impl Model {
             self.fired += 1;
             match action {
                 Action::Once(label) => log.push((label, at)),
-                Action::Every {
+                Action::Recur {
                     label,
                     period,
                     n,
@@ -98,9 +101,9 @@ impl Model {
                     if echo {
                         self.schedule(at + period, Action::Once(occurrence + ECHO));
                     }
-                    if n + 1 < PERIODIC_FIRES {
+                    if n + 1 < RECURRING_FIRES {
                         let n = n + 1;
-                        let next = Action::Every {
+                        let next = Action::Recur {
                             label,
                             period,
                             n,
@@ -115,33 +118,33 @@ impl Model {
     }
 }
 
-/// 2^88 fs: the engine keeps events at or past this instant in a side
-/// list, apart from its heap.
-const FAR: u128 = 1 << 88;
+/// The last instant the engine accepts: 2^88 fs − 1.
+const LAST: u128 = (1 << 88) - 1;
 
-/// Map raw randomness onto an instant not before `now`, at one of five
-/// scales: a delay below one microsecond, up to ~18 ms, up to ~77 min or
-/// beyond ~20 h, or an absolute instant straddling [`FAR`] (within ~1 µs
-/// of it, exactly it, or `SimTime::MAX`).
+/// Width of the top scale: instants within ~2 µs of [`LAST`].
+const TOP: u128 = 1 << 31;
+
+/// Map raw randomness onto an instant from `now` to [`LAST`], at one of
+/// five scales: a delay below one microsecond, up to ~18 ms, up to ~77 min
+/// or beyond ~20 h, or an absolute instant at or just below [`LAST`].
 fn instant(now: u128, a: u64) -> u128 {
     let v = (a / 5) as u128;
     let at = match a % 5 {
-        0 => now.saturating_add(v % (1 << 30)),
-        1 => now.saturating_add(v % (1 << 44)),
-        2 => now.saturating_add(v % (1 << 62)),
-        3 => now.saturating_add((1 << 66) + v % (1 << 62)),
+        0 => now + v % (1 << 30),
+        1 => now + v % (1 << 44),
+        2 => now + v % (1 << 62),
+        3 => now + (1 << 66) + v % (1 << 62),
         _ => match v % 4 {
-            0 => u128::MAX,
-            1 => FAR,
-            _ => FAR - (1 << 30) + (v >> 2) % (1 << 31),
+            0 => LAST,
+            _ => LAST - (v >> 2) % TOP,
         },
     };
-    at.max(now)
+    at.clamp(now, LAST)
 }
 
-/// Latest first instant of a periodic: its 50 occurrences and their
-/// echoes (periods below 2^50 fs) stay below `SimTime::MAX`.
-const LAST_PERIODIC_START: u128 = u128::MAX - (1 << 56);
+/// Latest first instant of a recurring event: its 50 occurrences and their
+/// echoes (periods below 2^50 fs) stay at or below [`LAST`].
+const LAST_RECURRING_START: u128 = LAST - (1 << 56);
 
 /// Schedule a one-shot that captures `[label; N]` and, when it fires,
 /// checks the payload and logs `label`.
@@ -153,14 +156,47 @@ fn schedule_once<const N: usize>(eng: &mut Engine<Log>, at: SimTime, label: u64)
     })
 }
 
+/// The schedule of one recurring event: each occurrence logs itself,
+/// optionally echoes, and schedules the next one as its last action.
+#[derive(Clone)]
+struct Recur {
+    label: u64,
+    period: SimDuration,
+    echo: bool,
+    /// The id of the occurrence scheduled last.
+    pending: Rc<Cell<Option<EventId>>>,
+}
+
+impl Recur {
+    /// Schedule occurrence `n` at `at`.
+    fn schedule(self, eng: &mut Engine<Log>, at: SimTime, n: u64) {
+        let pending = self.pending.clone();
+        let id = eng.schedule_at(at, move |log: &mut Log, e| {
+            let occurrence = self.label * 1_000_000 + n;
+            log.push((occurrence, e.now().as_fs()));
+            if self.echo {
+                e.schedule_after(self.period, move |log: &mut Log, e| {
+                    log.push((occurrence + ECHO, e.now().as_fs()));
+                });
+            }
+            if n + 1 < RECURRING_FIRES {
+                let next = e.now() + self.period;
+                self.schedule(e, next, n + 1);
+            }
+        });
+        pending.set(Some(id));
+    }
+}
+
 /// Engine and model side by side, driven by one program.
 struct Pair {
     eng: Engine<Log>,
     model: Model,
     log: Log,
     model_log: Log,
-    /// `(engine id, model id)` of every schedule op so far.
-    ids: Vec<(EventId, usize)>,
+    /// The engine id a cancel of each schedule op reaches (for a
+    /// recurring event, its latest occurrence), and the model id.
+    ids: Vec<(Rc<Cell<Option<EventId>>>, usize)>,
 }
 
 impl Pair {
@@ -173,47 +209,34 @@ impl Pair {
             _ => schedule_once::<{ INLINE_BYTES / 8 + 1 }>(eng, t, label),
         };
         let mid = self.model.schedule(at, Action::Once(label));
-        self.ids.push((id, mid));
+        self.ids.push((Rc::new(Cell::new(Some(id))), mid));
     }
 
-    fn every(&mut self, first: u128, period: SimDuration, label: u64, echo: bool) {
-        let mut n = 0u64;
-        let own = std::rc::Rc::new(std::cell::Cell::new(None));
-        let own_in = own.clone();
-        let first_t = SimTime::from_fs(first);
-        let id = self
-            .eng
-            .schedule_every(first_t, period, move |log: &mut Log, e| {
-                let occurrence = label * 1_000_000 + n;
-                log.push((occurrence, e.now().as_fs()));
-                if echo {
-                    e.schedule_after(period, move |log: &mut Log, e| {
-                        log.push((occurrence + ECHO, e.now().as_fs()));
-                    });
-                }
-                n += 1;
-                if n >= PERIODIC_FIRES {
-                    e.cancel(own_in.get().expect("id set before the first fire"));
-                }
-            });
-        own.set(Some(id));
-        let period = period.as_fs();
+    fn recur(&mut self, first: u128, period: SimDuration, label: u64, echo: bool) {
+        let pending = Rc::new(Cell::new(None));
+        let r = Recur {
+            label,
+            period,
+            echo,
+            pending: pending.clone(),
+        };
+        r.schedule(&mut self.eng, SimTime::from_fs(first), 0);
         let mid = self.model.schedule(
             first,
-            Action::Every {
+            Action::Recur {
                 label,
-                period,
+                period: period.as_fs(),
                 n: 0,
                 echo,
             },
         );
-        self.ids.push((id, mid));
+        self.ids.push((pending, mid));
     }
 
     fn cancel(&mut self, k: usize) {
-        let (id, mid) = self.ids[k];
-        self.eng.cancel(id);
-        self.model.cancel(mid);
+        let (id, mid) = &self.ids[k];
+        self.eng.cancel(id.get().expect("set when scheduled"));
+        self.model.cancel(*mid);
     }
 
     fn run_until(&mut self, until: u128) {
@@ -256,15 +279,15 @@ fn run_program(ops: &[(u8, u64, u64)]) -> ((Log, Trajectory), (Log, Trajectory))
                     p.once(at, label * 10 + k);
                 }
             }
-            // Periodic at any scale; it cancels itself after
-            // PERIODIC_FIRES occurrences, so long advances stay bounded.
-            // An echoing one ties each re-arm with a one-shot its handler
-            // scheduled, which pins when the re-arm takes its seq.
+            // Recurring at any scale; it stops after RECURRING_FIRES
+            // occurrences, so long advances stay bounded. An echoing one
+            // ties each next occurrence with a one-shot its handler
+            // scheduled just before, which pins the order of their seqs.
             2 => {
                 let first = instant(now, a);
-                if first <= LAST_PERIODIC_START {
+                if first <= LAST_RECURRING_START {
                     let period = SimDuration::from_millis(250 + b % 750);
-                    p.every(first, period, label, b >> 63 == 1);
+                    p.recur(first, period, label, b >> 63 == 1);
                 }
             }
             // Cancel an earlier id — possibly one that already fired or
@@ -274,11 +297,11 @@ fn run_program(ops: &[(u8, u64, u64)]) -> ((Log, Trajectory), (Log, Trajectory))
                     p.cancel(a as usize % p.ids.len());
                 }
             }
-            // Advance time, sometimes by hours; to an instant straddling
-            // FAR, all the way there.
+            // Advance time, sometimes by hours; to an instant at or just
+            // below LAST, all the way there.
             4 => {
                 let at = instant(now, a);
-                p.run_until(if at >= FAR {
+                p.run_until(if at > LAST - TOP {
                     at
                 } else {
                     now + (at - now) / 2 + 1
@@ -301,19 +324,14 @@ fn run_program(ops: &[(u8, u64, u64)]) -> ((Log, Trajectory), (Log, Trajectory))
                 }
             }
             // One-shot far beyond every relative scale.
-            _ => p.once(now.saturating_add((1 << 67) + a as u128), label),
+            _ => p.once((now + (1 << 67) + a as u128).min(LAST), label),
         }
         let (e, m) = p.step();
         traj.push(e);
         model_traj.push(m);
     }
     // Final bounded drain so late one-shots get a chance to fire.
-    p.run_until(
-        p.eng
-            .now()
-            .as_fs()
-            .saturating_add(SimDuration::from_millis(200).as_fs()),
-    );
+    p.run_until((p.eng.now().as_fs() + SimDuration::from_millis(200).as_fs()).min(LAST));
     let (e, m) = p.step();
     traj.push(e);
     model_traj.push(m);
