@@ -1,19 +1,18 @@
 //! Log-linear HDR-style histograms over `u64` values.
 //!
-//! The layout follows HdrHistogram's log-linear scheme: the first
-//! `2^sub_bucket_bits` values get exact unit buckets; beyond that, each
-//! power-of-two range is split into `2^sub_bucket_bits` equal sub-buckets,
-//! so the relative quantization error is bounded by `2^-sub_bucket_bits`
-//! everywhere. Counts are `AtomicU64`s updated with relaxed ordering, and
+//! The layout follows HdrHistogram's log-linear scheme at one resolution:
+//! the first `2^SUB_BUCKET_BITS` (64) values get exact unit buckets; beyond
+//! that, each power-of-two range is split into 64 equal sub-buckets, so
+//! the relative quantization error is bounded by 1/64 everywhere. Counts are `AtomicU64`s updated with relaxed ordering, and
 //! histograms merge exactly (bucket-wise addition), which makes per-node /
 //! per-shard instances combinable into cluster-wide distributions. The same
 //! merge lands a single owner's plain-`u64` [`crate::LocalHist`] window.
 //!
 //! Buckets are stored per octave group: bucket `i` lives in group
-//! `i >> sub_bucket_bits`, a block of `2^sub_bucket_bits` counters (group 0
-//! is the exact region, each later group one octave), allocated on the
-//! first non-zero add into it. A latency histogram touches a few of its 59
-//! groups at the default resolution, so it holds ~1.4 KB of group slots
+//! `i >> SUB_BUCKET_BITS`, a block of 64 counters (group 0 is the exact
+//! region, each later group one octave), allocated on the first non-zero
+//! add into it. A latency histogram touches a few of its 59 groups, so it
+//! holds ~1.4 KB of group slots
 //! plus 512 B per touched octave instead of 30 KB of mostly-zero buckets.
 //! Each group sits behind a [`OnceLock`]:
 //!
@@ -30,17 +29,49 @@ use crate::quantile::rank_for;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 
-/// Default sub-bucket resolution: 2⁶ = 64 sub-buckets per octave, i.e. a
+/// Sub-bucket resolution: 2⁶ = 64 sub-buckets per octave, i.e. a
 /// relative quantization error ≤ 1/64 ≈ 1.6 %.
-pub const DEFAULT_SUB_BUCKET_BITS: u32 = 6;
+pub const SUB_BUCKET_BITS: u32 = 6;
+
+/// Buckets per group: the exact region, or one octave.
+const GROUP: usize = 1 << SUB_BUCKET_BITS;
+
+/// Groups: the exact region, then one per exponent `SUB_BUCKET_BITS..=63`.
+const GROUPS: usize = 65 - SUB_BUCKET_BITS as usize;
+
+/// Number of buckets.
+pub(crate) const BUCKETS: usize = GROUPS * GROUP;
+
+/// Bucket index for a value.
+#[inline]
+pub(crate) fn index(v: u64) -> usize {
+    let n = SUB_BUCKET_BITS;
+    if v < (1 << n) {
+        return v as usize;
+    }
+    let msb = 63 - v.leading_zeros();
+    let shift = msb - n;
+    (((shift + 1) as usize) << n) + ((v >> shift) as usize - GROUP)
+}
+
+/// Inclusive upper edge of bucket `i` (the value reported for quantiles
+/// landing in the bucket — the "highest equivalent value").
+pub(crate) fn bucket_upper(i: usize) -> u64 {
+    let group = i / GROUP;
+    let within = (i % GROUP) as u64;
+    if group == 0 {
+        return within;
+    }
+    let shift = (group - 1) as u32;
+    let lower = (GROUP as u64 + within) << shift;
+    lower + ((1u64 << shift) - 1)
+}
 
 /// A mergeable log-linear histogram of `u64` values (full 64-bit range).
 #[derive(Debug)]
 pub struct Histogram {
-    sub_bucket_bits: u32,
-    /// Group `g` holds buckets `g << sub_bucket_bits` up to
-    /// `(g + 1) << sub_bucket_bits`; it is allocated on its first
-    /// non-zero add.
+    /// Group `g` holds buckets `g * GROUP` up to `(g + 1) * GROUP`; it is
+    /// allocated on its first non-zero add.
     groups: Box<[OnceLock<Box<[AtomicU64]>>]>,
     total: AtomicU64,
     sum: AtomicU64,
@@ -49,20 +80,10 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A histogram with the default resolution (≤ 1.6 % relative error).
+    /// An empty histogram (≤ 1.6 % relative error).
     pub fn new() -> Histogram {
-        Histogram::with_sub_bucket_bits(DEFAULT_SUB_BUCKET_BITS)
-    }
-
-    /// A histogram with `2^bits` sub-buckets per octave (`1 ≤ bits ≤ 16`).
-    pub fn with_sub_bucket_bits(bits: u32) -> Histogram {
-        assert!((1..=16).contains(&bits), "sub_bucket_bits out of range");
-        // Linear region: group 0; log region: one group per exponent
-        // bits..=63.
-        let groups = (0..=64 - bits).map(|_| OnceLock::new()).collect();
         Histogram {
-            sub_bucket_bits: bits,
-            groups,
+            groups: (0..GROUPS).map(|_| OnceLock::new()).collect(),
             total: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -70,59 +91,26 @@ impl Histogram {
         }
     }
 
-    /// The relative quantization error bound of this histogram.
+    /// The relative quantization error bound of every histogram.
     pub fn relative_error(&self) -> f64 {
-        1.0 / (1u64 << self.sub_bucket_bits) as f64
-    }
-
-    /// Number of buckets.
-    pub(crate) fn len(&self) -> usize {
-        self.groups.len() << self.sub_bucket_bits
-    }
-
-    /// Bucket index for a value.
-    #[inline]
-    pub(crate) fn index(&self, v: u64) -> usize {
-        let n = self.sub_bucket_bits;
-        if v < (1 << n) {
-            return v as usize;
-        }
-        let msb = 63 - v.leading_zeros();
-        let shift = msb - n;
-        ((((shift + 1) as usize) << n) + ((v >> shift) as usize - (1 << n))).min(self.len() - 1)
-    }
-
-    /// Inclusive upper edge of bucket `i` (the value reported for
-    /// quantiles landing in the bucket — the "highest equivalent value").
-    fn bucket_upper(&self, i: usize) -> u64 {
-        let n = self.sub_bucket_bits;
-        let group = i >> n;
-        if group == 0 {
-            return (i & ((1 << n) - 1)) as u64;
-        }
-        let shift = (group - 1) as u32;
-        let within = (i & ((1usize << n) - 1)) as u64;
-        let lower = ((1u64 << n) + within) << shift;
-        lower + ((1u64 << shift) - 1)
+        1.0 / GROUP as f64
     }
 
     /// The counter of bucket `i`, allocating its group if untouched.
     #[inline]
     fn bucket(&self, i: usize) -> &AtomicU64 {
-        let n = self.sub_bucket_bits;
-        let group = self.groups[i >> n]
-            .get_or_init(|| (0..1usize << n).map(|_| AtomicU64::new(0)).collect());
-        &group[i & ((1 << n) - 1)]
+        let group =
+            self.groups[i / GROUP].get_or_init(|| (0..GROUP).map(|_| AtomicU64::new(0)).collect());
+        &group[i % GROUP]
     }
 
     /// `(index, count)` for every non-empty bucket, in index order,
     /// skipping the groups that were never allocated.
     fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let n = self.sub_bucket_bits;
         self.groups
             .iter()
             .enumerate()
-            .filter_map(move |(g, group)| Some((g << n, group.get()?)))
+            .filter_map(|(g, group)| Some((g * GROUP, group.get()?)))
             .flat_map(|(lo, group)| {
                 group
                     .iter()
@@ -149,7 +137,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.bucket(self.index(v)).fetch_add(n, Relaxed);
+        self.bucket(index(v)).fetch_add(n, Relaxed);
         self.total.fetch_add(n, Relaxed);
         self.sum.fetch_add(v.wrapping_mul(n), Relaxed);
         self.min.fetch_min(v, Relaxed);
@@ -202,7 +190,6 @@ impl Histogram {
         let Some(rank) = rank_for(q, total as usize) else {
             return 0;
         };
-        let n = self.sub_bucket_bits;
         let mut cum: u64 = 0;
         for (g, group) in self.groups.iter().enumerate() {
             let Some(group) = group.get() else {
@@ -212,23 +199,16 @@ impl Histogram {
                 // Only a non-zero count can carry `cum` past `rank`.
                 cum += c.load(Relaxed);
                 if cum > rank as u64 {
-                    return self
-                        .bucket_upper((g << n) + j)
-                        .clamp(self.min(), self.max());
+                    return bucket_upper(g * GROUP + j).clamp(self.min(), self.max());
                 }
             }
         }
         self.max()
     }
 
-    /// Merge another histogram into this one (exact bucket-wise addition;
-    /// both must share the same resolution). Associative and commutative.
-    /// Walks `other`'s allocated groups only.
+    /// Merge another histogram into this one (exact bucket-wise addition).
+    /// Associative and commutative. Walks `other`'s allocated groups only.
     pub fn merge(&self, other: &Histogram) {
-        assert_eq!(
-            self.sub_bucket_bits, other.sub_bucket_bits,
-            "cannot merge histograms of different resolution"
-        );
         self.add_buckets(
             other.nonzero(),
             other.total.load(Relaxed),
@@ -278,14 +258,14 @@ impl Histogram {
     /// A deep copy (snapshot) of the current state. It allocates only the
     /// groups that hold counts.
     pub fn snapshot(&self) -> Histogram {
-        let out = Histogram::with_sub_bucket_bits(self.sub_bucket_bits);
+        let out = Histogram::new();
         out.merge(self);
         out
     }
 
     /// Iterate `(bucket_upper_edge, count)` for non-empty buckets.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.nonzero().map(|(i, c)| (self.bucket_upper(i), c))
+        self.nonzero().map(|(i, c)| (bucket_upper(i), c))
     }
 
     /// Sparse snapshot: `(bucket_upper_edge, count)` pairs for every
@@ -348,39 +328,39 @@ mod tests {
 
     #[test]
     fn index_is_monotone_and_in_bounds() {
-        let h = Histogram::with_sub_bucket_bits(5);
         let mut last = 0usize;
         let mut v = 1u64;
         while v < u64::MAX / 2 {
-            let i = h.index(v);
+            let i = index(v);
             assert!(i >= last, "index not monotone at {v}");
-            assert!(i < h.len());
+            assert!(i < BUCKETS);
             last = i;
             v = v.saturating_mul(3) / 2 + 1;
         }
-        let _ = h.index(u64::MAX);
+        assert_eq!(index(u64::MAX), BUCKETS - 1);
     }
 
     #[test]
     fn bucket_upper_bounds_value() {
-        let h = Histogram::with_sub_bucket_bits(5);
+        let err = Histogram::new().relative_error();
         for &v in &[
             0u64,
             1,
-            31,
-            32,
-            33,
+            63,
+            64,
+            65,
             100,
             1000,
             1 << 20,
             (1 << 40) + 12345,
             u64::MAX / 3,
+            u64::MAX,
         ] {
-            let up = h.bucket_upper(h.index(v));
+            let up = bucket_upper(index(v));
             assert!(up >= v, "upper {up} < value {v}");
-            if v > 32 {
+            if v > 64 {
                 let rel = (up - v) as f64 / v as f64;
-                assert!(rel <= h.relative_error() + 1e-12, "rel err {rel} at {v}");
+                assert!(rel <= err + 1e-12, "rel err {rel} at {v}");
             }
         }
     }
@@ -430,7 +410,7 @@ mod tests {
             .iter()
             .flat_map(|g| match g.get() {
                 Some(g) => g.iter().map(|c| c.load(Relaxed)).collect(),
-                None => vec![0; 1 << h.sub_bucket_bits],
+                None => vec![0; GROUP],
             })
             .collect()
     }
@@ -440,7 +420,7 @@ mod tests {
     }
 
     /// The dense layout the grouped storage replaces: one plain count per
-    /// bucket, indexed by [`Histogram::index`], plus exact aggregates.
+    /// bucket, indexed by [`index`], plus exact aggregates.
     struct Dense {
         counts: Vec<u64>,
         total: u64,
@@ -450,9 +430,9 @@ mod tests {
     }
 
     impl Dense {
-        fn new(h: &Histogram) -> Dense {
+        fn new() -> Dense {
             Dense {
-                counts: vec![0; h.len()],
+                counts: vec![0; BUCKETS],
                 total: 0,
                 sum: 0,
                 min: u64::MAX,
@@ -460,18 +440,18 @@ mod tests {
             }
         }
 
-        fn record_n(&mut self, h: &Histogram, v: u64, n: u64) {
+        fn record_n(&mut self, v: u64, n: u64) {
             if n == 0 {
                 return;
             }
-            self.counts[h.index(v)] += n;
+            self.counts[index(v)] += n;
             self.total += n;
             self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
             self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
 
-        fn quantile(&self, h: &Histogram, q: f64) -> u64 {
+        fn quantile(&self, q: f64) -> u64 {
             let Some(rank) = rank_for(q, self.total as usize) else {
                 return 0;
             };
@@ -479,7 +459,7 @@ mod tests {
             for (i, &c) in self.counts.iter().enumerate() {
                 cum += c;
                 if cum > rank as u64 {
-                    return h.bucket_upper(i).clamp(self.min, self.max);
+                    return bucket_upper(i).clamp(self.min, self.max);
                 }
             }
             self.max
@@ -500,16 +480,16 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c != 0)
-            .map(|(i, &c)| (h.bucket_upper(i), c))
+            .map(|(i, &c)| (bucket_upper(i), c))
             .collect();
         assert_eq!(h.sparse(), want, "{path}: nonzero buckets");
         for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), d.quantile(h, q), "{path}: quantile {q}");
+            assert_eq!(h.quantile(q), d.quantile(q), "{path}: quantile {q}");
         }
         // Only groups holding a count were allocated.
         let touched = d
             .counts
-            .chunks(1 << h.sub_bucket_bits)
+            .chunks(GROUP)
             .filter(|g| g.iter().any(|&c| c != 0))
             .count();
         assert_eq!(allocated_groups(h), touched, "{path}: allocated groups");
@@ -517,11 +497,11 @@ mod tests {
 
     /// A value for selector `sel`: the edges of the exact region and of
     /// the range first, then a random word cut to a random octave.
-    fn pick(bits: u32, sel: u8, word: u64, shift: u32) -> u64 {
+    fn pick(sel: u8, word: u64, shift: u32) -> u64 {
         match sel {
             0 => 0,
-            1 => (1 << bits) - 1,
-            2 => 1 << bits,
+            1 => GROUP as u64 - 1,
+            2 => GROUP as u64,
             3 => u64::MAX,
             _ => word >> shift,
         }
@@ -530,14 +510,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// Grouped storage is the dense layout, bucket for bucket, at every
-        /// resolution and on every way of filling a histogram: `record`,
-        /// `record_n`, `merge` (into an empty and into a filled
-        /// histogram), `snapshot`, `clone`, and `LocalHist` flushes (whose
-        /// 64-bucket window starts mid-group once a group is wider).
+        /// Grouped storage is the dense layout, bucket for bucket, on
+        /// every way of filling a histogram: `record`, `record_n`, `merge`
+        /// (into an empty and into a filled histogram), `snapshot`,
+        /// `clone`, and `LocalHist` flushes.
         #[test]
         fn grouped_storage_equals_dense_reference(
-            bits in 1u32..=10,
             picks in proptest::collection::vec(
                 (0u8..12, proptest::prelude::any::<u64>(), 0u32..64, 0u64..4),
                 0..160,
@@ -547,19 +525,19 @@ mod tests {
         ) {
             let values: Vec<(u64, u64)> = picks
                 .iter()
-                .map(|&(sel, word, shift, n)| (pick(bits, sel, word, shift), n))
+                .map(|&(sel, word, shift, n)| (pick(sel, word, shift), n))
                 .collect();
             let split = split.min(values.len());
-            let fresh = || Histogram::with_sub_bucket_bits(bits);
+            let fresh = Histogram::new;
 
             let records = fresh();
             let records_n = fresh();
             let (head, tail) = (fresh(), fresh());
             let shared = Arc::new(fresh());
             let mut local = LocalHist::new(Arc::clone(&shared));
-            let mut dense = Dense::new(&records);
+            let mut dense = Dense::new();
             for (k, &(v, n)) in values.iter().enumerate() {
-                dense.record_n(&records, v, n);
+                dense.record_n(v, n);
                 records_n.record_n(v, n);
                 if cuts.contains(&k) {
                     local.flush();
@@ -596,7 +574,7 @@ mod tests {
         // One value per group: 0 in the exact region, then 2^s for every
         // octave s ≥ 6 (59 groups in all).
         let values: Vec<u64> = std::iter::once(0)
-            .chain((DEFAULT_SUB_BUCKET_BITS..64).map(|s| 1 << s))
+            .chain((SUB_BUCKET_BITS..64).map(|s| 1 << s))
             .collect();
         for _ in 0..20 {
             let h = Histogram::new();

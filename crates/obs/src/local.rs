@@ -23,13 +23,13 @@
 //! a component must not record its original's pending values a second
 //! time.
 
-use crate::hist::Histogram;
+use crate::hist::{self, Histogram};
 use crate::metrics::Counter;
 use std::sync::Arc;
 
-/// Buckets per window step: one octave at the default resolution. The
-/// window grows to whole aligned steps, so it reallocates at most once per
-/// octave of values the owner touches.
+/// Buckets per window step: one octave. The window grows to whole aligned
+/// steps, so it reallocates at most once per octave of values the owner
+/// touches.
 const WINDOW_STEP: usize = 64;
 
 /// A plain-`u64` accumulator in front of one shared [`Histogram`].
@@ -67,7 +67,7 @@ impl LocalHist {
     /// Record one value.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        let i = self.target.index(v);
+        let i = hist::index(v);
         // An index below the window wraps to a huge offset and misses too.
         match self.counts.get_mut(i.wrapping_sub(self.lo)) {
             Some(c) => *c += 1,
@@ -89,7 +89,7 @@ impl LocalHist {
             (self.lo.min(i), (self.lo + self.counts.len()).max(i + 1))
         };
         let lo = lo / WINDOW_STEP * WINDOW_STEP;
-        let hi = (hi.div_ceil(WINDOW_STEP) * WINDOW_STEP).min(self.target.len());
+        let hi = (hi.div_ceil(WINDOW_STEP) * WINDOW_STEP).min(hist::BUCKETS);
         let mut counts = vec![0; hi - lo];
         let at = self.lo.saturating_sub(lo);
         counts[at..at + self.counts.len()].copy_from_slice(&self.counts);
