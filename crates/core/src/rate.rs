@@ -63,7 +63,8 @@ impl RateSync {
     /// when fewer than `2f + 1` estimates are available.
     ///
     /// The trimmed median drops the `f` largest and `f` smallest relative
-    /// rates (tolerating `f` faulty peers); damping is ½.
+    /// rates (tolerating `f` faulty peers) and takes the middle one, or the
+    /// mean of the middle two for an even count; damping is ½.
     pub fn round_correction(&mut self, f: usize) -> Option<f64> {
         let mut est = std::mem::take(&mut self.estimates);
         if est.len() < 2 * f + 1 {
@@ -71,7 +72,12 @@ impl RateSync {
         }
         est.sort_by(|a, b| a.partial_cmp(b).expect("rate estimate NaN"));
         let trimmed = &est[f..est.len() - f];
-        let mid = trimmed[trimmed.len() / 2];
+        let half = trimmed.len() / 2;
+        let mid = if trimmed.len() % 2 == 1 {
+            trimmed[half]
+        } else {
+            (trimmed[half - 1] + trimmed[half]) / 2.0
+        };
         let correction = mid / 2.0;
         self.rounds_applied += 1;
         self.last_correction = correction;
@@ -126,6 +132,19 @@ mod tests {
         }
         let corr = rs.round_correction(1).expect("enough estimates");
         assert!(corr.abs() < 1e-6, "liar leaked into correction: {corr}");
+    }
+
+    /// An even count's median is the mean of the two middle estimates,
+    /// not the upper one: {0, +2 ppm} gives +1 ppm, damped to +0.5 ppm.
+    #[test]
+    fn even_count_takes_the_mean_of_the_middle_two() {
+        let mut rs = RateSync::new();
+        for (id, rate) in [(1u32, 0.0), (2, 2e-6)] {
+            rs.observe(id, stamp(0.0), stamp(0.0));
+            rs.observe(id, stamp(1.0 + rate), stamp(1.0));
+        }
+        let corr = rs.round_correction(0).expect("two estimates");
+        assert!((corr - 0.5e-6).abs() < 1e-10, "corr={corr}");
     }
 
     #[test]
