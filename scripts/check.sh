@@ -26,6 +26,10 @@ echo "== goldens in release mode, benchmark shapes included (cargo test --releas
 cargo test --release -q --test golden \
   || { echo "check.sh: release goldens failed (a fingerprint moved, bench_lan128 and bench_mesh included)" >&2; exit 1; }
 
+echo "== shape sweep in release mode (cargo test --release --test shapes) =="
+cargo test --release -q --test shapes \
+  || { echo "check.sh: shape sweep failed (a containment violation, monitor violation or CF failure on a swept shape)" >&2; exit 1; }
+
 echo "== observability smoke run (e1_epsilon --obs-summary) =="
 out=$(NTI_EXP_FAST=1 cargo run --release -q -p nti-bench --bin e1_epsilon -- --obs-summary)
 echo "$out" | tail -25
