@@ -499,11 +499,8 @@ impl<S> Engine<S> {
     /// Cancelling an event that has already fired (or was already
     /// cancelled) is a no-op.
     pub fn cancel(&mut self, id: EventId) {
-        if self
-            .slots
-            .get(id.idx as usize)
-            .is_some_and(|s| s.gen == id.gen)
-        {
+        let slot = self.slots.get(id.idx as usize);
+        if slot.is_some_and(|s| s.gen == id.gen && s.body.is_some()) {
             drop(self.release(id.idx));
             self.cancelled += 1;
         }

@@ -158,7 +158,6 @@ fn schedule_once<const N: usize>(eng: &mut Engine<Log>, at: SimTime, label: u64)
 
 /// The schedule of one recurring event: each occurrence logs itself,
 /// optionally echoes, and schedules the next one as its last action.
-#[derive(Clone)]
 struct Recur {
     label: u64,
     period: SimDuration,
