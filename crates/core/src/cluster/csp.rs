@@ -143,15 +143,16 @@ pub(super) fn csp_send(
 /// trigger offset fires TRANSMIT; the mapped offsets return the stamp,
 /// which we capture into the in-flight frame (that is the "transparent
 /// insertion into the outgoing packet"). Every other offset is plain
-/// memory: its read changes nothing, and the UTCSU is not advanced for it.
+/// memory: its read changes nothing, so it returns on its offset alone
+/// (every node's CPLD is `cfg.cpld`), before the node is even looked at.
 fn exec_tx_read(world: &mut World, eng: &mut Eng, id: usize, fid: u64, slot: u32, off: u32) {
+    let cpld = world.cfg.cpld;
+    if off != cpld.xmt_trigger_off && off != cpld.xmt_map_ts_off && off != cpld.xmt_map_acc_off {
+        return;
+    }
     let now = eng.now();
     if world.nodes[id].is_down() {
         return; // DMA engine lost power mid-transmission
-    }
-    let cpld = world.nodes[id].nti.cpld();
-    if off != cpld.xmt_trigger_off && off != cpld.xmt_map_ts_off && off != cpld.xmt_map_acc_off {
-        return;
     }
     world.nodes[id].advance(now);
     let Some(flight) = world.flights.get_mut(&fid) else {
@@ -287,9 +288,11 @@ fn schedule_reception(
 }
 
 /// One COMCO header write during reception (step 5). The write of the
-/// receive-trigger offset fires RECEIVE and latches the header base; any
-/// other offset is a plain memory write, for which the UTCSU is not
-/// advanced.
+/// receive-trigger offset fires RECEIVE and latches the header base. Any
+/// other offset is a plain word of receive-header RAM, and it returns on
+/// its offset alone (every node's CPLD is `cfg.cpld`): the COMCO stores
+/// only zeros there, a zero store into that never-written RAM changes
+/// nothing, and nothing reads it back.
 fn exec_rx_write(
     world: &mut World,
     eng: &mut Eng,
@@ -299,17 +302,11 @@ fn exec_rx_write(
     slot: u32,
     off: u32,
 ) {
-    let now = eng.now();
-    if world.nodes[q].is_down() {
+    if off != world.cfg.cpld.rcv_trigger_off {
         return;
     }
-    if off != world.nodes[q].nti.cpld().rcv_trigger_off {
-        // A plain header word: only the primary attachment's headers live
-        // in the NTI memory map.
-        if a == 0 {
-            let addr = world.nodes[q].nti.rx_header_addr(slot) + off;
-            world.nodes[q].nti.write32(addr, 0);
-        }
+    let now = eng.now();
+    if world.nodes[q].is_down() {
         return;
     }
     world.nodes[q].advance(now);

@@ -65,8 +65,9 @@ pub fn marzullo(intervals: &[AccInterval], f: usize) -> Option<AccInterval> {
         events.push((off + iv.plus as i128, -1));
     }
     // Sort by offset; at equal offsets, opens before closes (edges touch =>
-    // they intersect in a point).
-    events.sort_by_key(|&(x, d)| (x, -d));
+    // they intersect in a point). Events with equal keys are equal, so an
+    // unstable sort gives the stable order.
+    events.sort_unstable_by_key(|&(x, d)| (x, -d));
     let mut count = 0i64;
     let mut lo: Option<i128> = None;
     let mut hi: Option<i128> = None;
@@ -89,18 +90,23 @@ pub fn marzullo(intervals: &[AccInterval], f: usize) -> Option<AccInterval> {
     })
 }
 
-/// Fault-tolerant midpoint of scalar offsets: sort, drop the `f` lowest and
-/// `f` highest, midpoint of the surviving extremes. Panics if `2f ≥ n`.
+/// Fault-tolerant midpoint of scalar offsets: drop the `f` lowest and `f`
+/// highest, midpoint of the surviving extremes. Panics if `2f ≥ n`.
 pub fn ftm(offsets: &[i128], f: usize) -> i128 {
     let n = offsets.len();
     assert!(
         2 * f < n,
         "fault-tolerant midpoint needs n > 2f (n={n}, f={f})"
     );
+    // The (f+1)-th lowest and the (f+1)-th highest, without a full sort:
+    // everything above the lower one is at least it, so the upper one is
+    // selected among those.
     let mut v: Vec<i128> = offsets.to_vec();
-    v.sort_unstable();
-    let lo = v[f];
-    let hi = v[n - 1 - f];
+    let (_, &mut lo, above) = v.select_nth_unstable(f);
+    let hi = match (n - 1 - f).checked_sub(f + 1) {
+        Some(k) => *above.select_nth_unstable(k).1,
+        None => lo,
+    };
     // Midpoint rounded toward negative infinity (deterministic).
     (lo + hi) >> 1
 }
@@ -255,6 +261,79 @@ mod tests {
         let new = oa(&ivs, 0).expect("converged");
         let err = new.value.diff_secs_f64(NtpTime::from_secs(1000));
         assert!(err.abs() < 1e-6, "midpoint expected, err={err}");
+    }
+
+    /// Marzullo's function with a stable sort of its edges, as it stood
+    /// before the unstable sort.
+    fn marzullo_sorted(intervals: &[AccInterval], f: usize) -> Option<AccInterval> {
+        let n = intervals.len();
+        if n == 0 || f >= n {
+            return None;
+        }
+        let need = (n - f) as i64;
+        let base = intervals[0].value;
+        let mut events: Vec<(i128, i64)> = Vec::with_capacity(2 * n);
+        for iv in intervals {
+            let off = iv.value.wrapping_diff_units(base);
+            events.push((off - iv.minus as i128, 1));
+            events.push((off + iv.plus as i128, -1));
+        }
+        events.sort_by_key(|&(x, d)| (x, -d));
+        let mut count = 0i64;
+        let (mut lo, mut hi) = (None, None);
+        for &(x, d) in &events {
+            count += d;
+            if d > 0 && count >= need && lo.is_none() {
+                lo = Some(x);
+            }
+            if d < 0 && count == need - 1 {
+                hi = Some(x);
+            }
+        }
+        let (lo, hi) = (lo?, hi?);
+        let v = 0i128.clamp(lo, hi);
+        Some(AccInterval {
+            value: base.wrapping_add_units(v),
+            minus: (v - lo) as u128,
+            plus: (hi - v) as u128,
+        })
+    }
+
+    /// The fault-tolerant midpoint by a full sort.
+    fn ftm_sorted(offsets: &[i128], f: usize) -> i128 {
+        let mut v = offsets.to_vec();
+        v.sort_unstable();
+        (v[f] + v[v.len() - 1 - f]) >> 1
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// `marzullo` and `ftm` equal their sort-based versions for every
+        /// f with 2f < n, on inputs drawn from a few values each, so that
+        /// edges and offsets tie and whole intervals repeat.
+        #[test]
+        fn selections_equal_the_sorted_references(
+            raw in proptest::collection::vec((-4i64..4, 0u32..4, 0u32..4), 1..14),
+        ) {
+            let base = NtpTime::from_secs(1000);
+            let ivs: Vec<AccInterval> = raw
+                .iter()
+                .map(|&(c, m, p)| {
+                    AccInterval::new(
+                        base.wrapping_add_units(c as i128 * 1_000),
+                        m as u128 * 1_000,
+                        p as u128 * 1_000,
+                    )
+                })
+                .collect();
+            let offsets: Vec<i128> = raw.iter().map(|&(c, m, _)| (c * 7 + m as i64) as i128).collect();
+            let n = ivs.len();
+            for f in (0..n).take_while(|f| 2 * f < n) {
+                proptest::prop_assert_eq!(marzullo(&ivs, f), marzullo_sorted(&ivs, f), "f = {}", f);
+                proptest::prop_assert_eq!(ftm(&offsets, f), ftm_sorted(&offsets, f), "f = {}", f);
+            }
+        }
     }
 
     #[test]

@@ -65,6 +65,8 @@ use nti_utcsu::{Utcsu, UtcsuConfig};
 pub const MEM_SIZE: usize = 256 * 1024;
 /// Longwords per page of the simulated SRAM (4 KB pages).
 const PAGE_WORDS: usize = 1024;
+/// Bytes per page of the simulated SRAM.
+const PAGE_BYTES: u32 = 4 * PAGE_WORDS as u32;
 /// Pages in the simulated SRAM.
 const PAGES: usize = MEM_SIZE / (4 * PAGE_WORDS);
 /// Base of the COMCO-view region.
@@ -244,33 +246,103 @@ impl Nti {
 
     fn ram_write32(&mut self, off: u32, v: u32) {
         let (page, w) = Self::ram_index(off);
-        match &mut self.mem[page] {
+        Self::store(&mut self.mem[page], w, v);
+    }
+
+    /// Store `v` at longword `w` of a page, allocating the page on its
+    /// first non-zero longword.
+    fn store(page: &mut Option<Box<[u32; PAGE_WORDS]>>, w: usize, v: u32) {
+        match page {
             Some(p) => p[w] = v,
             None if v == 0 => {} // an absent page already reads 0
-            slot @ None => {
-                let mut p = Box::new([0u32; PAGE_WORDS]);
-                p[w] = v;
-                *slot = Some(p);
+            None => page.insert(Box::new([0; PAGE_WORDS]))[w] = v,
+        }
+    }
+
+    /// The runs a byte range of `len` bytes from `addr` splits into, as
+    /// (start within the range, length, RAM offset): a run with a RAM
+    /// offset is plain memory within one page, moved without the decode;
+    /// any other run is one longword through [`Nti::read32`] or
+    /// [`Nti::write32`]. Plain memory is the CPU view and the COMCO view
+    /// below the receive headers; both end on page boundaries, so a page
+    /// is plain or not as a whole. An unaligned address takes the decode,
+    /// which rejects it.
+    fn runs(addr: u32, len: usize) -> impl Iterator<Item = (usize, usize, Option<u32>)> {
+        const _: () = assert!(
+            RX_HDR_BASE.is_multiple_of(PAGE_BYTES) && (MEM_SIZE as u32).is_multiple_of(PAGE_BYTES)
+        );
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            if at >= len {
+                return None;
+            }
+            let a = addr + at as u32;
+            let ram = if a < RX_HDR_BASE {
+                Some(a - COMCO_BASE)
+            } else {
+                a.checked_sub(CPU_BASE).filter(|&off| off < MEM_SIZE as u32)
+            };
+            let run = match ram {
+                Some(off) if a.is_multiple_of(4) => {
+                    let n = (PAGE_BYTES - off % PAGE_BYTES) as usize;
+                    (at, n.min(len - at), Some(off))
+                }
+                _ => (at, 4.min(len - at), None),
+            };
+            at += run.1;
+            Some(run)
+        })
+    }
+
+    /// Write `bytes` from `addr` on as little-endian longwords (the last
+    /// one zero-padded), with the same effect as one [`Nti::write32`] per
+    /// longword: plain memory a page at a time, every other longword
+    /// through the decode.
+    pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
+        let word = |chunk: &[u8]| {
+            let mut word = [0u8; 4];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u32::from_le_bytes(word)
+        };
+        for (at, n, ram) in Self::runs(addr, bytes.len()) {
+            let run = &bytes[at..at + n];
+            match ram {
+                Some(off) => {
+                    let (page, w0) = Self::ram_index(off);
+                    let page = &mut self.mem[page];
+                    for (w, chunk) in (w0..).zip(run.chunks(4)) {
+                        Self::store(page, w, word(chunk));
+                    }
+                }
+                None => self.write32(addr + at as u32, word(run)),
             }
         }
     }
 
-    /// Write `bytes` from `addr` on as little-endian longwords (the last
-    /// one zero-padded), each through the same decode as [`Nti::write32`].
-    pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
-        for (i, chunk) in bytes.chunks(4).enumerate() {
-            let mut word = [0u8; 4];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write32(addr + i as u32 * 4, u32::from_le_bytes(word));
-        }
-    }
-
-    /// Fill `buf` from `addr` on with little-endian longwords, each read
-    /// through the same decode as [`Nti::read32`] (the last one truncated).
+    /// Fill `buf` from `addr` on with little-endian longwords (the last one
+    /// truncated), with the same effect as one [`Nti::read32`] per
+    /// longword: plain memory a page at a time, every other longword
+    /// through the decode.
     pub fn read_bytes(&mut self, addr: u32, buf: &mut [u8]) {
-        for (i, chunk) in buf.chunks_mut(4).enumerate() {
-            let word = self.read32(addr + i as u32 * 4).to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
+        for (at, n, ram) in Self::runs(addr, buf.len()) {
+            let run = &mut buf[at..at + n];
+            match ram {
+                Some(off) => {
+                    let (page, w0) = Self::ram_index(off);
+                    match &self.mem[page] {
+                        None => run.fill(0),
+                        Some(p) => {
+                            for (w, chunk) in (w0..).zip(run.chunks_mut(4)) {
+                                chunk.copy_from_slice(&p[w].to_le_bytes()[..chunk.len()]);
+                            }
+                        }
+                    }
+                }
+                None => {
+                    let word = self.read32(addr + at as u32).to_le_bytes();
+                    run.copy_from_slice(&word[..n]);
+                }
+            }
         }
     }
 
@@ -607,6 +679,98 @@ mod tests {
         n.read_bytes(CPU_BASE + at, &mut back);
         assert_eq!(back[..], bytes[..], "CPU view reads it back");
         assert_eq!(n.read32(at + 8), 0x0C0B_0A09, "first word of the next page");
+    }
+
+    /// The per-longword loops the byte runs must equal: one
+    /// [`Nti::write32`] or [`Nti::read32`] per longword, in order.
+    fn write_words(n: &mut Nti, addr: u32, bytes: &[u8]) {
+        for (i, chunk) in bytes.chunks(4).enumerate() {
+            let mut word = [0u8; 4];
+            word[..chunk.len()].copy_from_slice(chunk);
+            n.write32(addr + i as u32 * 4, u32::from_le_bytes(word));
+        }
+    }
+
+    fn read_words(n: &mut Nti, addr: u32, buf: &mut [u8]) {
+        for (i, chunk) in buf.chunks_mut(4).enumerate() {
+            let word = n.read32(addr + i as u32 * 4).to_le_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
+    }
+
+    /// Section and page edges of both views and the UTCSU window, for
+    /// byte runs to start near.
+    const EDGES: [u32; 12] = [
+        SYS_STRUCT_BASE,
+        DATA_BUF_BASE,
+        DATA_BUF_BASE + 0x1000,
+        RX_HDR_BASE,
+        RX_HDR_BASE + 0x1000,
+        TX_HDR_BASE,
+        CPU_BASE,
+        CPU_BASE + DATA_BUF_BASE + 0x1000,
+        CPU_BASE + RX_HDR_BASE,
+        CPU_BASE + TX_HDR_BASE,
+        UTCSU_BASE,
+        MAP_END,
+    ];
+
+    /// A longword-aligned range of `len` bytes near `EDGES[edge]`, inside
+    /// the map.
+    fn near_edge(edge: usize, words: i64, len: usize) -> u32 {
+        let at = EDGES[edge] as i64 + 4 * words;
+        (at.clamp(0, (MAP_END as usize - len) as i64) as u32) & !3
+    }
+
+    /// Longwords, a third of them zero, as bytes cut to `len`.
+    fn bytes_of(words: &[(u32, u8)], len: usize) -> Vec<u8> {
+        let mut bytes: Vec<u8> = words
+            .iter()
+            .flat_map(|&(v, zero)| if zero == 0 { 0 } else { v }.to_le_bytes())
+            .collect();
+        bytes.truncate(len);
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// `write_bytes` and `read_bytes` equal the per-longword loops:
+        /// memory contents, allocated pages, trigger and register side
+        /// effects, and the bytes read, for runs across both views, page
+        /// straddles, the header sections and the UTCSU window, over RAM
+        /// that already holds a first run.
+        #[test]
+        fn byte_runs_equal_the_longword_loop(
+            first in (0usize..EDGES.len(), -80i64..80),
+            second in (0usize..EDGES.len(), -80i64..80),
+            read in (0usize..EDGES.len(), -80i64..80),
+            words in proptest::collection::vec((proptest::prelude::any::<u32>(), 0u8..3), 0..90),
+            cut in (0usize..360, 0usize..360, 0usize..360),
+        ) {
+            let mut fast = module();
+            let mut reference = module();
+            let bytes = bytes_of(&words, cut.0);
+            for (edge, off) in [first, second] {
+                let at = near_edge(edge, off, bytes.len());
+                fast.write_bytes(at, &bytes);
+                write_words(&mut reference, at, &bytes);
+            }
+            let mut tail = bytes_of(&words, cut.1);
+            tail.reverse();
+            let at = near_edge(second.0, first.1, tail.len());
+            fast.write_bytes(at, &tail);
+            write_words(&mut reference, at, &tail);
+            let len = cut.2;
+            let at = near_edge(read.0, read.1, len);
+            let (mut got, mut want) = (vec![0xA5; len], vec![0x5A; len]);
+            fast.read_bytes(at, &mut got);
+            read_words(&mut reference, at, &mut want);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert!(fast.mem == reference.mem, "memory or allocated pages differ");
+            proptest::prop_assert_eq!(fast.rcv_header_base, reference.rcv_header_base);
+            proptest::prop_assert_eq!(format!("{:?}", fast.utcsu), format!("{:?}", reference.utcsu));
+        }
     }
 
     #[test]

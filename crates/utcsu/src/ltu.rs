@@ -191,7 +191,7 @@ impl Ltu {
                 let ticks = if diff <= 0 {
                     1 // already past: apply at the next tick
                 } else {
-                    (diff as u128).div_ceil(aug)
+                    div_ceil(diff as u128, aug)
                 };
                 next = Some(next.map_or(ticks, |n| n.min(ticks)));
             }
@@ -211,7 +211,7 @@ impl Ltu {
         if aug == 0 {
             return u128::MAX;
         }
-        (diff as u128).div_ceil(aug)
+        div_ceil(diff as u128, aug)
     }
 
     /// Apply `n` oscillator ticks. The caller must have segmented the
@@ -266,6 +266,17 @@ impl Ltu {
     /// TIMESTAMP read).
     pub fn read_macrostamp(&self) -> u32 {
         self.latched_macro
+    }
+}
+
+/// `n.div_ceil(d)`, divided in `u64` when both operands fit. Every
+/// `advance` asks for the distance to each armed duty timer and to the
+/// LTU's own boundary; those distances are almost always below 2⁶⁴ units
+/// (32 s), and the augend has at most 48 bits.
+fn div_ceil(n: u128, d: u128) -> u128 {
+    match (u64::try_from(n), u64::try_from(d)) {
+        (Ok(n), Ok(d)) => n.div_ceil(d) as u128,
+        _ => n.div_ceil(d),
     }
 }
 
@@ -411,6 +422,40 @@ mod tests {
             NtpTime::from_stamp_pair(nti_simcore::Timestamp(ts), nti_simcore::Macrostamp(ms));
         assert!(pair.is_some(), "latched pair must verify");
         assert_eq!(pair.unwrap().secs(), 255);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The distances to a duty-timer target and to an armed leap are
+        /// the `u128` ceiling division on both sides of 2⁶⁴ units, for any
+        /// programmable augend.
+        #[test]
+        fn distances_equal_the_u128_division_across_2_pow_64(
+            step in 1u64..=STEP_MAX,
+            astep in 1u64..=STEP_MAX,
+            amortizing in proptest::prelude::any::<bool>(),
+            diff in (1u128 << 64) - (1 << 50)..(1u128 << 64) + (1 << 50),
+            small in 1u128..1 << 40,
+            secs in 1u32..1 << 20,
+        ) {
+            let mut l = Ltu::new(step);
+            l.set_astep_units(astep);
+            l.set_running(true);
+            if amortizing {
+                // Never ending, so the leap stays the nearer boundary.
+                l.start_amortization(u128::MAX);
+            }
+            let aug = (if amortizing { astep } else { step } as u128) << STEP_UNIT_SHIFT;
+            for d in [diff, small] {
+                let target = l.time().wrapping_add_units(d as i128);
+                proptest::prop_assert_eq!(l.ticks_until(target), d.div_ceil(aug));
+                let leap = NtpTime::from_secs(secs);
+                l.load_time(leap.wrapping_add_units(-(d as i128)));
+                l.arm_leap(secs, LeapDir::Insert);
+                proptest::prop_assert_eq!(l.ticks_to_boundary(), Some(d.div_ceil(aug)));
+            }
+        }
     }
 
     #[test]
