@@ -84,10 +84,6 @@ pub struct EventId {
     gen: u32,
 }
 
-/// A boxed event closure. The engine stores closures inline and boxes only
-/// those that do not fit, but it owns them exactly as this type would.
-pub type EventFn<S> = Box<dyn FnOnce(&mut S, &mut Engine<S>)>;
-
 /// Size in bytes of a slab slot's inline closure buffer. Closures
 /// up to this size (and 16-byte alignment) are stored without an
 /// allocation; larger ones are boxed.
@@ -120,9 +116,13 @@ struct OnceFn<S> {
     /// Drop the closure in place without calling it.
     drop: unsafe fn(*mut InlineBuf),
     /// The buffer may hold captures of any type (`Rc`s included), so the
-    /// engine must stay `!Send`/`!Sync` exactly as with a boxed closure.
-    _owns: PhantomData<EventFn<S>>,
+    /// engine must stay `!Send`/`!Sync`, as if it owned the boxed closure.
+    _owns: PhantomData<Boxed<S>>,
 }
+
+/// The boxed event closure a [`OnceFn`] stands in for: it owns its
+/// closure as it would own this box. (Private: nothing else names it.)
+type Boxed<S> = Box<dyn FnOnce(&mut S, &mut Engine<S>)>;
 
 /// [`OnceFn::call`]'s operation for a buffer holding an `F`.
 ///
