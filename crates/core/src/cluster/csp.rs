@@ -678,12 +678,8 @@ pub(super) fn bg_load(world: &mut World, eng: &mut Eng, id: usize) {
         let _ = world.mediums[lan].grant(now, bits);
         world.metrics.bg_frames += 1;
     }
-    // The next arrival (exponential) comes from a generator seeded with
-    // the run seed, the node id and the run-wide background-frame count,
-    // XORed together, not from a per-node stream: node 1 at count 2 and
-    // node 2 at count 1 draw the same gap.
+    // The next arrival (exponential) comes from the node's own stream.
     let mean = 1.0 / load.frames_per_sec.max(1e-9);
-    let mut rng = SimRng::new(world.cfg.seed ^ (id as u64) ^ world.metrics.bg_frames);
-    let dt = SimDuration::from_secs_f64(rng.exponential(mean).max(1e-6));
+    let dt = SimDuration::from_secs_f64(world.bg_rng[id].exponential(mean).max(1e-6));
     eng.schedule_at(now + dt, move |w, e| bg_load(w, e, id));
 }

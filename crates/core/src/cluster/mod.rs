@@ -589,6 +589,9 @@ pub struct World {
     next_flight: u64,
     /// The fault-plan applicator (owns all fault RNG streams).
     injector: FaultInjector,
+    /// Each node's background-load stream (`bg`, indexed by node), built
+    /// only when the run has background load.
+    bg_rng: Vec<SimRng>,
     /// Restarted nodes whose post-rejoin α trajectory is still being
     /// recorded: node → index into `metrics.rejoin_alpha`.
     rejoin_track: HashMap<usize, usize>,
@@ -764,6 +767,10 @@ impl Cluster {
             })
             .collect();
 
+        let bg_rng = match cfg.bg_load {
+            Some(_) => (0..n).map(|id| root.split_idx("bg", id as u64)).collect(),
+            None => Vec::new(),
+        };
         let mut world = World {
             nodes: Vec::with_capacity(n),
             mediums,
@@ -772,6 +779,7 @@ impl Cluster {
             rx: FxHashMap::default(),
             next_flight: 0,
             injector,
+            bg_rng,
             rejoin_track: HashMap::new(),
             app_pending: HashMap::new(),
             actuation_pending: Vec::new(),
