@@ -391,11 +391,7 @@ fn rcv_trigger(
         node.nti.utcsu_mut().trigger_ssu_receive(a);
     }
     if let Some(o) = &mut world.obs {
-        let lat = SimDuration::from_fs(
-            node.nti.utcsu().stamp_delay_ticks() * 1_000_000_000_000_000
-                / world.cfg.fosc_hz as u128,
-        );
-        o.hop(HOP_LATCH, &mut head, t + lat, q as u32);
+        o.hop(HOP_LATCH, &mut head, t + o.latch, q as u32);
     }
     if late.is_some() {
         match world.flights.get_mut(&fid) {

@@ -122,13 +122,7 @@ impl World {
         now: SimTime,
     ) -> Node {
         let cfg = &self.cfg;
-        let mut nti = Nti::new(
-            UtcsuConfig {
-                fosc_hz: cfg.fosc_hz,
-                reliable_pin: true,
-            },
-            cfg.cpld,
-        );
+        let mut nti = Nti::new(utcsu_config(cfg), cfg.cpld);
         // Catch the fresh UTCSU's tick counter up with the physical
         // oscillator (which never stopped) *before* starting the clock, so
         // no clock time accumulates during an outage.

@@ -450,6 +450,9 @@ struct ClusterObs {
     /// Per-hop latency decomposition of the CSP causal chain, one
     /// histogram per [`SPAN_HOPS`] entry.
     hop_ns: [LocalHist; SPAN_HOPS.len()],
+    /// The latch hop's length: the UTCSU's synchronizer delay, the same
+    /// on every node.
+    latch: SimDuration,
     /// `kernel/isr_entry_ns`, `kernel/isr_body_ns`, `kernel/dispatch_ns`:
     /// the latencies every node's kernel draws per reception. All nodes
     /// draw from the one `cfg.kernel`, so one histogram each holds them.
@@ -675,6 +678,15 @@ impl CspPayload {
     }
 }
 
+/// The UTCSU every node of a cluster carries: paced at `fosc_hz`, with
+/// two-stage synchronizers on its asynchronous stamp inputs.
+fn utcsu_config(cfg: &ClusterConfig) -> UtcsuConfig {
+    UtcsuConfig {
+        fosc_hz: cfg.fosc_hz,
+        reliable_pin: true,
+    }
+}
+
 /// Derive the SyncParams (including the statically computed delay bounds)
 /// from a cluster configuration.
 pub fn derive_params(cfg: &ClusterConfig) -> SyncParams {
@@ -845,6 +857,12 @@ impl Cluster {
                 csp_counters: CSP_COUNT_NAMES.map(|nm| obs.counter(key(nm)).expect("enabled")),
                 csp_published: [0; CSP_COUNT_NAMES.len()],
                 hop_ns: HOP_HIST_NAMES.map(|nm| hist(MetricKey::global("span", nm))),
+                latch: {
+                    let u = utcsu_config(&world.cfg);
+                    SimDuration::from_fs(
+                        u.stamp_delay_ticks() * 1_000_000_000_000_000 / u.fosc_hz as u128,
+                    )
+                },
                 isr_entry_ns: kernel("isr_entry_ns"),
                 isr_body_ns: kernel("isr_body_ns"),
                 dispatch_ns: kernel("dispatch_ns"),

@@ -233,10 +233,14 @@ impl SimObserver {
 
 /// Convert femtoseconds to whole nanoseconds for histogram recording
 /// (saturating; a latency that overflows u64 nanoseconds — 584 years — is
-/// clamped).
+/// clamped). A value below 2⁶⁴ fs (about 5 hours), as every recorded
+/// latency is, divides in `u64`.
 #[inline]
 pub fn fs_to_ns(fs: u128) -> u64 {
-    (fs / 1_000_000).min(u64::MAX as u128) as u64
+    match u64::try_from(fs) {
+        Ok(fs) => fs / 1_000_000,
+        Err(_) => (fs / 1_000_000).min(u64::MAX as u128) as u64,
+    }
 }
 
 #[cfg(test)]
@@ -281,5 +285,22 @@ mod tests {
         assert_eq!(fs_to_ns(999_999), 0);
         assert_eq!(fs_to_ns(1_000_000), 1);
         assert_eq!(fs_to_ns(u128::MAX), u64::MAX);
+    }
+
+    proptest::proptest! {
+        /// The saturating `u128` division, on both sides of 2⁶⁴ fs and at
+        /// both ends of the range.
+        #[test]
+        fn fs_to_ns_equals_the_u128_division_across_2_pow_64(
+            d in -(1i128 << 40)..1 << 40,
+            small in 0u128..1 << 40,
+        ) {
+            for fs in [(1u128 << 64).wrapping_add_signed(d), small, u128::MAX - small] {
+                proptest::prop_assert_eq!(
+                    fs_to_ns(fs),
+                    (fs / 1_000_000).min(u64::MAX as u128) as u64
+                );
+            }
+        }
     }
 }

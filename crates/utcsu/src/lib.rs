@@ -79,6 +79,20 @@ impl Default for UtcsuConfig {
     }
 }
 
+impl UtcsuConfig {
+    /// Synchronizer latency (in ticks) of the asynchronous stamp inputs:
+    /// 1 (reliable pin low) or 2 (high). The sampling uncertainty is one
+    /// oscillator period either way; the recovery time for metastability is
+    /// `stages / f_osc`.
+    pub fn stamp_delay_ticks(&self) -> u128 {
+        if self.reliable_pin {
+            2
+        } else {
+            1
+        }
+    }
+}
+
 /// Pre-resolved observability handles, populated by
 /// [`Utcsu::attach_observer`]. The chip runs in the tick domain, so trace
 /// timestamps use *nominal* local time (tick / f_osc) rather than simulated
@@ -217,16 +231,10 @@ impl Utcsu {
         self.tick
     }
 
-    /// Synchronizer latency (in ticks) of the asynchronous stamp inputs:
-    /// 1 (reliable pin low) or 2 (high). The sampling uncertainty is one
-    /// oscillator period either way; the recovery time for metastability is
-    /// `stages / f_osc`.
+    /// Synchronizer latency (in ticks) of the asynchronous stamp inputs
+    /// (see [`UtcsuConfig::stamp_delay_ticks`]).
     pub fn stamp_delay_ticks(&self) -> u128 {
-        if self.cfg.reliable_pin {
-            2
-        } else {
-            1
-        }
+        self.cfg.stamp_delay_ticks()
     }
 
     /// Current local clock value (internal 91-bit representation).
