@@ -298,25 +298,16 @@ impl SyncCore {
     /// convergence failed (inputs too disjoint for the fault assumption) —
     /// the node then keeps deteriorating (its interval stays valid).
     ///
-    /// The inbox is drained, keeping its capacity for the next round; the
-    /// round counter advances.
+    /// The inbox is drained; the round counter advances.
     pub fn converge(
         &mut self,
         now: NtpTime,
         own_alpha: (Accuracy, Accuracy),
     ) -> Option<Enforcement> {
         self.round += 1;
-        let enforcement = self.apply_cf(now, own_alpha);
-        self.inbox.clear();
+        let inbox = std::mem::take(&mut self.inbox);
         self.inbox_from.clear();
-        self.ext.clear();
-        enforcement
-    }
-
-    /// [`SyncCore::converge`] over this round's inbox and external
-    /// intervals, which the caller then drains.
-    fn apply_cf(&mut self, now: NtpTime, own_alpha: (Accuracy, Accuracy)) -> Option<Enforcement> {
-        let (inbox, ext) = (&self.inbox, &self.ext);
+        let ext = std::mem::take(&mut self.ext);
         // A reintegrating node below its quorum keeps free-running wide
         // (its deteriorating interval stays honest) and tries again next
         // round: adopting a lone neighbour — or a minority island inside a
@@ -358,7 +349,7 @@ impl SyncCore {
                 // interval becomes the intersection, valued at the external
                 // estimate. This is what lets one trustworthy receiver
                 // anchor the whole cluster to UTC.
-                for p in ext {
+                for p in &ext {
                     let e = self.drift_compensate(p, now);
                     if self.blind_external {
                         // Negative control: adopt the external interval
@@ -395,7 +386,7 @@ impl SyncCore {
                 // A reintegrating node leaves its own (cold) clock out and
                 // adopts the peer median.
                 let mut offsets: Vec<i128> = if reintegrating { vec![] } else { vec![0] };
-                for p in inbox {
+                for p in &inbox {
                     // Ship the offset estimate forward: offsets are
                     // rate-stable over Δ, no compensation in the baseline.
                     offsets.push(p.offset_units);
