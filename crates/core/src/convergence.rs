@@ -263,8 +263,8 @@ mod tests {
         assert!(err.abs() < 1e-6, "midpoint expected, err={err}");
     }
 
-    /// Marzullo's function with a stable sort of its edges, as it stood
-    /// before the unstable sort.
+    /// Marzullo's function with a stable sort of its edges: the reference
+    /// the unstable sort must equal.
     fn marzullo_sorted(intervals: &[AccInterval], f: usize) -> Option<AccInterval> {
         let n = intervals.len();
         if n == 0 || f >= n {

@@ -121,7 +121,8 @@ struct OnceFn<S> {
 }
 
 /// The boxed event closure a [`OnceFn`] stands in for: it owns its
-/// closure as it would own this box. (Private: nothing else names it.)
+/// closure as it would own this box. (An alias only because clippy's
+/// `type_complexity` rejects the type written out in the field.)
 type Boxed<S> = Box<dyn FnOnce(&mut S, &mut Engine<S>)>;
 
 /// [`OnceFn::call`]'s operation for a buffer holding an `F`.
